@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-json bench-index bench-wire bench-push bench-obs bench-trace bench-routing bench-wal routing-smoke trace-smoke chaos crash push-soak experiments smoke fuzz fuzz-smoke vet lint check clean
+.PHONY: all build test test-race bench bench-json bench-index bench-obs bench-smoke routing-smoke trace-smoke chaos crash push-soak experiments smoke fuzz fuzz-smoke vet lint check clean
 
 all: build test
 
@@ -10,9 +10,9 @@ all: build test
 # suite under the race detector, the kill-9 durability drill, the
 # push-delivery soak, the instrumented-vs-disabled solver overhead
 # comparison, the end-to-end trace-propagation smoke, the wire fuzz
-# corpus smoke, and the subscription-routing smoke (equivalence property
-# under -race plus the reduced fan-out baseline matrix).
-check: build test vet chaos crash push-soak bench-obs trace-smoke fuzz-smoke routing-smoke
+# corpus smoke, the subscription-routing smoke (equivalence property
+# under -race), and the load harness's own vet and tests.
+check: build test vet chaos crash push-soak bench-obs trace-smoke fuzz-smoke routing-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -37,19 +37,13 @@ bench-json:
 bench-index:
 	$(GO) run ./cmd/mqdp-bench -json-index > BENCH_index.json
 
-# Wire-format comparison: codec micro-benchmarks (JSON vs binary frames,
-# raw and compressed), then the machine-readable baseline with the full
-# server+client e2e ingest/poll cycle per format.
-bench-wire:
-	$(GO) test -run NONE -bench 'Wire' -benchmem ./internal/wire
-	$(GO) run ./cmd/mqdp-bench -json-wire > BENCH_wire.json
-
 # Fault-schedule end-to-end suite under the race detector: scripted drops,
 # delays, 5xx, processor panics and admission sheds driven through
-# client → HTTP → server → stream. Schedules are seeded in-test, so the
-# runs are deterministic.
+# client → HTTP → server → stream, plus the same-key concurrent-retry
+# exactly-once check. Schedules are seeded in-test, so the runs are
+# deterministic.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestShutdownMidIngest' ./internal/server
+	$(GO) test -race -count=1 -run 'TestChaos|TestShutdownMidIngest|TestIdempotentConcurrentSameKey' ./internal/server
 
 # Durability drill under the race detector: the in-process WAL /
 # snapshot / torn-tail / degraded-read-only recovery suite, then the
@@ -66,42 +60,22 @@ crash:
 push-soak:
 	$(GO) test -race -count=1 -run 'TestPushSoak|TestStreamChurnHammer' ./internal/server
 
-# Regenerate the push-vs-poll delivery-latency baseline (BENCH_push.json):
-# the same paced feed consumed over an SSE stream and over interval polls,
-# reporting per-emission delivery latency for each.
-bench-push:
-	$(GO) run ./cmd/mqdp-bench -json-push > BENCH_push.json
-
 # Compare BenchmarkScan with instrumentation disabled vs enabled: the
 # disabled path must sit within noise of the pre-obs solver.
 bench-obs:
 	$(GO) test -run NONE -bench 'ScanObs' -benchtime 300x ./internal/core
 
-# Regenerate the tracing-overhead baseline (BENCH_trace.json): the same
-# ingest+poll workload with no registry, registry-without-tracer (the
-# production default) and full span tracing with tail-based retention.
-bench-trace:
-	$(GO) run ./cmd/mqdp-bench -json-trace > BENCH_trace.json
-
-# Regenerate the subscription-routing fan-out baseline (BENCH_routing.json):
-# per-post ingest cost with the inverted keyword → subscription index vs
-# brute-force broadcast, at 100/1k/10k subscriptions across match rates
-# (acceptance floor: ≥5x at 10k subscriptions, ≤5% match rate).
-bench-routing:
-	$(GO) run ./cmd/mqdp-bench -json-routing > BENCH_routing.json
-
-# Regenerate the durability cost baseline (BENCH_wal.json): per-post
-# ingest cost with the WAL off and under each fsync policy, snapshot
-# cost, and recovery time for full-WAL replay vs snapshot + suffix.
-bench-wal:
-	$(GO) run ./cmd/mqdp-bench -json-wal > BENCH_wal.json
-
 # Routing smoke for `make check`: the emissions-byte-identical property
-# (routing on/off × worker counts, quarantine mid-stream) under the race
-# detector, then the reduced baseline matrix to catch fan-out regressions.
+# (server vs the in-test broadcast oracle × worker counts, quarantine
+# mid-stream) under the race detector.
 routing-smoke:
 	$(GO) test -race -count=1 -run 'TestRoutingEquivalence|TestRoutingSkippedAccounting|TestIngestScratchBounded' ./internal/server
-	$(GO) run ./cmd/mqdp-bench -json-routing -scale smoke > /dev/null
+
+# bench/ is a nested module that `go test ./...` and `make vet` skip, and
+# the only consumer that pins mqdp-server's flags, its listening log line
+# and the leaf-package functions its reference pipeline calls.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # End-to-end trace propagation under the race detector: one post followed
 # client span → HTTP → admission → fan-out → emission → SSE frame, plus

@@ -19,26 +19,11 @@
 // the inverted-index read-path baseline tracked in BENCH_index.json: each
 // optimized query path (time-skipping term lookup, galloping intersection,
 // bounded top-k search) measured against its naive linear-scan reference in
-// the same run, plus the index obs counters. -json-wire emits the wire-format
-// baseline tracked in BENCH_wire.json: encode/decode of an ingest batch in
-// JSON vs the binary frame format (raw and compressed), plus a full
-// server+client e2e ingest/poll cycle per format with an
-// emissions-identical cross-check. -json-trace emits the tracing-overhead
-// baseline tracked in BENCH_trace.json: the same ingest+poll workload with
-// observability off, wired-but-disabled, and fully enabled, so the
-// near-free-when-disabled contract has a standing number. -json-routing
-// emits the subscription-routing fan-out baseline tracked in
-// BENCH_routing.json: per-post ingest cost with the inverted keyword →
-// subscription index on vs brute-force broadcast, across subscription
-// counts and match rates (honors -scale smoke for a reduced matrix).
-// -json-wal emits the durability cost baseline tracked in BENCH_wal.json:
-// per-post ingest cost with the WAL off and under each fsync policy
-// (off/interval/batch), the cost of one full state snapshot, and recovery
-// time for a full-WAL replay vs a snapshot-plus-suffix restart.
-// -trace-dump FILE
-// wires the span
-// tracer and writes the bounded span journal to FILE after the run ("-" for
-// stderr).
+// the same run, plus the index obs counters. Everything about the serving
+// path (wire formats, push latency, tracing overhead, routing fan-out, WAL
+// cost) is measured by the load harness in bench/ instead.
+// -trace-dump FILE wires the span tracer and writes the bounded span journal
+// to FILE after the run ("-" for stderr).
 package main
 
 import (
@@ -71,11 +56,6 @@ func main() {
 	par := flag.Int("parallel", 1, "experiments in flight at once (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit the solver timing baseline as JSON and exit")
 	jsonIndex := flag.Bool("json-index", false, "emit the index read-path baseline as JSON and exit")
-	jsonWire := flag.Bool("json-wire", false, "emit the wire-format codec/e2e baseline as JSON and exit")
-	jsonPush := flag.Bool("json-push", false, "emit the push-vs-poll delivery-latency baseline as JSON and exit")
-	jsonTrace := flag.Bool("json-trace", false, "emit the tracing-overhead baseline (off/disabled/enabled) as JSON and exit")
-	jsonRouting := flag.Bool("json-routing", false, "emit the subscription-routing fan-out baseline as JSON and exit (honors -scale)")
-	jsonWAL := flag.Bool("json-wal", false, "emit the durability (WAL/snapshot/recovery) cost baseline as JSON and exit")
 	traceDump := flag.String("trace-dump", "", "write the solver span journal to this file after the run (- for stderr); empty disables tracing")
 	flag.Parse()
 
@@ -122,41 +102,6 @@ func main() {
 			os.Exit(1)
 		}
 		dumpTrace()
-		return
-	}
-	if *jsonWire {
-		if err := writeWireBaseline(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "mqdp-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonPush {
-		if err := writePushBaseline(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "mqdp-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonTrace {
-		if err := writeTraceBaseline(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "mqdp-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonRouting {
-		if err := writeRoutingBaseline(os.Stdout, strings.EqualFold(*scale, "smoke")); err != nil {
-			fmt.Fprintf(os.Stderr, "mqdp-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonWAL {
-		if err := writeWALBaseline(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "mqdp-bench: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 	sc := experiments.Full

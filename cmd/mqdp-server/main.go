@@ -31,16 +31,13 @@
 // (e.g. -slo-ingest 50ms). Good/bad counters land in the Prometheus
 // exposition as mqdp_slo_*_total and burn rates appear under /metrics.
 //
-// Push delivery: -push=false turns the SSE endpoint off (clients fall
-// back to long-polling), and -max-streams caps concurrently served push
-// waiters — SSE streams plus blocked long-polls — refusing the excess
-// with 503 + Retry-After.
+// Push delivery: -max-streams caps concurrently served push waiters —
+// SSE streams plus blocked long-polls — refusing the excess with 503 +
+// Retry-After.
 //
 // Ingest fan-out: posts route through an inverted keyword → subscription
 // index so only subscriptions sharing a keyword with the post are fed
-// (see docs/ARCHITECTURE.md, "Subscription routing"). -no-routing falls
-// back to broadcasting every post to every subscription's matcher;
-// emissions are byte-identical either way, only the fan-out cost differs.
+// (see docs/ARCHITECTURE.md, "Subscription routing").
 //
 // Overload protection (all off by default): -max-inflight caps concurrent
 // ingest requests, -ingest-rate/-ingest-burst bound the ingest request
@@ -118,8 +115,6 @@ func main() {
 	ingestBurst := flag.Int("ingest-burst", 1, "token-bucket burst for -ingest-rate")
 	ingestDeadline := flag.Duration("ingest-deadline", 0, "server-side wall-time budget per ingest request (0 = none)")
 	shedPolicy := flag.String("shed-policy", "shed", `over-capacity ingest behavior: "shed" (429 + Retry-After) or "block"`)
-	noRouting := flag.Bool("no-routing", false, "disable the inverted subscription-routing index; ingest broadcasts every post to every subscription")
-	push := flag.Bool("push", true, "serve SSE push delivery on /subscriptions/{id}/stream")
 	maxStreams := flag.Int("max-streams", 0, "max concurrently served push waiters, SSE + blocked long-polls (0 = unlimited)")
 	faultSchedule := flag.String("fault-schedule", "", "deterministic fault-injection schedule for chaos drills (see internal/faultinject)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic rules in -fault-schedule")
@@ -164,26 +159,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	s := server.New(*dedupDist, *dedupWindow)
-	s.SetParallelism(*parallelism)
-	s.SetLogger(logger)
-	if *maxInflight > 0 || *ingestRate > 0 {
-		s.SetAdmission(server.AdmissionConfig{
+	// Everything the flags say goes into one Config; the server reads it
+	// once, in New, which also runs recovery when -data-dir is set.
+	cfg := server.Config{
+		DupDistance: *dedupDist,
+		DupWindow:   *dedupWindow,
+		Parallelism: *parallelism,
+		MaxStreams:  *maxStreams,
+		Admission: server.AdmissionConfig{
 			MaxInflight: *maxInflight,
 			Rate:        *ingestRate,
 			Burst:       *ingestBurst,
 			Policy:      policy,
-		})
+		},
+		IngestDeadline: *ingestDeadline,
+		Logger:         logger,
 	}
-	s.SetIngestDeadline(*ingestDeadline)
-	if *noRouting {
-		// Escape hatch for the inverted routing index: emissions are
-		// byte-identical either way (routing is a pure superset filter),
-		// only the fan-out cost differs.
-		s.SetRouting(false)
-	}
-	s.SetPush(*push)
-	s.SetMaxStreams(*maxStreams)
 	if *faultSchedule != "" {
 		inj, err := faultinject.ParseSchedule(*faultSchedule, *faultSeed)
 		if err != nil {
@@ -191,7 +182,7 @@ func main() {
 			os.Exit(2)
 		}
 		logger.Warn("CHAOS: fault injection active", "schedule", *faultSchedule, "seed", *faultSeed)
-		s.SetFaultInjector(inj)
+		cfg.Faults = inj
 	}
 	if !*noObs {
 		// One registry backs every layer: solver stage timings, stream
@@ -207,17 +198,15 @@ func main() {
 		core.SetObs(reg)
 		stream.SetObs(reg)
 		index.SetObs(reg)
-		s.SetObs(reg)
-		var ingestSLO, pollSLO *obs.SLO
+		cfg.Obs = reg
 		if *sloIngest > 0 {
-			ingestSLO = obs.NewSLO("ingest", *sloIngest, *sloTarget)
-			ingestSLO.Register(reg)
+			cfg.SLOIngest = obs.NewSLO("ingest", *sloIngest, *sloTarget)
+			cfg.SLOIngest.Register(reg)
 		}
 		if *sloPoll > 0 {
-			pollSLO = obs.NewSLO("poll", *sloPoll, *sloTarget)
-			pollSLO.Register(reg)
+			cfg.SLOPoll = obs.NewSLO("poll", *sloPoll, *sloTarget)
+			cfg.SLOPoll.Register(reg)
 		}
-		s.SetSLO(ingestSLO, pollSLO)
 		expvar.Publish("mqdp", expvar.Func(func() any { return reg.Snapshot() }))
 	}
 	if *dataDir != "" {
@@ -226,30 +215,29 @@ func main() {
 			logger.Error("bad -fsync", "value", *fsync, "err", err)
 			os.Exit(2)
 		}
-		// After SetObs and SetFaultInjector: recovery replay then runs with
-		// live instruments, and chaos disk actions reach the WAL failpoints.
-		start := time.Now()
-		if err := s.EnableDurability(server.DurabilityConfig{
+		cfg.Durability = server.DurabilityConfig{
 			Dir:              *dataDir,
 			Fsync:            policy,
 			FsyncInterval:    *fsyncInterval,
 			SegmentBytes:     *walSegmentBytes,
 			SnapshotInterval: *snapshotInterval,
-		}); err != nil {
-			logger.Error("durability", "dir", *dataDir, "err", err)
-			os.Exit(1)
 		}
-		m := s.Metrics()
-		if m.Durability != nil {
-			logger.Info("recovered state",
-				"dir", *dataDir,
-				"fsync", *fsync,
-				"subscriptions", m.Subscriptions,
-				"replayed_records", m.Durability.ReplayedRecords,
-				"replayed_posts", m.Durability.ReplayedPosts,
-				"repaired_tail_bytes", m.Durability.RepairedBytes,
-				"recovery_time", time.Since(start))
-		}
+	}
+	start := time.Now()
+	s, err := server.New(cfg)
+	if err != nil {
+		logger.Error("durability", "dir", *dataDir, "err", err)
+		os.Exit(1)
+	}
+	if m := s.Metrics(); m.Durability != nil {
+		logger.Info("recovered state",
+			"dir", *dataDir,
+			"fsync", *fsync,
+			"subscriptions", m.Subscriptions,
+			"replayed_records", m.Durability.ReplayedRecords,
+			"replayed_posts", m.Durability.ReplayedPosts,
+			"repaired_tail_bytes", m.Durability.RepairedBytes,
+			"recovery_time", time.Since(start))
 	}
 	if *debugAddr != "" {
 		go func() {
@@ -284,7 +272,6 @@ func main() {
 			"dedup_distance", *dedupDist,
 			"dedup_window", *dedupWindow,
 			"ingest_workers", s.Parallelism(),
-			"routing", s.RoutingEnabled(),
 			"durability", *dataDir != "",
 			"tracing", !*noObs && *trace)
 		errc <- h.Serve(ln)
@@ -313,7 +300,7 @@ func main() {
 	}
 	// Final snapshot + WAL close: a graceful restart recovers from the
 	// snapshot alone, with zero records to replay.
-	if err := s.CloseDurability(); err != nil {
+	if err := s.Close(); err != nil {
 		logger.Warn("durability close", "err", err)
 	}
 	m := s.Metrics()

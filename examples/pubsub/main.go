@@ -21,7 +21,10 @@ import (
 
 func main() {
 	// Boot the service on an ephemeral port.
-	core := server.New(10, 4096)
+	core, err := server.New(server.Config{DupDistance: 10, DupWindow: 4096})
+	if err != nil {
+		log.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

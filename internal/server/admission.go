@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"mqdp/internal/faultinject"
 	"mqdp/internal/resilience"
 )
 
@@ -47,12 +46,10 @@ type admission struct {
 	bucket   *resilience.TokenBucket
 }
 
-// SetAdmission (re)configures ingest admission control. A zero config
-// removes it. Safe to call while serving.
-func (s *Server) SetAdmission(cfg AdmissionConfig) {
+// newAdmission builds the controller for cfg; nil when cfg bounds nothing.
+func newAdmission(cfg AdmissionConfig) *admission {
 	if cfg.MaxInflight <= 0 && cfg.Rate <= 0 {
-		s.admission.Store(nil)
-		return
+		return nil
 	}
 	a := &admission{cfg: cfg}
 	if cfg.MaxInflight > 0 {
@@ -67,37 +64,14 @@ func (s *Server) SetAdmission(cfg AdmissionConfig) {
 	if a.cfg.MaxWait <= 0 {
 		a.cfg.MaxWait = time.Second
 	}
-	s.admission.Store(a)
-}
-
-// SetIngestDeadline bounds the server-side wall time of one ingest
-// request (0 disables). A batch cut off mid-way reports the accepted
-// prefix with 503 + Retry-After so honoring clients resume, not resend.
-func (s *Server) SetIngestDeadline(d time.Duration) {
-	s.ingestDeadline.Store(int64(d))
-}
-
-// IngestDeadline reports the configured per-request ingest deadline.
-func (s *Server) IngestDeadline() time.Duration {
-	return time.Duration(s.ingestDeadline.Load())
-}
-
-// SetFaultInjector installs (or, with nil, removes) the deterministic
-// chaos hook consulted at the server's in-process fault points. Hot
-// paths pay one atomic pointer load when disabled.
-func (s *Server) SetFaultInjector(in *faultinject.Injector) {
-	if in == nil {
-		s.faults.Store(nil)
-		return
-	}
-	s.faults.Store(in)
+	return a
 }
 
 // admit runs one ingest request through the admission controller. On
 // success it returns a release closure; on shed it returns ok=false and
 // the Retry-After hint, and counts the shed. ctx bounds a blocked wait.
 func (s *Server) admit(ctx context.Context) (release func(), retryAfter time.Duration, ok bool) {
-	a := s.admission.Load()
+	a := s.admission
 	if a == nil {
 		return func() {}, 0, true
 	}
@@ -138,12 +112,15 @@ type idemEntry struct {
 // idemCache is a bounded FIFO map of Idempotency-Key → outcome. The
 // exactly-once story for ingest: a client that never got the response
 // retries with the same key and receives the recorded outcome instead
-// of re-applying the batch.
+// of re-applying the batch. inflight holds the keys whose first request
+// is still being applied, so a retry that overtakes its original waits
+// for that outcome instead of applying the batch a second time.
 type idemCache struct {
-	mu      sync.Mutex
-	entries map[string]idemEntry
-	order   []string // insertion order for FIFO eviction
-	head    int
+	mu       sync.Mutex
+	entries  map[string]idemEntry
+	order    []string // insertion order for FIFO eviction
+	head     int
+	inflight map[string]chan struct{} // closed by settle
 }
 
 func (c *idemCache) get(key string) (idemEntry, bool) {
@@ -153,9 +130,56 @@ func (c *idemCache) get(key string) (idemEntry, bool) {
 	return e, ok
 }
 
+// claim is the atomic lookup-or-claim: it returns the recorded outcome of
+// key (replay = true), or makes the caller the key's owner, who must call
+// settle exactly once. While another request owns the key, claim waits
+// for it to settle (then looks again) or for ctx to end.
+func (c *idemCache) claim(ctx context.Context, key string) (e idemEntry, replay bool, err error) {
+	for {
+		c.mu.Lock()
+		if e, ok := c.entries[key]; ok {
+			c.mu.Unlock()
+			return e, true, nil
+		}
+		owner, busy := c.inflight[key]
+		if !busy {
+			if c.inflight == nil {
+				c.inflight = make(map[string]chan struct{})
+			}
+			c.inflight[key] = make(chan struct{})
+			c.mu.Unlock()
+			return idemEntry{}, false, nil
+		}
+		c.mu.Unlock()
+		select {
+		case <-owner:
+		case <-ctx.Done():
+			return idemEntry{}, false, ctx.Err()
+		}
+	}
+}
+
+// settle ends the owner's claim on key and wakes its waiters. A non-nil
+// outcome is recorded first, so they replay it; nil means nothing was
+// applied durably (the WAL refused the batch) and the next waiter takes
+// the key over.
+func (c *idemCache) settle(key string, outcome *idemEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if outcome != nil {
+		c.putLocked(key, *outcome)
+	}
+	close(c.inflight[key])
+	delete(c.inflight, key)
+}
+
 func (c *idemCache) put(key string, e idemEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.putLocked(key, e)
+}
+
+func (c *idemCache) putLocked(key string, e idemEntry) {
 	if c.entries == nil {
 		c.entries = make(map[string]idemEntry)
 	}

@@ -18,7 +18,7 @@ func BenchmarkIngestManySubscriptions(b *testing.B) {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
 			world := synth.NewWorld(synth.WorldConfig{Seed: 1})
 			tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 600, RatePerSec: 4, Seed: 2})
-			s := New(0, 0)
+			s := newServer(b, Config{})
 			rng := newRand(3)
 			for i := 0; i < subs; i++ {
 				topicIdx := world.SampleLabelSet(rng, 3)
@@ -44,54 +44,45 @@ func BenchmarkIngestManySubscriptions(b *testing.B) {
 
 // BenchmarkIngestSparseMatch measures per-post ingest cost on the workload
 // the inverted routing index exists for: many single-keyword subscriptions
-// of which only a small fraction matches any given post. Routed fan-out
-// touches only the candidate postings; broadcast walks every matcher. The
-// checked-in BENCH_routing.json tracks the same ratio cross-binary via
-// `make bench-routing`.
+// of which only a small fraction matches any given post: the routed fan-out
+// touches only the candidate postings. bench/'s sparse_fanout workload
+// measures the same shape end to end (route.* in bench/README.md).
 func BenchmarkIngestSparseMatch(b *testing.B) {
 	const tokensPerPost = 10
 	for _, subs := range []int{100, 1000, 10000} {
 		for _, rate := range []float64{0.01, 0.05} {
 			keywords := int(tokensPerPost/rate + 0.5)
-			for _, routing := range []bool{true, false} {
-				mode := "routed"
-				if !routing {
-					mode = "broadcast"
+			b.Run(fmt.Sprintf("subs=%d/rate=%g/routed", subs, rate), func(b *testing.B) {
+				s := newServer(b, Config{Parallelism: 1})
+				for i := 0; i < subs; i++ {
+					if _, err := s.Subscribe(SubscriptionConfig{
+						Topics: []match.Topic{{
+							Name:     fmt.Sprintf("t%d", i),
+							Keywords: []match.Keyword{{Text: fmt.Sprintf("kw%d", i%keywords), Weight: 1}},
+						}},
+						Lambda:    3600,
+						Algorithm: "instant",
+					}); err != nil {
+						b.Fatal(err)
+					}
 				}
-				b.Run(fmt.Sprintf("subs=%d/rate=%g/%s", subs, rate, mode), func(b *testing.B) {
-					s := New(0, 0)
-					s.SetParallelism(1)
-					s.SetRouting(routing)
-					for i := 0; i < subs; i++ {
-						if _, err := s.Subscribe(SubscriptionConfig{
-							Topics: []match.Topic{{
-								Name:     fmt.Sprintf("t%d", i),
-								Keywords: []match.Keyword{{Text: fmt.Sprintf("kw%d", i%keywords), Weight: 1}},
-							}},
-							Lambda:    3600,
-							Algorithm: "instant",
-						}); err != nil {
-							b.Fatal(err)
-						}
+				// Rotate a tokensPerPost-keyword window through the
+				// universe so each post matches exactly rate×subs profiles.
+				texts := make([]string, keywords)
+				for i := range texts {
+					var sb []byte
+					start := (i * tokensPerPost) % keywords
+					for j := 0; j < tokensPerPost; j++ {
+						sb = fmt.Appendf(sb, "kw%d ", (start+j)%keywords)
 					}
-					// Rotate a tokensPerPost-keyword window through the
-					// universe so each post matches exactly rate×subs profiles.
-					texts := make([]string, keywords)
-					for i := range texts {
-						var sb []byte
-						start := (i * tokensPerPost) % keywords
-						for j := 0; j < tokensPerPost; j++ {
-							sb = fmt.Appendf(sb, "kw%d ", (start+j)%keywords)
-						}
-						texts[i] = string(fmt.Append(sb, "plus filler chatter"))
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						_ = s.Ingest(Post{ID: int64(i + 1), Time: float64(i), Text: texts[i%len(texts)]})
-					}
-				})
-			}
+					texts[i] = string(fmt.Append(sb, "plus filler chatter"))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = s.Ingest(Post{ID: int64(i + 1), Time: float64(i), Text: texts[i%len(texts)]})
+				}
+			})
 		}
 	}
 }
@@ -105,8 +96,7 @@ func BenchmarkIngestWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("subs=%d/workers=%d", subs, workers), func(b *testing.B) {
 			world := synth.NewWorld(synth.WorldConfig{Seed: 1})
 			tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 600, RatePerSec: 4, Seed: 2})
-			s := New(0, 0)
-			s.SetParallelism(workers)
+			s := newServer(b, Config{Parallelism: workers})
 			rng := newRand(3)
 			for i := 0; i < subs; i++ {
 				topicIdx := world.SampleLabelSet(rng, 3)
@@ -132,7 +122,7 @@ func BenchmarkIngestWorkers(b *testing.B) {
 // buffer. The cursor offset is computed in O(1) from the first retained
 // Seq, so cost tracks the page size, not the 65,536-entry buffer.
 func BenchmarkEmissionsPoll(b *testing.B) {
-	s := New(0, 0)
+	s := newServer(b, Config{})
 	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 0, Tau: 0, Algorithm: "instant"})
 	if err != nil {
 		b.Fatal(err)
@@ -165,14 +155,10 @@ func BenchmarkEmissionsPoll(b *testing.B) {
 // tracer attached, tracing must cost only the nil check inside the already
 // -loaded obs state, so Disabled stays where it was before spans existed,
 // and Enabled prices full span bookkeeping with tail-based retention.
-func benchIngestObs(b *testing.B, wire func(*Server)) {
+func benchIngestObs(b *testing.B, reg *obs.Registry) {
 	world := synth.NewWorld(synth.WorldConfig{Seed: 1})
 	tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 600, RatePerSec: 4, Seed: 2})
-	s := New(0, 0)
-	s.SetParallelism(1)
-	if wire != nil {
-		wire(s)
-	}
+	s := newServer(b, Config{Parallelism: 1, Obs: reg})
 	rng := newRand(3)
 	for i := 0; i < 16; i++ {
 		topicIdx := world.SampleLabelSet(rng, 3)
@@ -198,19 +184,15 @@ func BenchmarkIngestTraceOff(b *testing.B) {
 }
 
 func BenchmarkIngestTraceDisabled(b *testing.B) {
-	benchIngestObs(b, func(s *Server) {
-		s.SetObs(obs.NewRegistry())
-	})
+	benchIngestObs(b, obs.NewRegistry())
 }
 
 func BenchmarkIngestTraceEnabled(b *testing.B) {
-	benchIngestObs(b, func(s *Server) {
-		reg := obs.NewRegistry()
-		tracer := obs.NewTracer(4096)
-		tracer.SetRetention(100*time.Millisecond, 10)
-		reg.SetTracer(tracer)
-		s.SetObs(reg)
-	})
+	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(4096)
+	tracer.SetRetention(100*time.Millisecond, 10)
+	reg.SetTracer(tracer)
+	benchIngestObs(b, reg)
 }
 
 func BenchmarkMatchOnly(b *testing.B) {

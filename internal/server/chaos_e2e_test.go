@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,6 +17,7 @@ import (
 	"mqdp/internal/obs"
 	"mqdp/internal/resilience"
 	"mqdp/internal/synth"
+	"mqdp/internal/wal"
 )
 
 // chaosSubscribe registers the chaos fleet: six mixed-profile
@@ -41,7 +45,7 @@ func chaosSubscribe(t *testing.T, world *synth.World, sub func(SubscriptionConfi
 
 // TestChaosE2E drives client → HTTP → server → stream processors through a
 // scripted fault schedule (request drop, response drop, injected 503, added
-// latency, one mid-stream processor panic, and a forced admission shed) and
+// latency and one mid-stream processor panic) and
 // asserts the fault-tolerance contract end to end:
 //
 //   - the retrying client reports every batch fully accepted, exactly once;
@@ -49,15 +53,15 @@ func chaosSubscribe(t *testing.T, world *synth.World, sub func(SubscriptionConfi
 //     the service metrics — while the server keeps serving;
 //   - every healthy subscription's emission sequence is byte-identical to a
 //     fault-free run over the same stream;
-//   - the obs registry's retry/shed/breaker/quarantine counters reconcile
-//     with the injector's own record of what it injected.
+//   - the obs registry's retry/breaker/quarantine counters reconcile with
+//     the injector's own record of what it injected (TestChaosForcedShed
+//     does the same for the shed counters).
 func TestChaosE2E(t *testing.T) {
 	world := synth.NewWorld(synth.WorldConfig{Seed: 21})
 	tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 600, RatePerSec: 2, DupRatio: 0, Seed: 22})
 
 	// Fault-free reference run, straight into a server core.
-	clean := New(0, 0)
-	clean.SetParallelism(4)
+	clean := newServer(t, Config{Parallelism: 4})
 	cleanIDs := chaosSubscribe(t, world, clean.Subscribe)
 	for _, tw := range tweets {
 		if err := clean.Ingest(Post{ID: tw.ID, Time: tw.Time, Text: tw.Text}); err != nil {
@@ -68,17 +72,12 @@ func TestChaosE2E(t *testing.T) {
 
 	// Chaos run: same stream, but over HTTP through a faulty transport,
 	// with a scripted panic inside one subscription's pipeline.
-	core := New(0, 0)
-	core.SetParallelism(4)
 	reg := obs.NewRegistry()
-	core.SetObs(reg)
 	srvInj, err := faultinject.ParseSchedule("sub3.process@5=panic:injected-chaos-panic", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetFaultInjector(srvInj)
-	ts := httptest.NewServer(Handler(core))
-	defer ts.Close()
+	ts, core := newTestServerWith(t, Config{Parallelism: 4, Obs: reg, Faults: srvInj})
 
 	clInj, err := faultinject.ParseSchedule(
 		"POST /ingest@4=drop; POST /ingest@9=droprx; POST /ingest@15=status:503; POST /ingest@21=delay:20ms", 7)
@@ -154,18 +153,10 @@ func TestChaosE2E(t *testing.T) {
 		t.Fatalf("healthz status %d after chaos", code)
 	}
 
-	// Forced shed phase: a near-empty token bucket sheds the second call's
-	// every attempt, so the client observes 429s and gives up — after the
-	// flush, so the emission comparison above is unaffected.
-	core.SetAdmission(AdmissionConfig{Rate: 2, Burst: 1})
 	last := tweets[len(tweets)-1]
 	_, err = cl.IngestAccepted(Post{ID: last.ID + 1, Time: last.Time + 1, Text: "post-flush probe"})
 	if StatusCode(err) != http.StatusConflict {
 		t.Fatalf("ingest after flush: want 409, got %v", err)
-	}
-	_, err = cl.IngestAccepted(Post{ID: last.ID + 2, Time: last.Time + 2, Text: "post-flush probe"})
-	if StatusCode(err) != http.StatusTooManyRequests {
-		t.Fatalf("ingest with empty bucket: want 429, got %v", err)
 	}
 
 	// Reconcile every counter with what the injector says it did.
@@ -179,18 +170,15 @@ func TestChaosE2E(t *testing.T) {
 	if got := srvInj.Counts()["panic"]; got != 1 {
 		t.Errorf("server injector panic count = %d, want 1", got)
 	}
-	faultRetries := counts["drop"] + counts["droprx"] + counts["status"]
-	wantRetries := faultRetries + cs.ShedResponses - 1 // the last shed attempt is not retried
-	if cs.Retries != wantRetries {
-		t.Errorf("client retries = %d, want %d (faults %d + shed retries %d)",
-			cs.Retries, wantRetries, faultRetries, cs.ShedResponses-1)
+	if faultRetries := counts["drop"] + counts["droprx"] + counts["status"]; cs.Retries != faultRetries {
+		t.Errorf("client retries = %d, want %d (one per injected fault)", cs.Retries, faultRetries)
 	}
 	m := core.Metrics()
 	if m.Quarantines != 1 {
 		t.Errorf("Metrics.Quarantines = %d, want 1", m.Quarantines)
 	}
-	if m.Sheds != cs.ShedResponses || m.Sheds == 0 {
-		t.Errorf("Metrics.Sheds = %d, client saw %d 429s", m.Sheds, cs.ShedResponses)
+	if m.Sheds != 0 || cs.ShedResponses != 0 {
+		t.Errorf("Metrics.Sheds = %d, client saw %d 429s with no admission control configured", m.Sheds, cs.ShedResponses)
 	}
 	if cs.BreakerOpens != 0 {
 		t.Errorf("breaker opened %d times with no breaker configured", cs.BreakerOpens)
@@ -205,10 +193,49 @@ func TestChaosE2E(t *testing.T) {
 	text := readAll(t, resp)
 	for _, line := range []string{
 		fmt.Sprintf("mqdp_client_retries_total %d", cs.Retries),
-		fmt.Sprintf("mqdp_client_shed_responses_total %d", cs.ShedResponses),
-		fmt.Sprintf("mqdp_server_sheds_total %d", m.Sheds),
 		"mqdp_server_quarantines_total 1",
 		"mqdp_server_quarantined_subscriptions 1",
+	} {
+		if !strings.Contains(text, line) {
+			t.Errorf("prometheus exposition missing %q", line)
+		}
+	}
+}
+
+// TestChaosForcedShed: a near-empty token bucket admits one request and
+// sheds every attempt of the next, so the retrying client observes 429s
+// and gives up; the server's shed counter, the client's shed and retry
+// counters and the Prometheus exposition all tell the same story.
+func TestChaosForcedShed(t *testing.T) {
+	reg := obs.NewRegistry()
+	ts, core := newTestServerWith(t, Config{Obs: reg, Admission: AdmissionConfig{Rate: 2, Burst: 1}})
+	cl := NewClient(ts.URL)
+	cl.Retry = &RetryPolicy{MaxAttempts: 6, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond, Seed: 99}
+	cl.SetObs(reg)
+	if _, err := cl.IngestAccepted(Post{ID: 1, Time: 1, Text: "takes the only token"}); err != nil {
+		t.Fatalf("ingest with a full bucket: %v", err)
+	}
+	_, err := cl.IngestAccepted(Post{ID: 2, Time: 2, Text: "shed on every attempt"})
+	if StatusCode(err) != http.StatusTooManyRequests {
+		t.Fatalf("ingest with empty bucket: want 429, got %v", err)
+	}
+	cs := cl.RetryStats()
+	if want := cs.ShedResponses - 1; cs.Retries != want { // the last shed attempt is not retried
+		t.Errorf("client retries = %d, want %d", cs.Retries, want)
+	}
+	m := core.Metrics()
+	if m.Sheds != cs.ShedResponses || m.Sheds == 0 {
+		t.Errorf("Metrics.Sheds = %d, client saw %d 429s", m.Sheds, cs.ShedResponses)
+	}
+	resp, err := http.Get(ts.URL + "/metrics/prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text := readAll(t, resp)
+	for _, line := range []string{
+		fmt.Sprintf("mqdp_client_shed_responses_total %d", cs.ShedResponses),
+		fmt.Sprintf("mqdp_server_sheds_total %d", m.Sheds),
 	} {
 		if !strings.Contains(text, line) {
 			t.Errorf("prometheus exposition missing %q", line)
@@ -261,6 +288,100 @@ func TestChaosExactlyOnceReplay(t *testing.T) {
 	}
 }
 
+// TestIdempotentConcurrentSameKey: a retry that overtakes its own original
+// — same Idempotency-Key while the first attempt is still stalled inside
+// the pipeline — waits for that attempt's outcome and replays it. It never
+// applies the batch a second time (equal timestamps would double-ingest)
+// and never overwrites the recorded outcome (increasing timestamps would
+// record the retry's 409 out-of-order), in memory and through the WAL.
+func TestIdempotentConcurrentSameKey(t *testing.T) {
+	type answer struct {
+		status int
+		replay bool
+		res    IngestResult
+		err    error
+	}
+	for _, durable := range []bool{false, true} {
+		for _, shape := range []struct {
+			name   string
+			t1, t2 float64
+		}{{"equal timestamps", 5, 5}, {"increasing timestamps", 5, 6}} {
+			t.Run(fmt.Sprintf("durable=%v/%s", durable, shape.name), func(t *testing.T) {
+				inj, err := faultinject.ParseSchedule("sub1.process@1=delay:300ms", 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := Config{Faults: inj}
+				if durable {
+					cfg.Durability = DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncBatch}
+				}
+				ts, core := newTestServerWith(t, cfg)
+				if _, err := core.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"}); err != nil {
+					t.Fatal(err)
+				}
+				posts := []Post{{ID: 1, Time: shape.t1, Text: "obama speaks"}, {ID: 2, Time: shape.t2, Text: "senate votes"}}
+				body, err := json.Marshal(posts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				const key = "same-key"
+				send := func() (a answer) {
+					req, err := http.NewRequest(http.MethodPost, ts.URL+"/ingest", bytes.NewReader(body))
+					if err != nil {
+						return answer{err: err}
+					}
+					req.Header.Set("Idempotency-Key", key)
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						return answer{err: err}
+					}
+					defer resp.Body.Close()
+					a.status = resp.StatusCode
+					a.replay = resp.Header.Get("Idempotent-Replay") == "true"
+					a.err = json.NewDecoder(resp.Body).Decode(&a.res)
+					return a
+				}
+				first := make(chan answer, 1)
+				go func() { first <- send() }()
+				// Post 1 is admitted, so the original is stalled in sub1.process.
+				waitFor(t, func() bool { return core.Stats().Ingested >= 1 })
+				second := send()
+				replays := 0
+				for i, a := range []answer{<-first, second, send()} {
+					if a.err != nil {
+						t.Fatalf("request %d: %v", i, a.err)
+					}
+					if a.status != http.StatusOK || a.res.Accepted != len(posts) || a.res.Error != "" {
+						t.Errorf("request %d answered %d %+v, want 200 with %d accepted", i, a.status, a.res, len(posts))
+					}
+					if a.replay {
+						replays++
+					}
+				}
+				if replays != 2 {
+					t.Errorf("%d of 3 same-key requests were marked Idempotent-Replay, want 2", replays)
+				}
+				if got := core.Stats().Ingested; got != int64(len(posts)) {
+					t.Errorf("ingested %d posts, want %d (batch applied twice?)", got, len(posts))
+				}
+				if !durable {
+					return
+				}
+				// Crash (no Close): the recovered server answers from the
+				// journaled ack, which must be the original's.
+				b := newServer(t, cfg)
+				res, status, err := b.IngestBatch(context.Background(), posts, key)
+				if err != nil || !res.Replayed || status != http.StatusOK || res.Accepted != len(posts) {
+					t.Errorf("after recovery the key answers %d %+v (%v), want a replayed 200", status, res, err)
+				}
+				if got := b.Stats().Ingested; got != int64(len(posts)) {
+					t.Errorf("recovered server ingested %d posts, want %d", got, len(posts))
+				}
+			})
+		}
+	}
+}
+
 // TestChaosIngestDeadline exercises the server-side ingest deadline: a
 // batch stalled mid-way (injected processing latency beyond the budget) is
 // cut between posts, the applied prefix is reported with 503 + Retry-After,
@@ -271,13 +392,11 @@ func TestChaosIngestDeadline(t *testing.T) {
 		posts[i] = Post{ID: int64(i + 1), Time: float64(i + 1), Text: fmt.Sprintf("senate update %d", i+1)}
 	}
 	setup := func(t *testing.T) (*httptest.Server, *Server) {
-		ts, core := newTestServer(t)
-		core.SetIngestDeadline(40 * time.Millisecond)
 		inj, err := faultinject.ParseSchedule("sub1.process@3=delay:120ms", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		core.SetFaultInjector(inj)
+		ts, core := newTestServerWith(t, Config{IngestDeadline: 40 * time.Millisecond, Faults: inj})
 		if _, err := core.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 0, Tau: 0, Algorithm: "instant"}); err != nil {
 			t.Fatal(err)
 		}
@@ -329,31 +448,38 @@ func TestChaosIngestDeadline(t *testing.T) {
 // queues a request until the in-flight slot frees; shed rejects it with
 // 429 + Retry-After and counts the shed.
 func TestChaosAdmissionPolicies(t *testing.T) {
-	ts, core := newTestServer(t)
-	if _, err := core.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 0, Tau: 0, Algorithm: "instant"}); err != nil {
-		t.Fatal(err)
-	}
-	// Every odd matched post stalls 250ms inside the pipeline, holding
-	// its request's in-flight slot.
-	inj, err := faultinject.ParseSchedule("sub1.process@1=delay:250ms; sub1.process@3=delay:250ms", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core.SetFaultInjector(inj)
-	ingest := func(p Post) *http.Response {
-		t.Helper()
-		return postJSON(t, ts.URL+"/ingest", p)
+	// setup serves one server per admission policy. Its first matched post
+	// stalls 250ms inside the pipeline, holding its request's in-flight
+	// slot; slow posts it and returns a channel closed when it is answered.
+	setup := func(t *testing.T, adm AdmissionConfig) (core *Server, ingest func(Post) *http.Response, slow func() <-chan struct{}) {
+		inj, err := faultinject.ParseSchedule("sub1.process@1=delay:250ms", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, core := newTestServerWith(t, Config{Admission: adm, Faults: inj})
+		if _, err := core.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 0, Tau: 0, Algorithm: "instant"}); err != nil {
+			t.Fatal(err)
+		}
+		ingest = func(p Post) *http.Response {
+			t.Helper()
+			return postJSON(t, ts.URL+"/ingest", p)
+		}
+		slow = func() <-chan struct{} {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				resp := ingest(Post{ID: 1, Time: 1, Text: "obama night special"})
+				resp.Body.Close()
+			}()
+			time.Sleep(50 * time.Millisecond) // let the slow request take the slot
+			return done
+		}
+		return core, ingest, slow
 	}
 
 	t.Run("block waits for the slot", func(t *testing.T) {
-		core.SetAdmission(AdmissionConfig{MaxInflight: 1, Policy: ShedPolicyBlock, MaxWait: 2 * time.Second})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			resp := ingest(Post{ID: 1, Time: 1, Text: "obama night special"})
-			resp.Body.Close()
-		}()
-		time.Sleep(50 * time.Millisecond) // let the slow request take the slot
+		core, ingest, slow := setup(t, AdmissionConfig{MaxInflight: 1, Policy: ShedPolicyBlock, MaxWait: 2 * time.Second})
+		done := slow()
 		start := time.Now()
 		resp := ingest(Post{ID: 2, Time: 2, Text: "senate campaign diary"})
 		resp.Body.Close()
@@ -370,15 +496,9 @@ func TestChaosAdmissionPolicies(t *testing.T) {
 	})
 
 	t.Run("shed rejects with retry-after", func(t *testing.T) {
-		core.SetAdmission(AdmissionConfig{MaxInflight: 1, Policy: ShedPolicyShed})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			resp := ingest(Post{ID: 3, Time: 3, Text: "obama runoff announced"})
-			resp.Body.Close()
-		}()
-		time.Sleep(50 * time.Millisecond)
-		resp := ingest(Post{ID: 4, Time: 4, Text: "senate poll numbers move"})
+		core, ingest, slow := setup(t, AdmissionConfig{MaxInflight: 1, Policy: ShedPolicyShed})
+		done := slow()
+		resp := ingest(Post{ID: 2, Time: 2, Text: "senate poll numbers move"})
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("saturated shed status %d, want 429", resp.StatusCode)
@@ -404,7 +524,7 @@ func (panicFlushProc) Flush() []mqdp.Emission                     { panic("flush
 // processor that panics while flushing is isolated, the other
 // subscriptions flush normally, and the server survives.
 func TestChaosQuarantineOnFlush(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	bad, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 10, Tau: 0})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ import (
 var streamHTTPClient = &http.Client{}
 
 // fallbackPollInterval paces the polling fallback between empty rounds
-// when the server's push surface is disabled.
+// against a server without a push surface.
 const fallbackPollInterval = 200 * time.Millisecond
 
 // fallbackPollWait is the wait= sent by the polling fallback: long
@@ -62,8 +62,8 @@ type callbackErr struct{ error }
 // or ctx.Err() when the context ends. With a RetryPolicy, dropped
 // connections reconnect with backoff and resume from the last delivered
 // seq (the attempt budget resets whenever a connection makes progress);
-// without one, the first failure is returned. Against a server whose
-// push surface is disabled (501) or too old (405), Stream degrades to
+// without one, the first failure is returned. Against another server
+// that does not implement the push surface (501 or 405), Stream degrades to
 // transparent polling of /emissions and /topk — fn sees the same event
 // sequence either way.
 func (c *Client) Stream(ctx context.Context, id, after int64, fn func(StreamEvent) error) error {

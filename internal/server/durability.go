@@ -91,7 +91,8 @@ var ErrReadOnly = errors.New("server: durability degraded to read-only (WAL writ
 
 // DurabilityConfig wires a Server to a data directory.
 type DurabilityConfig struct {
-	// Dir is the WAL + snapshot directory (created if missing).
+	// Dir is the WAL + snapshot directory (created if missing); empty
+	// means no durability.
 	Dir string
 	// Fsync picks the WAL fsync cadence (wal.SyncBatch, SyncInterval,
 	// SyncOff).
@@ -101,7 +102,7 @@ type DurabilityConfig struct {
 	// SegmentBytes is the WAL segment rotation threshold (0 = default).
 	SegmentBytes int64
 	// SnapshotInterval takes a state snapshot on a wall-clock timer
-	// (0 = only on CloseDurability).
+	// (0 = only on Close).
 	SnapshotInterval time.Duration
 }
 
@@ -124,8 +125,8 @@ type durState struct {
 	// Only touched by the single-threaded recovery loop.
 	pending *pendingBatch
 
-	// closeOnce makes CloseDurability idempotent: concurrent shutdown
-	// paths must not double-close the snapshot-loop channel.
+	// closeOnce makes Close idempotent: concurrent shutdown paths must not
+	// double-close the snapshot-loop channel.
 	closeOnce sync.Once
 
 	// degraded latches on the first WAL/snapshot IO failure.
@@ -134,7 +135,7 @@ type durState struct {
 
 	lastSnapLSN atomic.Uint64
 
-	// Recovery accounting, written once during EnableDurability.
+	// Recovery accounting, written once during New.
 	replayedRecords int64
 	replayedBatches int64
 	replayedPosts   int64
@@ -160,14 +161,12 @@ type DurabilityMetrics struct {
 	Snapshots       int64  `json:"snapshots"`
 }
 
-// EnableDurability opens (or creates) the data directory, restores the
-// newest valid snapshot, replays the WAL suffix through the regular
-// ingest/registry paths, and starts journaling every subsequent mutation.
-// Call it on a freshly constructed Server, before serving traffic.
-func (s *Server) EnableDurability(cfg DurabilityConfig) error {
-	if s.dur.Load() != nil {
-		return errors.New("server: durability already enabled")
-	}
+// recover is the durable half of New: it opens (or creates) the data
+// directory, restores the newest valid snapshot, replays the WAL suffix
+// through the regular ingest/registry paths, and starts journaling every
+// subsequent mutation.
+func (s *Server) recover() error {
+	cfg := s.cfg.Durability
 	log, err := wal.Open(cfg.Dir, wal.Options{
 		SegmentBytes: cfg.SegmentBytes,
 		Policy:       cfg.Fsync,
@@ -175,7 +174,7 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) error {
 		// Chaos hook: the schedule's disk actions surface here as IO
 		// failures ("wal.append@3=disk:..." etc.).
 		Failpoint: func(op string) error {
-			if in := s.faults.Load(); in != nil {
+			if in := s.cfg.Faults; in != nil {
 				return in.Fire(op)
 			}
 			return nil
@@ -202,7 +201,7 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) error {
 		return err
 	}
 	d.lastSnapLSN.Store(snapLSN)
-	s.dur.Store(d)
+	s.dur = d
 	d.replaying.Store(true)
 	rerr := log.Replay(snapLSN+1, func(rec wal.Record) error {
 		return s.applyWALRecord(d, rec)
@@ -215,11 +214,10 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) error {
 	}
 	d.replaying.Store(false)
 	if rerr != nil {
-		s.dur.Store(nil)
 		log.Close()
 		return fmt.Errorf("server: WAL replay: %w", rerr)
 	}
-	if l := s.logger.Load(); l != nil {
+	if l := s.cfg.Logger; l != nil {
 		l.Info("durability enabled",
 			slog.String("dir", cfg.Dir),
 			slog.String("fsync", cfg.Fsync.String()),
@@ -236,12 +234,12 @@ func (s *Server) EnableDurability(cfg DurabilityConfig) error {
 	return nil
 }
 
-// CloseDurability takes a final snapshot (graceful shutdowns restart with
-// zero replay) and closes the WAL. Safe when durability was never enabled
-// and under concurrent calls: the first caller shuts down, later ones
-// wait for it and return nil.
-func (s *Server) CloseDurability() error {
-	d := s.dur.Load()
+// Close takes a final snapshot (graceful shutdowns restart with zero
+// replay) and closes the WAL. A no-op on an in-memory server, and safe
+// under concurrent calls: the first caller shuts down, later ones wait for
+// it and return nil.
+func (s *Server) Close() error {
+	d := s.dur
 	if d == nil {
 		return nil
 	}
@@ -261,13 +259,10 @@ func (s *Server) CloseDurability() error {
 	return firstErr
 }
 
-// DurabilityEnabled reports whether a data directory is wired.
-func (s *Server) DurabilityEnabled() bool { return s.dur.Load() != nil }
-
 // Degraded reports whether the durability layer latched read-only mode,
 // and why.
 func (s *Server) Degraded() (bool, string) {
-	d := s.dur.Load()
+	d := s.dur
 	if d == nil || !d.degraded.Load() {
 		return false, ""
 	}
@@ -280,7 +275,7 @@ func (s *Server) Degraded() (bool, string) {
 
 // durabilityMetrics renders the Metrics section; nil when disabled.
 func (s *Server) durabilityMetrics() *DurabilityMetrics {
-	d := s.dur.Load()
+	d := s.dur
 	if d == nil {
 		return nil
 	}
@@ -307,7 +302,7 @@ func (s *Server) degrade(d *durState, cause error) error {
 	if !d.degraded.Swap(true) {
 		msg := cause.Error()
 		d.degradedReason.Store(&msg)
-		if l := s.logger.Load(); l != nil {
+		if l := s.cfg.Logger; l != nil {
 			l.Error("durability degraded to read-only", slog.String("cause", msg))
 		}
 	}
@@ -325,7 +320,7 @@ func (d *durState) snapLoop(s *Server) {
 			return
 		case <-t.C:
 			if err := s.Snapshot(); err != nil {
-				if l := s.logger.Load(); l != nil {
+				if l := s.cfg.Logger; l != nil {
 					l.Error("periodic snapshot failed", slog.String("error", err.Error()))
 				}
 			}
@@ -341,15 +336,39 @@ func (d *durState) snapLoop(s *Server) {
 // section — so a snapshot can never observe an applied batch without its
 // replay entry. It returns the client-facing result, the HTTP status,
 // and the underlying error (nil on full acceptance).
+//
+// A non-empty key makes the call exactly-once: the first request for the
+// key owns it until its outcome is recorded, and every other request with
+// that key — later, or concurrent with the first — is answered with that
+// recorded outcome (res.Replayed set, nil error) without applying or
+// recording anything.
 func (s *Server) IngestBatch(ctx context.Context, batch []Post, key string) (IngestResult, int, error) {
-	d := s.dur.Load()
+	if key != "" {
+		e, replay, err := s.idem.claim(ctx, key)
+		if err != nil {
+			return IngestResult{Error: err.Error()}, statusFor(err), err
+		}
+		if replay {
+			e.res.Replayed = true
+			return e.res, e.status, nil
+		}
+	}
+	d := s.dur
 	journal := d != nil && !d.replaying.Load()
+	if journal {
+		d.walBatchMu.Lock()
+		defer d.walBatchMu.Unlock()
+	}
+	var outcome *idemEntry
+	if key != "" {
+		// Deferred after the lock so that it runs before the unlock: the
+		// outcome is recorded inside the critical section.
+		defer func() { s.idem.settle(key, outcome) }()
+	}
 	if journal {
 		if d.degraded.Load() {
 			return IngestResult{Error: ErrReadOnly.Error()}, http.StatusServiceUnavailable, ErrReadOnly
 		}
-		d.walBatchMu.Lock()
-		defer d.walBatchMu.Unlock()
 		if err := d.appendBatch(s, key, batch); err != nil {
 			// Nothing was applied; the client retries against a healthy
 			// replica (or after a restart). No idempotency entry: the
@@ -375,9 +394,7 @@ func (s *Server) IngestBatch(ctx context.Context, batch []Post, key string) (Ing
 			return IngestResult{Error: ackErr.Error()}, http.StatusServiceUnavailable, ackErr
 		}
 	}
-	if key != "" {
-		s.idem.put(key, idemEntry{res: res, status: status})
-	}
+	outcome = &idemEntry{res: res, status: status}
 	return res, status, err
 }
 
@@ -399,7 +416,7 @@ func (s *Server) applyBatch(ctx context.Context, batch []Post) (int, error) {
 // fsync per policy) happens once, at the matching ack, so the batch/ack
 // pair costs a single fsync. Failures degrade the server to read-only.
 func (d *durState) appendBatch(s *Server, key string, batch []Post) error {
-	o := s.obsState.Load()
+	o := s.obs
 	var start time.Time
 	if o != nil {
 		start = time.Now()
@@ -441,7 +458,7 @@ func (d *durState) appendBatchAck(s *Server, accepted, status int, errmsg string
 	if _, err := d.log.Append(recBatchAck, payload); err != nil {
 		return s.degrade(d, err)
 	}
-	o := s.obsState.Load()
+	o := s.obs
 	var start time.Time
 	if o != nil {
 		start = time.Now()
@@ -519,7 +536,7 @@ func (s *Server) durAppendUnsubscribe(d *durState, id int64) {
 // from the ingest fan-out, whose batch already holds walBatchMu — the
 // record lands right after the batch that poisoned the pipeline.
 func (s *Server) durAppendQuarantine(id int64, msg string) {
-	d := s.dur.Load()
+	d := s.dur
 	if d == nil || d.replaying.Load() || d.degraded.Load() {
 		return
 	}
@@ -642,7 +659,7 @@ func (s *Server) applyWALRecord(d *durState, rec wal.Record) error {
 		}
 		if sub, ok := s.lookup(v.ID); ok {
 			sub.mu.Lock()
-			sub.quarantine(v.Msg, s, s.obsState.Load())
+			sub.quarantine(v.Msg, s)
 			sub.mu.Unlock()
 		}
 	default:
@@ -681,7 +698,7 @@ func (s *Server) finishPendingBatch(d *durState) {
 // last journaled record, then rotates and prunes the WAL — after a
 // snapshot, recovery replays only the suffix written since.
 func (s *Server) Snapshot() error {
-	d := s.dur.Load()
+	d := s.dur
 	if d == nil {
 		return errors.New("server: durability not enabled")
 	}
@@ -695,7 +712,7 @@ func (s *Server) Snapshot() error {
 	defer d.walBatchMu.Unlock()
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	o := s.obsState.Load()
+	o := s.obs
 	var start time.Time
 	if o != nil {
 		start = time.Now()
@@ -884,7 +901,7 @@ func (s *Server) restoreSnapshot(payload []byte) error {
 	n := len(s.subs)
 	s.mu.Unlock()
 	s.subCount.Store(int64(n))
-	if o := s.obsState.Load(); o != nil {
+	if o := s.obs; o != nil {
 		o.subs.Set(float64(n))
 	}
 	return nil

@@ -51,15 +51,18 @@ func durConfigs() []SubscriptionConfig {
 	}
 }
 
-// durOpen builds a durable server on dir (SyncBatch, no snapshot timer).
+// durConfig is a durable server on dir (SyncBatch, no snapshot timer).
+func durConfig(dir string) Config {
+	return Config{
+		DupDistance: 3, DupWindow: 64, Parallelism: 1,
+		Durability: DurabilityConfig{Dir: dir, Fsync: wal.SyncBatch},
+	}
+}
+
+// durOpen builds (or recovers) the durConfig server on dir.
 func durOpen(t *testing.T, dir string) *Server {
 	t.Helper()
-	s := New(3, 64)
-	s.SetParallelism(1)
-	if err := s.EnableDurability(DurabilityConfig{Dir: dir, Fsync: wal.SyncBatch}); err != nil {
-		t.Fatalf("EnableDurability: %v", err)
-	}
-	return s
+	return newServer(t, durConfig(dir))
 }
 
 // runReference drives the whole workload on an in-memory server and
@@ -67,8 +70,7 @@ func durOpen(t *testing.T, dir string) *Server {
 // and-recovered server must reproduce byte for byte.
 func runReference(t *testing.T, posts []Post, flush bool) (map[int64][]Emission, *Server) {
 	t.Helper()
-	ref := New(3, 64)
-	ref.SetParallelism(1)
+	ref := newServer(t, Config{DupDistance: 3, DupWindow: 64, Parallelism: 1})
 	ids := make([]int64, 0, len(durConfigs()))
 	for _, cfg := range durConfigs() {
 		id, err := ref.Subscribe(cfg)
@@ -135,7 +137,7 @@ func TestDurabilityCrashReplayNoSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash: no CloseDurability, no snapshot. SyncBatch committed every
+	// Crash: no Close, no snapshot. SyncBatch committed every
 	// batch, so the log content is what a kill -9 would leave behind.
 
 	b := durOpen(t, dir)
@@ -219,7 +221,7 @@ func TestDurabilitySnapshotRestore(t *testing.T) {
 	compareEmissions(t, b, want)
 }
 
-// TestDurabilityGracefulRestartZeroReplay: CloseDurability snapshots, so
+// TestDurabilityGracefulRestartZeroReplay: Close snapshots, so
 // the next start replays nothing.
 func TestDurabilityGracefulRestartZeroReplay(t *testing.T) {
 	posts := durPosts(50)
@@ -238,7 +240,7 @@ func TestDurabilityGracefulRestartZeroReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.CloseDurability(); err != nil {
+	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -345,16 +347,18 @@ func TestDurabilityTerminalLatchesAcrossRestart(t *testing.T) {
 	})
 	t.Run("quarantined", func(t *testing.T) {
 		dir := t.TempDir()
-		a := durOpen(t, dir)
+		// The first subscription on a fresh directory is id 1.
+		inj, err := faultinject.ParseSchedule("sub1.process@1=panic:poisoned", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := durConfig(dir)
+		cfg.Faults = inj
+		a := newServer(t, cfg)
 		id, err := a.Subscribe(durConfigs()[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj, err := faultinject.ParseSchedule(fmt.Sprintf("sub%d.process@1=panic:poisoned", id), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.SetFaultInjector(inj)
 		if err := a.Ingest(Post{ID: 1, Time: 1, Text: "obama speaks"}); err != nil {
 			t.Fatal(err)
 		}
@@ -396,18 +400,16 @@ func TestDurabilityTerminalLatchesAcrossRestart(t *testing.T) {
 // mutations answer 503 + Retry-After while reads keep serving.
 func TestDurabilityDegradedReadOnly(t *testing.T) {
 	dir := t.TempDir()
-	s := New(0, 0)
-	s.SetParallelism(1)
 	// Each ingest appends a batch record and its ack; the subscribe is
 	// append 1, so the third ingest's batch record is append 6.
 	inj, err := faultinject.ParseSchedule("wal.append@6+=disk:", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetFaultInjector(inj)
-	if err := s.EnableDurability(DurabilityConfig{Dir: dir, Fsync: wal.SyncBatch}); err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, Config{
+		Parallelism: 1, Faults: inj,
+		Durability: DurabilityConfig{Dir: dir, Fsync: wal.SyncBatch},
+	})
 	id, err := s.Subscribe(durConfigs()[0]) // append 1
 	if err != nil {
 		t.Fatal(err)
@@ -539,7 +541,7 @@ func TestDurabilityUndecodableRecordAbortsRecovery(t *testing.T) {
 	if err := a.Ingest(Post{ID: 1, Time: 1, Text: "obama speaks"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.CloseDurability(); err != nil {
+	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Plant a validly framed batch record with an undecodable payload at
@@ -556,8 +558,7 @@ func TestDurabilityUndecodableRecordAbortsRecovery(t *testing.T) {
 	}
 	l.Close()
 
-	s := New(3, 64)
-	if err := s.EnableDurability(DurabilityConfig{Dir: dir, Fsync: wal.SyncBatch}); err == nil {
+	if _, err := New(durConfig(dir)); err == nil {
 		t.Fatal("recovery over an undecodable batch record reported success")
 	}
 }
@@ -619,22 +620,19 @@ func TestDurabilitySnapshotFallbackReplaysFullSuffix(t *testing.T) {
 	compareEmissions(t, b, want)
 }
 
-// TestCloseDurabilityConcurrent: racing shutdown paths must not
+// TestDurabilityCloseConcurrent: racing shutdown paths must not
 // double-close the snapshot-loop channel.
-func TestCloseDurabilityConcurrent(t *testing.T) {
-	s := New(0, 0)
-	if err := s.EnableDurability(DurabilityConfig{
+func TestDurabilityCloseConcurrent(t *testing.T) {
+	s := newServer(t, Config{Durability: DurabilityConfig{
 		Dir: t.TempDir(), Fsync: wal.SyncBatch, SnapshotInterval: time.Hour,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	}})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := s.CloseDurability(); err != nil {
-				t.Errorf("CloseDurability: %v", err)
+			if err := s.Close(); err != nil {
+				t.Errorf("Close: %v", err)
 			}
 		}()
 	}

@@ -173,7 +173,7 @@ func TestEvictedTextPath(t *testing.T) {
 // decision time and rejected ones at the gc horizon, so the map tracks the
 // live window instead of idling at a fixed threshold.
 func TestTextCacheLifecycle(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 10, Tau: 0, Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
@@ -392,8 +392,7 @@ func TestShardedIngestDeterminism(t *testing.T) {
 	algos := []string{"streamscan", "streamscan+", "streamgreedy", "streamgreedy+", "instant"}
 	build := func(workers int) (*Server, []int64) {
 		t.Helper()
-		s := New(8, 1024)
-		s.SetParallelism(workers)
+		s := newServer(t, Config{DupDistance: 8, DupWindow: 1024, Parallelism: workers})
 		rng := newRand(13)
 		ids := make([]int64, 0, 64)
 		for i := 0; i < 64; i++ {
@@ -437,7 +436,7 @@ func TestShardedIngestDeterminism(t *testing.T) {
 // direction at once; run under -race this locks in the locking discipline
 // (registry RWMutex vs per-subscription mutexes).
 func TestConcurrentIngestSubscribePoll(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	seedIDs := make([]int64, 8)
 	for i := range seedIDs {
 		id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 30, Tau: 5})

@@ -21,8 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 //
 //	go test ./internal/server -run TestMetricsJSONGolden -update
 func TestMetricsJSONGolden(t *testing.T) {
-	s := New(3, 16)
-	s.SetParallelism(1)
+	s := newServer(t, Config{DupDistance: 3, DupWindow: 16, Parallelism: 1})
 	if _, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 60, Tau: 10, Algorithm: "streamscan+"}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,6 +24,7 @@ import (
 //	POST   /subscriptions                 {topics, lambda, tau, algorithm} → {"id": N}
 //	DELETE /subscriptions/{id}
 //	GET    /subscriptions/{id}/emissions?after=SEQ&limit=K&wait=DUR → [Emission]
+//	                                      (400 on an unparsable after or limit)
 //	                                      (or one binary emissions frame when the
 //	                                      request Accepts application/x-mqdp-frame).
 //	                                      wait= long-polls up to DUR (capped at
@@ -40,10 +43,8 @@ import (
 //	                                      Accept negotiation)
 //	GET    /subscriptions/{id}/stream     Server-Sent Events push: emission,
 //	                                      topk, gap and end events. Resumes from
-//	                                      ?after=SEQ or Last-Event-ID. 501 when
-//	                                      push is disabled (clients fall back to
-//	                                      polling), 503 + Retry-After over the
-//	                                      -max-streams cap.
+//	                                      ?after=SEQ or Last-Event-ID. 503 +
+//	                                      Retry-After over the MaxStreams cap.
 //	GET    /subscriptions/{id}/stats      → SubscriptionStats
 //	POST   /ingest                        Post or [Post] → {"accepted": N} (on a
 //	                                      mid-batch error: {"accepted": N, "error": ...}
@@ -52,7 +53,7 @@ import (
 //	                                      stream-post frame (Content-Type
 //	                                      application/x-mqdp-frame, see
 //	                                      internal/wire); responses stay JSON.
-//	                                      415 when the binary format is disabled.
+//	                                      Bodies over 64 MiB get 413.
 //	                                      When the admission controller sheds, the
 //	                                      reply is 429 with a Retry-After header and
 //	                                      the batch is untouched; when the ingest
@@ -62,12 +63,13 @@ import (
 //	                                      replayable: a retry with the same key
 //	                                      returns the recorded outcome (marked
 //	                                      Idempotent-Replay: true) without
-//	                                      re-applying the batch.
+//	                                      re-applying the batch, waiting for that
+//	                                      outcome if the original is in flight.
 //	POST   /flush
 //	GET    /stats                         → Stats
 //	GET    /metrics                       → Metrics (service + per-profile counters)
 //	GET    /metrics/prometheus            → text exposition of the wired obs registry
-//	                                      (503 until Server.SetObs wires one)
+//	                                      (503 without Config.Obs)
 //	GET    /healthz                       → Health
 //	GET    /debug/traces                  → recent traces, newest first (?n=, ?min=,
 //	                                      ?format=text); 503 until a tracer is wired
@@ -85,8 +87,8 @@ func Handler(s *Server) http.Handler {
 			return
 		}
 		var cfg SubscriptionConfig
-		if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxFramePayload)).Decode(&cfg); err != nil {
+			http.Error(w, err.Error(), ingestDecodeStatus(err))
 			return
 		}
 		id, err := s.Subscribe(cfg)
@@ -118,14 +120,20 @@ func Handler(s *Server) http.Handler {
 			w.WriteHeader(http.StatusNoContent)
 		case len(parts) == 2 && parts[1] == "emissions" && r.Method == http.MethodGet:
 			q := r.URL.Query()
-			after, _ := strconv.ParseInt(q.Get("after"), 10, 64)
-			limit, _ := strconv.Atoi(q.Get("limit"))
+			after, err := queryInt(q, "after")
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			limit, err := queryInt(q, "limit")
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
 			var es []Emission
-			var err error
 			if wait := parseWait(q.Get("wait")); wait > 0 {
 				// Long-poll: park on the subscription's hub instead of
-				// returning empty, under the same stream cap as SSE. Stays
-				// available when SSE is disabled — it is the fallback.
+				// returning empty, under the same stream cap as SSE.
 				release, ok := s.acquireStream()
 				if !ok {
 					w.Header().Set("Retry-After", "1")
@@ -133,14 +141,14 @@ func Handler(s *Server) http.Handler {
 					return
 				}
 				ctx, cancel := context.WithTimeout(r.Context(), wait)
-				es, err = s.WaitEmissions(ctx, id, after, limit)
+				es, err = s.WaitEmissions(ctx, id, after, int(limit))
 				cancel()
 				release()
 				if errors.Is(err, context.DeadlineExceeded) {
 					es, err = nil, nil // nothing arrived in time: empty poll
 				}
 			} else {
-				es, err = s.Emissions(id, after, limit)
+				es, err = s.Emissions(id, after, int(limit))
 			}
 			// A stale cursor is reported, never hidden: the body carries the
 			// retained tail, the headers name the spliced-out range.
@@ -170,7 +178,7 @@ func Handler(s *Server) http.Handler {
 			// Content negotiation: a client accepting the binary frame
 			// format gets a KindEmissions frame; everyone else gets the
 			// identical data as JSON (the default).
-			if wire.AcceptsBinary(r.Header.Get("Accept")) && !s.binaryWireDisabled.Load() {
+			if wire.AcceptsBinary(r.Header.Get("Accept")) {
 				writeBinaryEmissions(w, es)
 				return
 			}
@@ -181,7 +189,7 @@ func Handler(s *Server) http.Handler {
 				httpError(w, err)
 				return
 			}
-			if wire.AcceptsBinary(r.Header.Get("Accept")) && !s.binaryWireDisabled.Load() {
+			if wire.AcceptsBinary(r.Header.Get("Accept")) {
 				writeBinaryTopK(w, snap)
 				return
 			}
@@ -223,29 +231,7 @@ func Handler(s *Server) http.Handler {
 			return
 		}
 		// Negotiation: binary-framed bodies are opt-in via Content-Type.
-		// When the format is administratively disabled, answer 415 before
-		// any other work so clients fall back to JSON immediately.
 		binary := wire.IsBinary(r.Header.Get("Content-Type"))
-		if binary && s.binaryWireDisabled.Load() {
-			http.Error(w, "binary frame format disabled; use application/json", http.StatusUnsupportedMediaType)
-			return
-		}
-		// Idempotent replay: a retrying client that never saw the response
-		// resends with the same key and gets the recorded outcome — the
-		// batch is never applied twice. Replay is format-independent: a
-		// JSON retry of a binary-framed original (or vice versa) returns
-		// the same recorded result.
-		key := r.Header.Get("Idempotency-Key")
-		if key != "" {
-			if e, ok := s.idem.get(key); ok {
-				if sp := obs.FromContext(r.Context()); sp != nil {
-					sp.Set("idem_replay", "true")
-				}
-				w.Header().Set("Idempotent-Replay", "true")
-				writeIngestResult(w, e.status, e.res)
-				return
-			}
-		}
 		// Admission: shed (429 + Retry-After) or block per policy before
 		// any decoding work is spent on the request. The span covers the
 		// wait so backpressure stalls are visible in the trace.
@@ -261,7 +247,7 @@ func Handler(s *Server) http.Handler {
 		admitSpan.End()
 		defer release()
 		ctx := r.Context()
-		if d := s.IngestDeadline(); d > 0 {
+		if d := s.cfg.IngestDeadline; d > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, d)
 			defer cancel()
@@ -270,7 +256,13 @@ func Handler(s *Server) http.Handler {
 		// binary frames decode with O(1) heap allocations per post, and
 		// the JSON fallback reuses its body buffer and post slice.
 		_, decSpan := obs.StartSpan(r.Context(), "ingest.decode")
-		batch, freeBatch, derr := decodeIngestBody(r.Body, binary)
+		body := r.Body
+		if !binary {
+			// A binary frame declares its length and is refused past
+			// wire.MaxFramePayload before it is read; JSON gets the same cap.
+			body = http.MaxBytesReader(w, body, wire.MaxFramePayload)
+		}
+		batch, freeBatch, derr := decodeIngestBody(body, binary)
 		if derr != nil {
 			decSpan.SetError(derr)
 			decSpan.End()
@@ -287,7 +279,20 @@ func Handler(s *Server) http.Handler {
 		// deadline still cuts between posts, never inside one, and the
 		// response reports the applied prefix so clients resume at the
 		// failed item instead of double-ingesting.
+		//
+		// Idempotent replay: a retrying client that never saw the response
+		// resends with the same key and gets the recorded outcome — the
+		// batch is never applied twice. Replay is format-independent: a
+		// JSON retry of a binary-framed original (or vice versa) returns
+		// the same recorded result.
+		key := r.Header.Get("Idempotency-Key")
 		res, status, ingestErr := s.IngestBatch(ctx, batch, key)
+		if res.Replayed {
+			if sp := obs.FromContext(r.Context()); sp != nil {
+				sp.Set("idem_replay", "true")
+			}
+			w.Header().Set("Idempotent-Replay", "true")
+		}
 		if errors.Is(ingestErr, ErrReadOnly) {
 			// The WAL is broken; retrying immediately cannot help. Point
 			// clients at a pause while the operator intervenes.
@@ -325,7 +330,7 @@ func Handler(s *Server) http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		reg := s.Registry()
+		reg := s.cfg.Obs
 		if reg == nil {
 			http.Error(w, "metrics registry not wired", http.StatusServiceUnavailable)
 			return
@@ -351,6 +356,10 @@ func Handler(s *Server) http.Handler {
 type IngestResult struct {
 	Accepted int    `json:"accepted"`
 	Error    string `json:"error,omitempty"`
+	// Replayed reports that this call applied nothing: the outcome is the
+	// one recorded for an earlier request with the same idempotency key.
+	// On the wire it is the Idempotent-Replay header, not a body field.
+	Replayed bool `json:"-"`
 }
 
 // ingestScratch is the pooled per-request decode state for /ingest: the
@@ -462,12 +471,27 @@ func decodeIngestBody(r io.Reader, binary bool) (batch []Post, free func(), err 
 }
 
 // ingestDecodeStatus maps decode failures to HTTP statuses: oversized
-// frames are 413, everything else malformed is 400.
+// frames and bodies over the MaxBytesReader cap are 413, everything else
+// malformed is 400.
 func ingestDecodeStatus(err error) int {
-	if errors.Is(err, wire.ErrFrameTooLarge) {
+	var tooLarge *http.MaxBytesError
+	if errors.Is(err, wire.ErrFrameTooLarge) || errors.As(err, &tooLarge) {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
+}
+
+// queryInt reads an integer query parameter; absent or empty means 0.
+func queryInt(q url.Values, name string) (int64, error) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s=%q: want an integer", name, v)
+	}
+	return n, nil
 }
 
 // maxLongPollWait caps ?wait= so a typoed duration can't pin a handler

@@ -5,13 +5,12 @@ import (
 )
 
 // serverObs bundles the service-level instruments. A nil pointer is the
-// disabled state; the ingest and poll paths pay one atomic load and one
-// branch per call. Per-subscription counters (matched, emitted, misses,
-// delay histogram) live on the subscription itself and work with or without
-// a registry; the service totals here are their registry-visible sums,
-// incremented alongside.
+// disabled state; the ingest and poll paths pay one branch per call.
+// Per-subscription counters (matched, emitted, misses, delay histogram)
+// live on the subscription itself and work with or without a registry; the
+// service totals here are their registry-visible sums, incremented
+// alongside.
 type serverObs struct {
-	reg           *obs.Registry
 	tracer        *obs.Tracer    // request tracer; nil when the registry has none
 	ingestFanout  *obs.Histogram // one Ingest: admission + fan-out to all subscriptions
 	tokenizeTime  *obs.Histogram // the once-per-post tokenization shared by every subscription
@@ -29,14 +28,8 @@ type serverObs struct {
 	snapshotTime  *obs.Histogram // one full state snapshot (encode + atomic write)
 }
 
-// SetObs wires the server's instruments into r; nil disables service-level
-// instrumentation (per-subscription counters keep working regardless — the
-// JSON /metrics endpoint does not need a registry).
-func (s *Server) SetObs(r *obs.Registry) {
-	if r == nil {
-		s.obsState.Store(nil)
-		return
-	}
+// newServerObs wires s's instruments into r.
+func newServerObs(s *Server, r *obs.Registry) *serverObs {
 	r.RegisterCounter("mqdp_server_ingested_total", "posts accepted by ingest admission", &s.ingested)
 	r.RegisterCounter("mqdp_server_dropped_duplicates_total", "posts dropped as near-duplicates before fan-out", &s.dropped)
 	r.RegisterCounter("mqdp_server_sheds_total", "ingest requests shed by the admission controller (429)", &s.shed)
@@ -46,8 +39,7 @@ func (s *Server) SetObs(r *obs.Registry) {
 	r.RegisterCounter("mqdp_server_routing_skipped_total", "subscriptions skipped by inverted routing (no keyword of theirs in the post)", &s.routingSkipped)
 	r.RegisterCounter("mqdp_server_wal_records_total", "records appended to the write-ahead log", &s.walRecords)
 	r.RegisterCounter("mqdp_server_wal_snapshots_total", "state snapshots written by the durability layer", &s.walSnapshots)
-	o := &serverObs{
-		reg:           r,
+	return &serverObs{
 		tracer:        r.Tracer(),
 		ingestFanout:  r.Histogram("mqdp_server_ingest_fanout_seconds", "wall time fanning one post out to every subscription", obs.TimeBuckets),
 		tokenizeTime:  r.Histogram("mqdp_server_tokenize_seconds", "wall time of the once-per-post ingest tokenization", obs.TimeBuckets),
@@ -64,20 +56,6 @@ func (s *Server) SetObs(r *obs.Registry) {
 		walSyncTime:   r.Histogram("mqdp_server_wal_commit_seconds", "wall time of one WAL commit (buffer flush plus fsync per policy)", obs.TimeBuckets),
 		snapshotTime:  r.Histogram("mqdp_server_snapshot_seconds", "wall time of one durability snapshot (encode plus atomic write)", obs.TimeBuckets),
 	}
-	s.mu.RLock()
-	o.subs.Set(float64(len(s.subs)))
-	s.mu.RUnlock()
-	o.activeStreams.Set(float64(s.streams.Load()))
-	s.obsState.Store(o)
-}
-
-// Registry returns the wired registry, or nil when disabled. The HTTP layer
-// uses it for /metrics/prometheus.
-func (s *Server) Registry() *obs.Registry {
-	if o := s.obsState.Load(); o != nil {
-		return o.reg
-	}
-	return nil
 }
 
 // onMatch, onEmit and onMiss bump the service totals. Safe on nil receivers.

@@ -35,9 +35,7 @@ func TestPrometheusEndpointE2E(t *testing.T) {
 		index.SetObs(nil)
 	}()
 
-	s := New(0, 0)
-	s.SetParallelism(1)
-	s.SetObs(reg)
+	s := newServer(t, Config{Parallelism: 1, Obs: reg})
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
 

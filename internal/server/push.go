@@ -113,40 +113,24 @@ func (sub *subscription) topkSnapshotLocked() TopKSnapshot {
 	return snap
 }
 
-// SetPush enables or disables SSE push delivery (enabled by default).
-// While disabled, GET /subscriptions/{id}/stream answers 501 Not
-// Implemented — the signal the Client uses to fall back to polling. The
-// wait= long-poll stays available either way: it is the fallback path,
-// and it still respects the stream cap.
-func (s *Server) SetPush(enabled bool) { s.pushDisabled.Store(!enabled) }
-
-// PushEnabled reports whether the push surface is served.
-func (s *Server) PushEnabled() bool { return !s.pushDisabled.Load() }
-
-// SetMaxStreams caps concurrently served push waiters — SSE streams plus
-// blocked long-polls; 0 (the default) means unlimited. Beyond the cap new
-// streams are refused with 503 + Retry-After rather than queued, so a
-// stampede degrades to polling instead of piling up goroutines.
-func (s *Server) SetMaxStreams(n int) { s.maxStreams.Store(int64(n)) }
-
 // ActiveStreams reports the currently served push waiters.
 func (s *Server) ActiveStreams() int64 { return s.streams.Load() }
 
 // acquireStream claims a push-waiter slot; release is idempotent.
 func (s *Server) acquireStream() (release func(), ok bool) {
-	max := s.maxStreams.Load()
+	max := int64(s.cfg.MaxStreams)
 	if n := s.streams.Add(1); max > 0 && n > max {
 		s.streams.Add(-1)
 		return nil, false
 	}
-	if o := s.obsState.Load(); o != nil {
+	if o := s.obs; o != nil {
 		o.activeStreams.Set(float64(s.streams.Load()))
 	}
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			s.streams.Add(-1)
-			if o := s.obsState.Load(); o != nil {
+			if o := s.obs; o != nil {
 				o.activeStreams.Set(float64(s.streams.Load()))
 			}
 		})

@@ -28,7 +28,7 @@ func TestPollGapReporting(t *testing.T) {
 	maxEmissionBuffer = 8
 	defer func() { maxEmissionBuffer = old }()
 
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestPollGapEmptyBuffer(t *testing.T) {
 	maxEmissionBuffer = 0
 	defer func() { maxEmissionBuffer = old }()
 
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestPollGapEmptyBuffer(t *testing.T) {
 // waiter is woken by the next delivery, terminal states drain pending
 // emissions before reporting the end, and each end reason is typed.
 func TestWaitEmissionsWakeAndDrain(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestWaitEmissionsWakeAndDrain(t *testing.T) {
 // TestUnsubscribeWakesBlockedWaiter pins the immediate-wakeup contract:
 // a parked waiter must not sleep through its subscription's removal.
 func TestUnsubscribeWakesBlockedWaiter(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics()})
 	if err != nil {
 		t.Fatal(err)
@@ -302,14 +302,11 @@ func TestFlushWakesIdleStream(t *testing.T) {
 // a subscription whose pipeline panics receives the explicit quarantined
 // terminal event rather than going silent.
 func TestStreamQuarantineEndsStream(t *testing.T) {
-	core := New(0, 0)
 	inj, err := faultinject.ParseSchedule("sub1.process@2=panic:boom", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetFaultInjector(inj)
-	ts := httptest.NewServer(Handler(core))
-	defer ts.Close()
+	ts, core := newTestServerWith(t, Config{Faults: inj})
 	cl := NewClient(ts.URL)
 	id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 	if err != nil {
@@ -445,8 +442,7 @@ func TestPushPollDeterminism(t *testing.T) {
 			maxEmissionBuffer = cfg.buffer
 			defer func() { maxEmissionBuffer = old }()
 
-			core := New(0, 0)
-			core.SetParallelism(cfg.workers)
+			core := newServer(t, Config{Parallelism: cfg.workers})
 			ts := httptest.NewServer(Handler(core))
 			defer ts.Close()
 			cl := NewClient(ts.URL)
@@ -560,12 +556,13 @@ func TestPushPollDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamFallbackWhenPushDisabled verifies the 501 path: with SSE
-// switched off, Client.Stream degrades to long-polling and still yields
-// the identical event sequence, including the terminal end.
-func TestStreamFallbackWhenPushDisabled(t *testing.T) {
-	ts, core := newTestServer(t)
-	core.SetPush(false)
+// TestStreamFallbackWithoutPush verifies the 501 path: against a server
+// that does not implement SSE, Client.Stream degrades to long-polling and
+// still yields the identical event sequence, including the terminal end.
+func TestStreamFallbackWithoutPush(t *testing.T) {
+	core := newServer(t, Config{})
+	ts := httptest.NewServer(legacyServer(Handler(core)))
+	defer ts.Close()
 	cl := NewClient(ts.URL)
 	id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 	if err != nil {
@@ -614,8 +611,7 @@ func TestStreamFallbackWhenPushDisabled(t *testing.T) {
 // TestMaxStreamsCap pins the overload behavior: streams beyond the cap
 // are refused with 503 + Retry-After, and slots free on disconnect.
 func TestMaxStreamsCap(t *testing.T) {
-	ts, core := newTestServer(t)
-	core.SetMaxStreams(1)
+	ts, core := newTestServerWith(t, Config{MaxStreams: 1})
 	cl := NewClient(ts.URL)
 	id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics()})
 	if err != nil {
@@ -663,8 +659,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // delivery contents (the determinism test does) — its job is to drive
 // the hub's lock/wakeup paths under -race.
 func TestStreamChurnHammer(t *testing.T) {
-	core := New(0, 0)
-	core.SetParallelism(4)
+	core := newServer(t, Config{Parallelism: 4})
 	ts := httptest.NewServer(Handler(core))
 	defer ts.Close()
 	cl := NewClient(ts.URL)
@@ -737,8 +732,7 @@ func TestPushSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test; skipped in -short")
 	}
-	core := New(0, 0)
-	core.SetParallelism(4)
+	core := newServer(t, Config{Parallelism: 4})
 	ts := httptest.NewServer(Handler(core))
 	defer ts.Close()
 	cl := NewClient(ts.URL)

@@ -6,47 +6,68 @@ import (
 	"fmt"
 	"testing"
 
+	"mqdp"
 	"mqdp/internal/faultinject"
+	"mqdp/internal/match"
+	"mqdp/internal/simhash"
 	"mqdp/internal/synth"
 )
 
-// runRoutingWorkload builds a server over a fixed random world (16
-// subscriptions with randomly overlapping topic sets), streams the same
-// tweet sequence through it — with a scripted mid-stream pipeline panic
-// that quarantines one subscription — and returns every subscription's
-// emissions as JSON, keyed by id.
-func runRoutingWorkload(t *testing.T, routing bool, workers int) map[int64][]byte {
-	t.Helper()
+// The routing-equivalence workload: a fixed random world, 16 subscriptions
+// with randomly overlapping topic sets, one tweet sequence, a pipeline
+// panic that quarantines subscription routingVictim on its 4th matched
+// post, and an unsubscribe of the third profile before the flush.
+const (
+	routingVictim     = 5
+	routingVictimPost = 4
+	routingDupDist    = 3
+	routingDupWindow  = 64
+)
+
+func routingWorkload() ([]SubscriptionConfig, []Post) {
 	world := synth.NewWorld(synth.WorldConfig{Seed: 5})
-	tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 900, RatePerSec: 4, Seed: 6})
-	s := New(3, 64)
-	s.SetRouting(routing)
-	s.SetParallelism(workers)
-	// The panic fires on the quarantined subscription's 4th matched post:
-	// Fire runs only after a match, so the trigger count is identical in
-	// routed and broadcast mode by the superset-filter contract.
-	inj, err := faultinject.ParseSchedule("sub5.process@4=panic:routing-prop-panic", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetFaultInjector(inj)
 	rng := newRand(7)
-	var ids []int64
 	algos := []string{"streamscan+", "streamscan", "streamgreedy", "streamgreedy+", "instant"}
-	for i := 0; i < 16; i++ {
-		id, err := s.Subscribe(SubscriptionConfig{
+	cfgs := make([]SubscriptionConfig, 16)
+	for i := range cfgs {
+		cfgs[i] = SubscriptionConfig{
 			Topics:    world.MatchTopics(world.SampleLabelSet(rng, 1+rng.Intn(4))),
 			Lambda:    60 + float64(rng.Intn(120)),
 			Tau:       float64(rng.Intn(30)),
 			Algorithm: algos[i%len(algos)],
-		})
+		}
+	}
+	tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 900, RatePerSec: 4, Seed: 6})
+	posts := make([]Post, len(tweets))
+	for i, tw := range tweets {
+		posts[i] = Post{ID: int64(i + 1), Time: tw.Time, Text: tw.Text}
+	}
+	return cfgs, posts
+}
+
+// runRoutingServer streams the workload through a real server and returns
+// every surviving subscription's emissions as JSON, keyed by id.
+func runRoutingServer(t *testing.T, workers int) map[int64][]byte {
+	t.Helper()
+	cfgs, posts := routingWorkload()
+	// Fire runs only after a match, so the trigger count is the victim's
+	// matched-post count whatever the fan-out feeds it.
+	inj, err := faultinject.ParseSchedule(
+		fmt.Sprintf("sub%d.process@%d=panic:routing-prop-panic", routingVictim, routingVictimPost), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(t, Config{DupDistance: routingDupDist, DupWindow: routingDupWindow, Parallelism: workers, Faults: inj})
+	var ids []int64
+	for _, cfg := range cfgs {
+		id, err := s.Subscribe(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
-	for i, tw := range tweets {
-		if err := s.Ingest(Post{ID: int64(i + 1), Time: tw.Time, Text: tw.Text}); err != nil {
+	for i, p := range posts {
+		if err := s.Ingest(p); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
 	}
@@ -56,12 +77,12 @@ func runRoutingWorkload(t *testing.T, routing bool, workers int) map[int64][]byt
 		t.Fatal(err)
 	}
 	s.Flush()
-	st, err := s.SubscriptionStats(5)
+	st, err := s.SubscriptionStats(routingVictim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Quarantined {
-		t.Fatalf("routing=%v workers=%d: subscription 5 not quarantined", routing, workers)
+		t.Fatalf("workers=%d: subscription %d not quarantined", workers, routingVictim)
 	}
 	out := make(map[int64][]byte)
 	for _, id := range ids {
@@ -81,16 +102,101 @@ func runRoutingWorkload(t *testing.T, routing bool, workers int) map[int64][]byt
 	return out
 }
 
-// TestRoutingEquivalence is the tentpole's safety property: per-subscription
-// emission streams are byte-identical with inverted routing on and off,
-// across fan-out worker counts, random topic overlap, a mid-stream
-// quarantine and an unsubscribe. Routing must be a pure superset filter —
-// it may only skip subscriptions that would have matched nothing.
-func TestRoutingEquivalence(t *testing.T) {
-	ref := runRoutingWorkload(t, false, 1)
-	if len(ref) == 0 {
-		t.Fatal("reference run produced no subscriptions")
+// runBroadcastOracle is the fan-out the routing index replaced, kept here
+// as the reference: no symbol table, no inverted index, no workers. Every
+// post that survives deduplication is offered to every live profile's
+// uncompiled match.Matcher, and each profile owns one serial mqdp.NewStream
+// processor. The victim stops at its scripted matched post, unprocessed,
+// and is not flushed — what quarantine does to a real pipeline.
+func runBroadcastOracle(t *testing.T) map[int64][]byte {
+	t.Helper()
+	cfgs, posts := routingWorkload()
+	type profile struct {
+		matcher *match.Matcher
+		proc    mqdp.Processor
+		matched int
+		dead    bool
+		out     []Emission
 	}
+	texts := make(map[int64]string, len(posts))
+	deliver := func(p *profile, es []mqdp.Emission) {
+		for _, e := range es {
+			names := make([]string, len(e.Post.Labels))
+			for i, a := range e.Post.Labels {
+				names[i] = p.matcher.Topic(a).Name
+			}
+			p.out = append(p.out, Emission{
+				Seq: int64(len(p.out) + 1), PostID: e.Post.ID, Time: e.Post.Value,
+				Text: texts[e.Post.ID], Topics: names, EmitAt: e.EmitAt,
+			})
+		}
+	}
+	profiles := make([]*profile, len(cfgs))
+	for i, cfg := range cfgs {
+		m, err := match.NewMatcher(cfg.Topics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		algo, err := parseStreamAlgo(cfg.Algorithm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proc, err := mqdp.NewStream(algo, m.NumTopics(), cfg.Lambda, cfg.Tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles[i] = &profile{matcher: m, proc: proc}
+	}
+	dedup := simhash.NewDeduper(routingDupDist, routingDupWindow)
+	for _, post := range posts {
+		if !dedup.Offer(post.Text) {
+			continue
+		}
+		texts[post.ID] = post.Text
+		for i, p := range profiles {
+			if p.dead {
+				continue
+			}
+			labels := p.matcher.Match(post.Text)
+			if len(labels) == 0 {
+				continue
+			}
+			p.matched++
+			if i+1 == routingVictim && p.matched == routingVictimPost {
+				p.dead = true
+				continue
+			}
+			es, err := p.proc.Process(mqdp.Post{ID: post.ID, Value: post.Time, Labels: labels})
+			if err != nil {
+				t.Fatalf("oracle profile %d: %v", i+1, err)
+			}
+			deliver(p, es)
+		}
+	}
+	out := make(map[int64][]byte)
+	for i, p := range profiles {
+		if i == 2 {
+			continue // unsubscribed before the flush
+		}
+		if !p.dead {
+			deliver(p, p.proc.Flush())
+		}
+		raw, err := json.Marshal(p.out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[int64(i+1)] = raw
+	}
+	return out
+}
+
+// TestRoutingEquivalence is routing's safety property: per-subscription
+// emission streams are byte-identical to a broadcast fan-out, across
+// fan-out worker counts, random topic overlap, a mid-stream quarantine and
+// an unsubscribe. Routing must be a pure superset filter — it may only
+// skip subscriptions that would have matched nothing.
+func TestRoutingEquivalence(t *testing.T) {
+	ref := runBroadcastOracle(t)
 	var total int
 	for _, raw := range ref {
 		var es []Emission
@@ -100,25 +206,20 @@ func TestRoutingEquivalence(t *testing.T) {
 		total += len(es)
 	}
 	if total == 0 {
-		t.Fatal("reference run produced no emissions; workload too sparse to prove anything")
+		t.Fatal("oracle produced no emissions; workload too sparse to prove anything")
 	}
 	for _, workers := range []int{1, 2, 4} {
-		for _, routing := range []bool{true, false} {
-			if !routing && workers == 1 {
-				continue // that is the reference itself
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			got := runRoutingServer(t, workers)
+			if len(got) != len(ref) {
+				t.Fatalf("subscription count %d, want %d", len(got), len(ref))
 			}
-			t.Run(fmt.Sprintf("routing=%v/workers=%d", routing, workers), func(t *testing.T) {
-				got := runRoutingWorkload(t, routing, workers)
-				if len(got) != len(ref) {
-					t.Fatalf("subscription count %d, want %d", len(got), len(ref))
+			for id, want := range ref {
+				if !bytes.Equal(got[id], want) {
+					t.Errorf("subscription %d emissions diverged\n got: %s\nwant: %s", id, got[id], want)
 				}
-				for id, want := range ref {
-					if !bytes.Equal(got[id], want) {
-						t.Errorf("subscription %d emissions diverged\n got: %s\nwant: %s", id, got[id], want)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -126,7 +227,7 @@ func TestRoutingEquivalence(t *testing.T) {
 // pathological post must not pin a huge tokenize buffer on the server
 // forever (the slice analogue of the wire pool's byte cap).
 func TestIngestScratchBounded(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	if _, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 10, Tau: 0, Algorithm: "instant"}); err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +259,9 @@ func TestIngestScratchBounded(t *testing.T) {
 
 // TestRoutingSkippedAccounting checks the routed path's observable side
 // channel: a post matching no subscription skips every live one, and the
-// Metrics snapshot reports routing on with a nonzero skip count.
+// Metrics snapshot reports the skip count.
 func TestRoutingSkippedAccounting(t *testing.T) {
-	s := New(0, 0)
-	s.SetParallelism(1)
+	s := newServer(t, Config{Parallelism: 1})
 	for i := 0; i < 3; i++ {
 		if _, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 10, Tau: 0, Algorithm: "instant"}); err != nil {
 			t.Fatal(err)
@@ -174,25 +274,11 @@ func TestRoutingSkippedAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := s.Metrics()
-	if !m.Routing {
-		t.Error("Metrics.Routing = false, want true by default")
-	}
 	// Post 1 skipped all 3 subscriptions; post 2 matched all 3.
 	if m.RoutingSkipped != 3 {
 		t.Errorf("RoutingSkipped = %d, want 3", m.RoutingSkipped)
 	}
 	if m.MatchedTotal != 3 {
 		t.Errorf("MatchedTotal = %d, want 3", m.MatchedTotal)
-	}
-	s.SetRouting(false)
-	if err := s.Ingest(Post{ID: 3, Time: 2, Text: "also nothing"}); err != nil {
-		t.Fatal(err)
-	}
-	m = s.Metrics()
-	if m.Routing {
-		t.Error("Metrics.Routing = true after SetRouting(false)")
-	}
-	if m.RoutingSkipped != 3 {
-		t.Errorf("RoutingSkipped moved on broadcast path: %d", m.RoutingSkipped)
 	}
 }

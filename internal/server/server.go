@@ -155,13 +155,13 @@ type subscription struct {
 
 // quarantine isolates the subscription after a pipeline panic. Caller
 // holds sub.mu.
-func (sub *subscription) quarantine(msg string, s *Server, o *serverObs) {
+func (sub *subscription) quarantine(msg string, s *Server) {
 	if sub.quarantined.Swap(true) {
 		return
 	}
 	sub.quarantineMsg = msg
 	s.quarantines.Inc()
-	o.onQuarantine()
+	s.obs.onQuarantine()
 	// Journal the latch (no-op without durability or during replay): after
 	// a restart the profile answers quarantined exactly like before it.
 	s.durAppendQuarantine(sub.id, msg)
@@ -171,7 +171,7 @@ func (sub *subscription) quarantine(msg string, s *Server, o *serverObs) {
 	// fan-outs already holding the old snapshot). route.Index's mutex is a
 	// leaf, so taking it under sub.mu cannot deadlock.
 	s.routes.Remove(sub.id, sub.routeSyms)
-	if l := s.logger.Load(); l != nil {
+	if l := s.cfg.Logger; l != nil {
 		l.Warn("subscription quarantined", slog.Int64("subscription", sub.id), slog.String("reason", msg))
 	}
 	// A quarantined pipeline will never emit again: terminate the hub so
@@ -188,8 +188,9 @@ type Server struct {
 	mu     sync.RWMutex
 	nextID int64
 	subs   map[int64]*subscription
-	// order is a copy-on-write snapshot of subs sorted by id: Ingest reads
-	// it without holding mu while Subscribe/Unsubscribe install new slices.
+	// order is a copy-on-write snapshot of subs sorted by id: Flush, Metrics
+	// and Snapshot walk it without holding mu while Subscribe/Unsubscribe
+	// install new slices.
 	order []*subscription
 
 	// ingestMu serializes Ingest and Flush: the order check, dedup and the
@@ -199,15 +200,15 @@ type Server struct {
 	lastTime float64
 	started  bool
 	// wordBuf is the reused tokenization buffer: each admitted post is
-	// tokenized exactly once under ingestMu and the words are shared
-	// read-only by every fan-out worker, instead of each subscription
-	// re-tokenizing the text. Reused only after the fan-out completes;
-	// oversized scratch is dropped afterwards (see keepIngestScratch) so
-	// one pathological post doesn't pin its buffers forever.
+	// tokenized exactly once under ingestMu, instead of each subscription
+	// re-tokenizing the text. Oversized scratch is dropped after the post
+	// (see keepIngestScratch) so one pathological post doesn't pin its
+	// buffers forever.
 	wordBuf []string
-	// symBuf and candBuf are the routed fan-out scratch, reused under
-	// ingestMu like wordBuf: the post's tokens resolved to deduplicated
-	// symbols, and the merged candidate subscriptions for those symbols.
+	// symBuf and candBuf are the fan-out scratch, reused under ingestMu
+	// like wordBuf: the post's tokens resolved to deduplicated symbols
+	// (shared read-only by every fan-out worker, reused only after the
+	// fan-out completes), and the merged candidate subscriptions for them.
 	symBuf  []uint32
 	candBuf []route.Entry[*subscription]
 
@@ -216,108 +217,118 @@ type Server struct {
 	// routes is the copy-on-write inverted index keyword symbol → sorted
 	// subscription postings, read lock-free by ingest. subCount mirrors the
 	// registry size for the routing_skipped accounting without taking mu.
-	// routingDisabled flips ingest back to brute-force broadcast fan-out
-	// (SetRouting / mqdp-server -no-routing).
-	symtab          *route.Table
-	routes          *route.Index[*subscription]
-	subCount        atomic.Int64
-	routingDisabled atomic.Bool
-	routingSkipped  obs.Counter
+	symtab         *route.Table
+	routes         *route.Index[*subscription]
+	subCount       atomic.Int64
+	routingSkipped obs.Counter
 
-	workers  atomic.Int64 // fan-out parallelism; 0 = GOMAXPROCS
-	closed   atomic.Bool  // latched by the first Flush
+	closed   atomic.Bool // latched by the first Flush
 	ingested obs.Counter
 	dropped  obs.Counter
 
-	// Fault-tolerance layer: admission bounds the ingest path (nil =
-	// unlimited), ingestDeadline caps one request's wall time, faults is
-	// the deterministic chaos hook, idem replays ingest outcomes to
-	// retrying clients, and shed/quarantines count the load-shedding and
-	// panic-isolation decisions.
-	admission      atomic.Pointer[admission]
-	ingestDeadline atomic.Int64 // time.Duration; 0 = none
-	faults         atomic.Pointer[faultinject.Injector]
-	idem           idemCache
-	shed           obs.Counter
-	quarantines    obs.Counter
+	// cfg is the configuration New was given, read-only from then on. What
+	// New derives from it sits below: the admission controller (nil =
+	// unlimited), the registry-wired service instruments (nil = no
+	// registry) and the durability runtime (nil = in-memory only).
+	cfg       Config
+	admission *admission
+	obs       *serverObs
+	dur       *durState
 
-	// binaryWireDisabled rejects binary-framed ingest/poll bodies with
-	// 415 so clients fall back to JSON (negotiation is per-request; the
-	// JSON API is always supported).
-	binaryWireDisabled atomic.Bool
+	// Fault-tolerance layer: idem replays ingest outcomes to retrying
+	// clients, and shed/quarantines count the load-shedding and
+	// panic-isolation decisions.
+	idem        idemCache
+	shed        obs.Counter
+	quarantines obs.Counter
 
 	// Push delivery: streams counts the active push waiters (SSE streams
-	// plus blocked long-polls), maxStreams caps them (0 = unlimited),
-	// pushDisabled gates the push surface, and pushed counts emissions
-	// written to push streams.
-	streams      atomic.Int64
-	maxStreams   atomic.Int64
-	pushDisabled atomic.Bool
-	pushed       obs.Counter
+	// plus blocked long-polls) and pushed counts emissions written to push
+	// streams.
+	streams atomic.Int64
+	pushed  obs.Counter
 
 	// gaps counts *GapError reports across every delivery surface: plain
 	// polls, long-polls and SSE gap events.
 	gaps obs.Counter
 
-	// Request-observability hooks: per-endpoint latency SLOs (nil = not
-	// tracked) and an optional structured logger for request/lifecycle
-	// records. All are atomic so the HTTP middleware reads them lock-free.
-	sloIngest atomic.Pointer[obs.SLO]
-	sloPoll   atomic.Pointer[obs.SLO]
-	logger    atomic.Pointer[slog.Logger]
-
-	// obsState holds the registry-wired service instruments; nil = disabled.
-	obsState atomic.Pointer[serverObs]
-
-	// dur is the durability runtime (WAL + snapshots); nil = in-memory
-	// only, with zero overhead on the ingest path beyond this load.
-	dur          atomic.Pointer[durState]
 	walRecords   obs.Counter
 	walSnapshots obs.Counter
 }
 
-// SetBinaryWire enables or disables the binary frame format on the HTTP
-// surface (enabled by default). While disabled, binary ingest bodies get
-// 415 Unsupported Media Type — the signal the retrying Client uses to
-// fall back to JSON — and Accept negotiation on polls always answers JSON.
-func (s *Server) SetBinaryWire(enabled bool) { s.binaryWireDisabled.Store(!enabled) }
-
-// New returns a Server that drops near-duplicates within hamming distance
-// dupDistance over a window of dupWindow recent posts before matching.
-// dupWindow ≤ 0 disables deduplication. Ingest fan-out defaults to
-// GOMAXPROCS workers; see SetParallelism.
-func New(dupDistance, dupWindow int) *Server {
-	s := &Server{
-		subs:   make(map[int64]*subscription),
-		symtab: route.NewTable(),
-		routes: route.NewIndex[*subscription](),
-	}
-	if dupWindow > 0 {
-		s.dedup = simhash.NewDeduper(dupDistance, dupWindow)
-	}
-	return s
+// Config is everything a Server can be told. New reads it once; a running
+// server is never reconfigured — to change a value, restart (with
+// Durability.Dir set the restart resumes from the recovered state). The
+// zero value is a working in-memory server: no deduplication, GOMAXPROCS
+// fan-out workers, no limits, no instrumentation.
+type Config struct {
+	// DupDistance and DupWindow drop near-duplicates within that SimHash
+	// hamming distance over a window of that many recent posts before
+	// matching. DupWindow ≤ 0 disables deduplication.
+	DupDistance, DupWindow int
+	// Parallelism is the worker count used to fan each ingested post out
+	// across its candidate subscriptions: 0 means GOMAXPROCS, 1 is serial.
+	// Emission sequences per subscription are identical for any value.
+	Parallelism int
+	// MaxStreams caps concurrently served push waiters — SSE streams plus
+	// blocked long-polls; 0 means unlimited. Beyond the cap new streams are
+	// refused with 503 + Retry-After rather than queued, so a stampede
+	// degrades to polling instead of piling up goroutines.
+	MaxStreams int
+	// Admission bounds the ingest path; the zero value admits everything.
+	Admission AdmissionConfig
+	// IngestDeadline bounds the server-side wall time of one ingest
+	// request (0 = none). A batch cut off mid-way reports the accepted
+	// prefix with 503 + Retry-After so honoring clients resume, not resend.
+	IngestDeadline time.Duration
+	// Faults is the deterministic chaos hook consulted at the server's
+	// in-process fault points and the WAL's IO failpoints; nil = none.
+	Faults *faultinject.Injector
+	// Obs receives the service-level instruments; nil disables them
+	// (per-subscription counters and the JSON /metrics endpoint work
+	// regardless). Recovery replay inside New is instrumented too.
+	Obs *obs.Registry
+	// SLOIngest classifies POST /ingest requests and SLOPoll plain
+	// (non-long-poll) emission polls against a latency objective; nil =
+	// not tracked.
+	SLOIngest, SLOPoll *obs.SLO
+	// Logger receives request and lifecycle records (trace-correlated via
+	// trace_id attrs); nil disables logging.
+	Logger *slog.Logger
+	// Durability wires a data directory; an empty Dir keeps the server
+	// in-memory only.
+	Durability DurabilityConfig
 }
 
-// SetRouting toggles inverted subscription routing on the ingest path
-// (enabled by default): with routing, each post is fed only to the
-// subscriptions whose keywords intersect its tokens — O(matching)
-// matcher invocations instead of O(all). Disabling reverts to the
-// brute-force broadcast fan-out; per-subscription matchers are the ground
-// truth either way, so emissions are byte-identical in both modes. The
-// routing index is maintained regardless, so the toggle is safe at any
-// point in the stream.
-func (s *Server) SetRouting(enabled bool) { s.routingDisabled.Store(!enabled) }
-
-// RoutingEnabled reports whether ingest uses inverted subscription routing.
-func (s *Server) RoutingEnabled() bool { return !s.routingDisabled.Load() }
-
-// SetParallelism sets the worker count used to fan each ingested post out
-// across subscriptions: 0 (the default) means GOMAXPROCS, 1 is serial.
-// Emission sequences per subscription are identical for any value.
-func (s *Server) SetParallelism(n int) { s.workers.Store(int64(n)) }
+// New builds a Server from cfg. With cfg.Durability.Dir set it opens (or
+// creates) the directory, restores the newest valid snapshot and replays
+// the WAL suffix through the regular ingest/registry paths before
+// returning, so the server it returns is already recovered and journals
+// every subsequent mutation. Close it when done.
+func New(cfg Config) (*Server, error) {
+	s := &Server{
+		cfg:       cfg,
+		subs:      make(map[int64]*subscription),
+		symtab:    route.NewTable(),
+		routes:    route.NewIndex[*subscription](),
+		admission: newAdmission(cfg.Admission),
+	}
+	if cfg.DupWindow > 0 {
+		s.dedup = simhash.NewDeduper(cfg.DupDistance, cfg.DupWindow)
+	}
+	if cfg.Obs != nil {
+		s.obs = newServerObs(s, cfg.Obs)
+	}
+	if cfg.Durability.Dir != "" {
+		if err := s.recover(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
 
 // Parallelism reports the resolved fan-out worker count.
-func (s *Server) Parallelism() int { return parallel.Workers(int(s.workers.Load())) }
+func (s *Server) Parallelism() int { return parallel.Workers(s.cfg.Parallelism) }
 
 // Errors returned by the server.
 var (
@@ -374,7 +385,7 @@ func (e *StreamEndError) Unwrap() error { return ErrStreamEnded }
 // the durability layer is degraded, registry mutations are refused with
 // ErrReadOnly (they could not be made durable).
 func (s *Server) Subscribe(cfg SubscriptionConfig) (int64, error) {
-	d := s.dur.Load()
+	d := s.dur
 	if d != nil && !d.replaying.Load() {
 		if d.degraded.Load() {
 			return 0, ErrReadOnly
@@ -445,10 +456,10 @@ func (s *Server) subscribe(id int64, cfg SubscriptionConfig) (int64, error) {
 	}
 	s.subs[sub.id] = sub
 	s.subCount.Store(int64(len(s.subs)))
-	if o := s.obsState.Load(); o != nil {
+	if o := s.obs; o != nil {
 		o.subs.Set(float64(len(s.subs)))
 	}
-	// Copy-on-write: in-flight fan-outs keep their snapshot. Ids normally
+	// Copy-on-write: in-flight walks keep their snapshot. Ids normally
 	// only grow; the sorted insert also covers replayed ids arriving after
 	// a snapshot restore.
 	s.order = insertOrdered(s.order, sub)
@@ -464,7 +475,7 @@ func (s *Server) subscribe(id int64, cfg SubscriptionConfig) (int64, error) {
 // hanging until their own timeouts. With durability enabled the removal
 // is journaled; while degraded it is refused with ErrReadOnly.
 func (s *Server) Unsubscribe(id int64) error {
-	d := s.dur.Load()
+	d := s.dur
 	if d != nil && !d.replaying.Load() {
 		if d.degraded.Load() {
 			return ErrReadOnly
@@ -490,7 +501,7 @@ func (s *Server) unsubscribe(id int64) error {
 	}
 	delete(s.subs, id)
 	s.subCount.Store(int64(len(s.subs)))
-	if o := s.obsState.Load(); o != nil {
+	if o := s.obs; o != nil {
 		o.subs.Set(float64(len(s.subs)))
 	}
 	order := make([]*subscription, 0, len(s.order)-1)
@@ -510,10 +521,11 @@ func (s *Server) unsubscribe(id int64) error {
 	return nil
 }
 
-// Ingest feeds one post (nondecreasing Time) to every subscription. The
-// per-subscription work — matching, processing, delivery — runs on up to
-// Parallelism() workers, one subscription per worker at a time, so the
-// cost per post is O(|subs|/workers) instead of O(|subs|) serialized.
+// Ingest feeds one post (nondecreasing Time) to every subscription that
+// shares a keyword with it. The per-subscription work — matching,
+// processing, delivery — runs on up to Parallelism() workers, one
+// subscription per worker at a time, so the cost per post is
+// O(|candidates|/workers), not O(|subs|).
 func (s *Server) Ingest(p Post) error {
 	return s.IngestContext(context.Background(), p)
 }
@@ -526,8 +538,7 @@ func (s *Server) Ingest(p Post) error {
 // committed per the fsync policy), so replay applies exactly what this
 // call reported; while degraded, ingest is refused with ErrReadOnly.
 func (s *Server) IngestContext(ctx context.Context, p Post) error {
-	d := s.dur.Load()
-	if d == nil || d.replaying.Load() {
+	if s.dur == nil {
 		return s.ingestOne(ctx, p)
 	}
 	_, _, err := s.IngestBatch(ctx, []Post{p}, "")
@@ -551,7 +562,7 @@ func (s *Server) ingestOne(ctx context.Context, p Post) error {
 	s.started = true
 	s.lastTime = p.Time
 	s.ingested.Inc()
-	o := s.obsState.Load()
+	o := s.obs
 	// Per-post span, a child of the request span when the caller carries
 	// one (the HTTP path) and a fresh root otherwise (direct API use with a
 	// tracer wired). Its trace ID follows the post through fan-out into the
@@ -575,49 +586,35 @@ func (s *Server) ingestOne(ctx context.Context, p Post) error {
 	if o != nil {
 		start = time.Now()
 	}
-	// Tokenize once per post; every subscription matches against the same
-	// word slice (read-only during the fan-out).
+	// Tokenize once per post; every candidate matches against the same
+	// symbols (read-only during the fan-out).
 	s.wordBuf = textutil.AppendWords(s.wordBuf[:0], p.Text)
-	words := s.wordBuf
 	if o != nil {
 		o.tokenizeTime.ObserveSince(start)
 	}
-	inj := s.faults.Load()
-	var err error
-	if !s.routingDisabled.Load() {
-		// Inverted routing: resolve the post's tokens to symbols (unknown
-		// tokens are nobody's keyword and drop out here), k-way-merge the
-		// candidate postings in subscription-ID order, and feed only those.
-		// Every skipped subscription would have matched nothing, so
-		// emissions are byte-identical to the broadcast fan-out below.
-		s.symBuf = route.DedupSyms(s.symtab.AppendSyms(s.symBuf[:0], words))
-		syms := s.symBuf
-		s.candBuf = s.routes.Candidates(s.candBuf[:0], syms)
-		cands := s.candBuf
-		if skipped := s.subCount.Load() - int64(len(cands)); skipped > 0 {
-			s.routingSkipped.Add(skipped)
-		}
-		span.SetInt("routing_candidates", int64(len(cands)))
-		if o != nil {
-			o.routingCands.Observe(float64(len(cands)))
-		}
-		err = parallel.FirstErr(int(s.workers.Load()), len(cands), func(i int) error {
-			if err := cands[i].V.feed(p, words, syms, s, o, inj, span); err != nil {
-				return fmt.Errorf("server: subscription %d: %w", cands[i].ID, err)
-			}
-			return nil
-		})
-	} else {
-		s.mu.RLock()
-		shards := s.order
-		s.mu.RUnlock()
-		err = parallel.FirstErr(int(s.workers.Load()), len(shards), func(i int) error {
-			if err := shards[i].feed(p, words, nil, s, o, inj, span); err != nil {
-				return fmt.Errorf("server: subscription %d: %w", shards[i].id, err)
-			}
-			return nil
-		})
+	// Inverted routing: resolve the post's tokens to symbols (unknown
+	// tokens are nobody's keyword and drop out here), k-way-merge the
+	// candidate postings in subscription-ID order, and feed only those.
+	// Every skipped subscription would have matched nothing, so emissions
+	// are byte-identical to feeding every subscription
+	// (TestRoutingEquivalence holds the broadcast oracle).
+	s.symBuf = route.DedupSyms(s.symtab.AppendSyms(s.symBuf[:0], s.wordBuf))
+	syms := s.symBuf
+	s.candBuf = s.routes.Candidates(s.candBuf[:0], syms)
+	cands := s.candBuf
+	if skipped := s.subCount.Load() - int64(len(cands)); skipped > 0 {
+		s.routingSkipped.Add(skipped)
 	}
+	span.SetInt("routing_candidates", int64(len(cands)))
+	if o != nil {
+		o.routingCands.Observe(float64(len(cands)))
+	}
+	err := parallel.FirstErr(s.cfg.Parallelism, len(cands), func(i int) error {
+		if err := cands[i].V.feed(p, syms, s, span); err != nil {
+			return fmt.Errorf("server: subscription %d: %w", cands[i].ID, err)
+		}
+		return nil
+	})
 	// Mirror the wire pool's oversized-scratch policy: one pathological
 	// post must not pin a huge tokenize/routing scratch forever.
 	if cap(s.wordBuf) > keepIngestScratch {
@@ -642,23 +639,23 @@ func (s *Server) ingestOne(ctx context.Context, p Post) error {
 // codec's 8 MiB byte cap.
 const keepIngestScratch = 1 << 12
 
-// feed matches and processes one post for a single subscription. words is
-// the shared, read-only tokenization of p.Text; syms, when non-nil, is the
-// same tokenization resolved through the server's symbol table (the routed
-// path), letting the compiled matcher compare uint32 symbols instead of
-// hashing strings. A panic anywhere in the per-subscription pipeline
-// (matcher, processor, delivery — or a scripted chaos panic from inj)
-// quarantines this subscription and returns nil: one poisoned profile must
-// not fail the ingest or kill the process.
-func (sub *subscription) feed(p Post, words []string, syms []uint32, s *Server, o *serverObs, inj *faultinject.Injector, parent *obs.ActiveSpan) (err error) {
+// feed matches and processes one post for a single subscription. syms is
+// the post's tokenization resolved through the server's symbol table,
+// shared read-only by every fan-out worker; the compiled matcher compares
+// uint32 symbols instead of hashing strings. A panic anywhere in the
+// per-subscription pipeline (matcher, processor, delivery — or a scripted
+// chaos panic from cfg.Faults) quarantines this subscription and returns
+// nil: one poisoned profile must not fail the ingest or kill the process.
+func (sub *subscription) feed(p Post, syms []uint32, s *Server, parent *obs.ActiveSpan) (err error) {
 	if sub.quarantined.Load() {
 		return nil
 	}
+	o := s.obs
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			sub.quarantine(fmt.Sprintf("panic on post %d: %v", p.ID, r), s, o)
+			sub.quarantine(fmt.Sprintf("panic on post %d: %v", p.ID, r), s)
 			err = nil
 		}
 	}()
@@ -669,12 +666,7 @@ func (sub *subscription) feed(p Post, words []string, syms []uint32, s *Server, 
 	// Match into the reused per-subscription scratch: the no-match path
 	// allocates nothing, and a match only pays for the owned copy handed
 	// to the processor below.
-	var labels []core.Label
-	if syms != nil {
-		labels = sub.matcher.MatchSymbolsInto(sub.labelBuf, syms)
-	} else {
-		labels = sub.matcher.MatchWordsInto(sub.labelBuf, words)
-	}
+	labels := sub.matcher.MatchSymbolsInto(sub.labelBuf, syms)
 	if labels != nil {
 		sub.labelBuf = labels[:0]
 	}
@@ -689,7 +681,7 @@ func (sub *subscription) feed(p Post, words []string, syms []uint32, s *Server, 
 	labels = append(make([]core.Label, 0, len(labels)), labels...)
 	sub.matched.Inc()
 	o.onMatch()
-	if inj != nil {
+	if inj := s.cfg.Faults; inj != nil {
 		if err := inj.Fire(fmt.Sprintf("sub%d.process", sub.id)); err != nil {
 			return err
 		}
@@ -808,7 +800,7 @@ func (sub *subscription) gc(now float64) {
 // the server closed: further Ingest calls fail with ErrClosed and further
 // Flush calls are no-ops (processor streams end exactly once).
 func (s *Server) Flush() {
-	d := s.dur.Load()
+	d := s.dur
 	if d != nil && !d.replaying.Load() {
 		d.walBatchMu.Lock()
 		defer d.walBatchMu.Unlock()
@@ -828,8 +820,8 @@ func (s *Server) Flush() {
 	s.mu.RLock()
 	shards := s.order
 	s.mu.RUnlock()
-	o := s.obsState.Load()
-	parallel.ForEach(int(s.workers.Load()), len(shards), func(i int) {
+	o := s.obs
+	parallel.ForEach(s.cfg.Parallelism, len(shards), func(i int) {
 		sub := shards[i]
 		sub.mu.Lock()
 		defer sub.mu.Unlock()
@@ -837,7 +829,7 @@ func (s *Server) Flush() {
 			// A processor that panics while flushing is quarantined like
 			// one that panics mid-stream; the other subscriptions flush on.
 			if r := recover(); r != nil {
-				sub.quarantine(fmt.Sprintf("panic on flush: %v", r), s, o)
+				sub.quarantine(fmt.Sprintf("panic on flush: %v", r), s)
 			}
 		}()
 		if !sub.quarantined.Load() {
@@ -873,7 +865,7 @@ func (s *Server) lookup(id int64) (*subscription, bool) {
 // returns the retained tail together with a *GapError (errors.Is
 // ErrGap) reporting where delivery can resume.
 func (s *Server) Emissions(id, after int64, limit int) ([]Emission, error) {
-	if o := s.obsState.Load(); o != nil {
+	if o := s.obs; o != nil {
 		defer o.pollTime.ObserveSince(time.Now())
 	}
 	sub, ok := s.lookup(id)
@@ -1032,10 +1024,8 @@ type Metrics struct {
 	ActiveStreams int64 `json:"active_streams"`
 	PushedTotal   int64 `json:"pushed_total"`
 	Gaps          int64 `json:"gaps"`
-	// Routing reports whether inverted subscription routing is active on
-	// ingest; RoutingSkipped counts the subscription feeds it elided
+	// RoutingSkipped counts the subscription feeds inverted routing elided
 	// (posts × subscriptions with no keyword overlap).
-	Routing        bool            `json:"routing"`
 	RoutingSkipped int64           `json:"routing_skipped"`
 	Flushed        bool            `json:"flushed"`
 	Workers        int             `json:"workers"`
@@ -1060,7 +1050,6 @@ func (s *Server) Metrics() Metrics {
 		ActiveStreams:  s.streams.Load(),
 		PushedTotal:    s.pushed.Value(),
 		Gaps:           s.gaps.Value(),
-		Routing:        !s.routingDisabled.Load(),
 		RoutingSkipped: s.routingSkipped.Value(),
 		Flushed:        s.closed.Load(),
 		Workers:        s.Parallelism(),

@@ -24,7 +24,7 @@ func politicsTopics() []match.Topic {
 }
 
 func TestSubscribeIngestEmissions(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 60, Tau: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestSubscribeIngestEmissions(t *testing.T) {
 }
 
 func TestPerSubscriptionIsolation(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	obamaID, err := s.Subscribe(SubscriptionConfig{
 		Topics: politicsTopics()[:1], Lambda: 1000, Tau: 0, Algorithm: "instant",
 	})
@@ -117,7 +117,7 @@ func TestPerSubscriptionIsolation(t *testing.T) {
 }
 
 func TestDeduplicationBeforeMatching(t *testing.T) {
-	s := New(0, 128) // exact-duplicate filtering
+	s := newServer(t, Config{DupWindow: 128}) // exact-duplicate filtering
 	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 0, Tau: 0, Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestDeduplicationBeforeMatching(t *testing.T) {
 }
 
 func TestIngestOrderEnforced(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	_ = s.Ingest(Post{ID: 1, Time: 10, Text: "x"})
 	if err := s.Ingest(Post{ID: 2, Time: 5, Text: "y"}); !errors.Is(err, ErrOutOfOrder) {
 		t.Errorf("out-of-order ingest error = %v", err)
@@ -144,7 +144,7 @@ func TestIngestOrderEnforced(t *testing.T) {
 }
 
 func TestSubscribeValidation(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	if _, err := s.Subscribe(SubscriptionConfig{}); err == nil {
 		t.Error("subscription without topics accepted")
 	}
@@ -166,7 +166,7 @@ func TestSubscribeValidation(t *testing.T) {
 }
 
 func TestConcurrentReadsDuringIngest(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 30, Tau: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -198,9 +198,25 @@ func TestConcurrentReadsDuringIngest(t *testing.T) {
 
 // --- HTTP layer ---
 
+// newServer builds a Server from cfg, failing the test on error.
+func newServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func newTestServer(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
-	core := New(0, 0)
+	return newTestServerWith(t, Config{})
+}
+
+// newTestServerWith serves a Server built from cfg on a loopback listener.
+func newTestServerWith(t *testing.T, cfg Config) (*httptest.Server, *Server) {
+	t.Helper()
+	core := newServer(t, cfg)
 	ts := httptest.NewServer(Handler(core))
 	t.Cleanup(ts.Close)
 	return ts, core
@@ -318,6 +334,8 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/subscriptions", "{not json", http.StatusBadRequest},
 		{"POST", "/subscriptions", `{"topics":[]}`, http.StatusBadRequest},
 		{"GET", "/subscriptions/abc/emissions", "", http.StatusBadRequest},
+		{"GET", "/subscriptions/42/emissions?after=1O", "", http.StatusBadRequest},
+		{"GET", "/subscriptions/42/emissions?limit=ten", "", http.StatusBadRequest},
 		{"GET", "/subscriptions/42/emissions", "", http.StatusNotFound},
 		{"GET", "/subscriptions/42/stats", "", http.StatusNotFound},
 		{"DELETE", "/subscriptions/42", "", http.StatusNotFound},
@@ -425,7 +443,7 @@ func TestDigestEndpoint(t *testing.T) {
 }
 
 func TestServerDigestMethod(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 10, Tau: 0, Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)

@@ -45,12 +45,6 @@ type endEvent struct {
 // terminal end event, and a stale resume cursor produces an explicit gap
 // event — the same no-silent-splice contract as the poll path.
 func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, id int64) {
-	if !s.PushEnabled() {
-		// 501, not 404: the subscription may exist; it is the push surface
-		// that is switched off. Clients use this to fall back to polling.
-		http.Error(w, "push delivery disabled; poll /emissions", http.StatusNotImplemented)
-		return
-	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported by connection", http.StatusNotImplemented)

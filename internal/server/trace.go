@@ -13,8 +13,8 @@ import (
 
 // Request tracing, SLO classification and structured request logging for the
 // HTTP surface. The middleware is wired unconditionally by Handler but costs
-// three atomic loads and a branch when nothing is configured — the same
-// near-free-when-disabled contract as the rest of the obs layer.
+// one branch when nothing is configured — the same near-free-when-disabled
+// contract as the rest of the obs layer.
 //
 // Propagation is W3C trace-context shaped: requests carrying a valid
 // traceparent header continue that trace (the remote caller's span becomes
@@ -22,34 +22,16 @@ import (
 // 4xx. Every traced response echoes X-Trace-Id so a client can pull the
 // server-side tree from /debug/traces/{id}.
 
-// SetSLO installs per-endpoint latency objectives: ingest classifies POST
-// /ingest requests, poll classifies plain (non-long-poll) GET
-// /subscriptions/{id}/emissions requests. Either may be nil (not tracked).
-func (s *Server) SetSLO(ingest, poll *obs.SLO) {
-	s.sloIngest.Store(ingest)
-	s.sloPoll.Store(poll)
-}
-
 // SLOs returns the status of every configured SLO (empty when none are).
 func (s *Server) SLOs() []obs.SLOStatus {
 	var out []obs.SLOStatus
-	if slo := s.sloIngest.Load(); slo != nil {
+	if slo := s.cfg.SLOIngest; slo != nil {
 		out = append(out, slo.Status())
 	}
-	if slo := s.sloPoll.Load(); slo != nil {
+	if slo := s.cfg.SLOPoll; slo != nil {
 		out = append(out, slo.Status())
 	}
 	return out
-}
-
-// SetLogger installs a structured logger for request and lifecycle records
-// (trace-correlated via trace_id attrs). Nil disables request logging.
-func (s *Server) SetLogger(l *slog.Logger) {
-	if l == nil {
-		s.logger.Store(nil)
-		return
-	}
-	s.logger.Store(l)
 }
 
 // routeName maps a request path to the coarse name used for span naming and
@@ -121,16 +103,11 @@ func (r flushRecorder) Flush() { r.f.Flush() }
 
 // withObs wraps the API mux with per-request tracing, SLO classification and
 // request logging. With no tracer, SLOs or logger configured the wrapper is
-// a few atomic loads and one branch per request.
+// one branch per request.
 func withObs(s *Server, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var tracer *obs.Tracer
-		if o := s.obsState.Load(); o != nil {
-			tracer = o.tracer
-		}
-		sloIngest := s.sloIngest.Load()
-		sloPoll := s.sloPoll.Load()
-		logger := s.logger.Load()
+		tracer := s.tracer()
+		sloIngest, sloPoll, logger := s.cfg.SLOIngest, s.cfg.SLOPoll, s.cfg.Logger
 		if tracer == nil && sloIngest == nil && sloPoll == nil && logger == nil {
 			h.ServeHTTP(w, r)
 			return
@@ -292,7 +269,7 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 
 // tracer returns the wired span tracer, or nil.
 func (s *Server) tracer() *obs.Tracer {
-	if o := s.obsState.Load(); o != nil {
+	if o := s.obs; o != nil {
 		return o.tracer
 	}
 	return nil

@@ -21,15 +21,11 @@ import (
 // httptest listener, returning the test server, the core and the tracer.
 func newTracedServer(t *testing.T) (*httptest.Server, *Server, *obs.Tracer) {
 	t.Helper()
-	s := New(0, 0)
-	s.SetParallelism(1)
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(256)
 	tracer.SetRetention(0, 1) // retain every trace: tests assert exact contents
 	reg.SetTracer(tracer)
-	s.SetObs(reg)
-	ts := httptest.NewServer(Handler(s))
-	t.Cleanup(ts.Close)
+	ts, s := newTestServerWith(t, Config{Parallelism: 1, Obs: reg})
 	return ts, s, tracer
 }
 
@@ -278,7 +274,7 @@ func TestTraceMalformedTraceparent(t *testing.T) {
 // carries the same traceparent, so the server-side trace survives transient
 // failures instead of fragmenting per attempt.
 func TestTraceClientRetrySameTrace(t *testing.T) {
-	s := New(0, 0)
+	s := newServer(t, Config{})
 	inner := Handler(s)
 	var mu sync.Mutex
 	var seen []string
@@ -326,13 +322,11 @@ func TestTraceClientRetrySameTrace(t *testing.T) {
 // the same traceparent, and the resumed stream still annotates emissions
 // with their originating ingest trace.
 func TestTraceSSEReconnectSameTrace(t *testing.T) {
-	s := New(0, 0)
-	s.SetParallelism(1)
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(256)
 	tracer.SetRetention(0, 1)
 	reg.SetTracer(tracer)
-	s.SetObs(reg)
+	s := newServer(t, Config{Parallelism: 1, Obs: reg})
 
 	inner := Handler(s)
 	var mu sync.Mutex
@@ -407,15 +401,14 @@ func TestTraceSSEReconnectSameTrace(t *testing.T) {
 // server yields byte-identical /emissions bodies.
 func TestEmissionsByteIdenticalTracedVsUntraced(t *testing.T) {
 	build := func(traced bool) *httptest.Server {
-		s := New(0, 0)
-		s.SetParallelism(1)
+		cfg := Config{Parallelism: 1}
 		if traced {
-			reg := obs.NewRegistry()
+			cfg.Obs = obs.NewRegistry()
 			tracer := obs.NewTracer(256)
 			tracer.SetRetention(0, 1)
-			reg.SetTracer(tracer)
-			s.SetObs(reg)
+			cfg.Obs.SetTracer(tracer)
 		}
+		s := newServer(t, cfg)
 		if _, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"}); err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -27,18 +28,39 @@ func wireE2EPosts() []Post {
 	}
 }
 
-// runWireE2E ingests the standard stream through a client pinned to one
-// format and returns the JSON-marshaled emission streams per profile.
-func runWireE2E(t *testing.T, configure func(*Server, *Client)) []string {
+// legacyServer wraps the real Handler as a server that predates the binary
+// wire and push delivery: binary-framed ingest gets 415, binary Accept
+// negotiation is ignored, and the SSE endpoint answers 501 — the signals
+// the Client's JSON latch and long-poll fallback exist for.
+func legacyServer(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case wire.IsBinary(r.Header.Get("Content-Type")):
+			http.Error(w, "unsupported media type", http.StatusUnsupportedMediaType)
+		case strings.HasSuffix(r.URL.Path, "/stream"):
+			http.Error(w, "not implemented", http.StatusNotImplemented)
+		default:
+			r.Header.Del("Accept")
+			h.ServeHTTP(w, r)
+		}
+	})
+}
+
+// runWireE2E ingests the standard stream through a client (binary by
+// default, JSON-pinned when jsonClient) against the real handler wrapped by
+// serve (nil = as is) and returns the JSON-marshaled emission streams per
+// profile.
+func runWireE2E(t *testing.T, serve func(http.Handler) http.Handler, jsonClient bool) []string {
 	t.Helper()
-	s := New(3, 64)
-	ts := httptest.NewServer(Handler(s))
+	h := Handler(newServer(t, Config{DupDistance: 3, DupWindow: 64}))
+	if serve != nil {
+		h = serve(h)
+	}
+	ts := httptest.NewServer(h)
 	defer ts.Close()
 	c := NewClient(ts.URL)
 	c.Retry = &RetryPolicy{Seed: 1}
-	if configure != nil {
-		configure(s, c)
-	}
+	c.DisableBinaryWire = jsonClient
 	var ids []int64
 	for _, cfg := range []SubscriptionConfig{
 		{Topics: politicsTopics(), Lambda: 60, Tau: 10, Algorithm: "streamscan+"},
@@ -75,8 +97,8 @@ func runWireE2E(t *testing.T, configure func(*Server, *Client)) []string {
 // a client negotiated to binary frames must observe byte-identical
 // emission streams to a JSON-only client over the same ingest.
 func TestWireBinaryEmissionsIdentical(t *testing.T) {
-	jsonStreams := runWireE2E(t, func(s *Server, c *Client) { c.DisableBinaryWire = true })
-	binStreams := runWireE2E(t, nil) // binary is the client default
+	jsonStreams := runWireE2E(t, nil, true)
+	binStreams := runWireE2E(t, nil, false)
 	if len(jsonStreams) != len(binStreams) {
 		t.Fatalf("profile counts differ: %d vs %d", len(jsonStreams), len(binStreams))
 	}
@@ -91,12 +113,12 @@ func TestWireBinaryEmissionsIdentical(t *testing.T) {
 }
 
 // TestWireClient415Fallback points a binary-preferring client at a server
-// with the binary surface disabled: the first ingest must transparently
+// without the binary surface: the first ingest must transparently
 // fall back to JSON (and latch, so later calls skip the binary attempt)
 // without losing any posts.
 func TestWireClient415Fallback(t *testing.T) {
-	streams := runWireE2E(t, func(s *Server, c *Client) { s.SetBinaryWire(false) })
-	want := runWireE2E(t, func(s *Server, c *Client) { c.DisableBinaryWire = true })
+	streams := runWireE2E(t, legacyServer, false)
+	want := runWireE2E(t, nil, true)
 	for i := range streams {
 		if streams[i] != want[i] {
 			t.Errorf("profile %d emissions after 415 fallback differ:\n%s\nwant %s", i, streams[i], want[i])
@@ -107,10 +129,8 @@ func TestWireClient415Fallback(t *testing.T) {
 // TestWireClient415Latches checks the fallback is remembered: after one
 // 415 the client stops sending binary frames entirely.
 func TestWireClient415Latches(t *testing.T) {
-	s := New(0, 0)
-	s.SetBinaryWire(false)
 	var contentTypes []string
-	inner := Handler(s)
+	inner := legacyServer(Handler(newServer(t, Config{})))
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/ingest" {
 			contentTypes = append(contentTypes, r.Header.Get("Content-Type"))
@@ -143,9 +163,7 @@ func TestWireClient415Latches(t *testing.T) {
 // binary frames: resending a batch with the same idempotency key must
 // replay the recorded outcome, not double-ingest.
 func TestWireBinaryIdempotentReplay(t *testing.T) {
-	s := New(0, 0)
-	ts := httptest.NewServer(Handler(s))
-	defer ts.Close()
+	ts, _ := newTestServer(t)
 	c := NewClient(ts.URL)
 	id, err := c.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 0, Tau: 0, Algorithm: "instant"})
 	if err != nil {
@@ -175,34 +193,46 @@ func TestWireBinaryIdempotentReplay(t *testing.T) {
 	}
 }
 
-// TestWireBinaryIngestRejectsGarbage covers the server-side decode error
-// mapping: corrupt frames are 400s, oversized ones 413s, and a disabled
-// binary surface answers 415.
-func TestWireBinaryIngestRejectsGarbage(t *testing.T) {
-	s := New(0, 0)
-	ts := httptest.NewServer(Handler(s))
-	defer ts.Close()
-	post := func(body []byte) int {
-		resp, err := http.Post(ts.URL+"/ingest", wire.ContentTypeBinary, bytes.NewReader(body))
+// repeatReader yields its byte forever.
+type repeatReader byte
+
+func (b repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestWireIngestRejectsGarbage covers the server-side decode error mapping in
+// both wire formats and on the subscribe body: corrupt input is a 400,
+// oversized input (a frame declaring, or a JSON body carrying, more than
+// wire.MaxFramePayload) a 413.
+func TestWireIngestRejectsGarbage(t *testing.T) {
+	ts, _ := newTestServer(t)
+	// One byte over the cap, so the whole body is written before the
+	// server gives up on it.
+	oversizedJSON := func() io.Reader { return io.LimitReader(repeatReader(' '), wire.MaxFramePayload+1) }
+	for _, tc := range []struct {
+		name, path, contentType string
+		body                    io.Reader
+		want                    int
+	}{
+		{"binary bad magic", "/ingest", wire.ContentTypeBinary, strings.NewReader("{}"), http.StatusBadRequest},
+		{"binary oversized frame", "/ingest", wire.ContentTypeBinary,
+			bytes.NewReader([]byte{0x8D, 0x51, 1, 0, 0xff, 0xff, 0xff, 0x7f}), http.StatusRequestEntityTooLarge},
+		{"JSON corrupt", "/ingest", wire.ContentTypeJSON, strings.NewReader("{not json"), http.StatusBadRequest},
+		{"JSON oversized", "/ingest", wire.ContentTypeJSON, oversizedJSON(), http.StatusRequestEntityTooLarge},
+		{"subscribe corrupt", "/subscriptions", wire.ContentTypeJSON, strings.NewReader("{not json"), http.StatusBadRequest},
+		{"subscribe oversized", "/subscriptions", wire.ContentTypeJSON, oversizedJSON(), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, tc.contentType, tc.body)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if code := post([]byte("{}")); code != http.StatusBadRequest {
-		t.Errorf("bad magic → %d, want 400", code)
-	}
-	huge := []byte{0x8D, 0x51, 1, 0, 0xff, 0xff, 0xff, 0x7f}
-	if code := post(huge); code != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized frame → %d, want 413", code)
-	}
-	s.SetBinaryWire(false)
-	enc := wire.GetEncoder()
-	frame := append([]byte(nil), enc.EncodeStreamPosts([]wire.StreamPost{{ID: 1, Time: 1, Text: "x"}}, -1)...)
-	wire.PutEncoder(enc)
-	if code := post(frame); code != http.StatusUnsupportedMediaType {
-		t.Errorf("disabled surface → %d, want 415", code)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s → %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
 	}
 }
 

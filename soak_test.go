@@ -122,15 +122,15 @@ func TestSoakWithFaults(t *testing.T) {
 	world := synth.NewWorld(synth.WorldConfig{Seed: 31})
 	tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 3600, RatePerSec: 2, DupRatio: 0, Seed: 32})
 
-	core := server.New(0, 0)
-	core.SetParallelism(4)
 	reg := obs.NewRegistry()
-	core.SetObs(reg)
 	srvInj, err := faultinject.ParseSchedule("sub2.process@40=panic:soak-injected", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetFaultInjector(srvInj)
+	core, err := server.New(server.Config{Parallelism: 4, Obs: reg, Faults: srvInj})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(server.Handler(core))
 	defer ts.Close()
 
