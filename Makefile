@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-json bench-index bench-obs bench-smoke routing-smoke trace-smoke chaos crash push-soak experiments smoke fuzz fuzz-smoke vet lint check clean
+.PHONY: all build test test-race bench bench-json bench-index bench-obs bench-smoke bench-ab routing-smoke trace-smoke chaos crash push-soak experiments smoke fuzz fuzz-smoke vet lint check clean
 
 all: build test
 
@@ -77,6 +77,14 @@ routing-smoke:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# Paired parent-vs-working-tree run of bench/ by the ten-pair rule:
+# `make bench-ab REF=<parent ref> [WORKLOADS="window_scan ..."]`. About an
+# hour for all four workloads; see scripts/bench-ab.sh for SEED, PAIRS,
+# AB_DIR and BENCH_FLAGS.
+bench-ab:
+	@test -n "$(REF)" || { echo "usage: make bench-ab REF=<parent ref> [WORKLOADS=...]"; exit 2; }
+	bash scripts/bench-ab.sh $(REF) $(WORKLOADS)
+
 # End-to-end trace propagation under the race detector: one post followed
 # client span → HTTP → admission → fan-out → emission → SSE frame, plus
 # traceparent survival across retries and stream reconnects.
@@ -95,16 +103,17 @@ fuzz:
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=10s ./internal/textutil
 	$(GO) test -fuzz=FuzzParseDIMACS -fuzztime=10s ./internal/sat
 	$(GO) test -fuzz=FuzzComputeDeterministic -fuzztime=10s ./internal/simhash
+	$(GO) test -fuzz=FuzzComputeWords -fuzztime=10s ./internal/simhash
 	$(GO) test -fuzz=FuzzReadPosts -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzBinaryRoundTrip -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzWALSegment -fuzztime=10s ./internal/wal
 
 # Replay the checked-in fuzz seed corpora (no fuzzing engine): fast
-# enough for `make check`, still catches decoder and WAL-framing
-# regressions on the malformed seeds.
+# enough for `make check`, still catches decoder, WAL-framing, tokenizer
+# and fingerprint regressions on the malformed seeds.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/wire ./internal/wal
+	$(GO) test -run 'Fuzz' -count=1 ./internal/wire ./internal/wal ./internal/simhash ./internal/textutil
 
 # vet fails the build on any vet finding or unformatted file.
 vet:

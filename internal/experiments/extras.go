@@ -173,17 +173,26 @@ func runAblationDedup(w io.Writer, sc Scale) error {
 	}
 	world := synth.NewWorld(synth.WorldConfig{BroadTopics: 3, TopicsPerBroad: 3, Seed: 400})
 	tweets := synth.TweetStream(world, streamCfg)
-	tb := newTable("hamming threshold", "kept", "dropped", "drop rate")
-	for _, dist := range []int{0, 3, 8, 12} {
+	injected := 0
+	for _, tw := range tweets {
+		if tw.Dup {
+			injected++
+		}
+	}
+	tb := newTable("hamming threshold", "kept", "dropped", "drop rate", "injected dropped", "originals dropped")
+	for _, dist := range []int{0, 3, 8, 10, 12} {
 		d := simhash.NewDeduper(dist, 1024)
-		kept := 0
+		kept, dupsDropped := 0, 0
 		for _, tw := range tweets {
 			if d.Offer(tw.Text) {
 				kept++
+			} else if tw.Dup {
+				dupsDropped++
 			}
 		}
 		seen, dropped := d.Stats()
-		tb.add(dist, kept, dropped, share(dropped, seen))
+		tb.add(dist, kept, dropped, share(dropped, seen),
+			share(dupsDropped, injected), share(dropped-dupsDropped, seen-injected))
 	}
 	if err := tb.write(w); err != nil {
 		return err

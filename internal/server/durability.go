@@ -878,8 +878,14 @@ func (s *Server) restoreSnapshot(payload []byte) error {
 	s.lastTime = snap.LastTime
 	s.started = snap.Started
 	s.closed.Store(snap.Closed)
-	if snap.Dedup != nil {
-		s.dedup = simhash.RestoreDeduper(*snap.Dedup)
+	// Config wins over the snapshot, as it does on a WAL-only recovery: the
+	// snapshot contributes its remembered fingerprints (the newest
+	// DupWindow of them) and counters, never its distance or window, and
+	// cannot switch deduplication back on.
+	if snap.Dedup != nil && s.dedup != nil {
+		st := *snap.Dedup
+		st.MaxDistance, st.Window = s.cfg.DupDistance, s.cfg.DupWindow
+		s.dedup = simhash.RestoreDeduper(st)
 	}
 	s.ingested.Add(snap.Ingested)
 	s.dropped.Add(snap.Dropped)

@@ -684,3 +684,88 @@ func TestDurabilityTornTailRecovery(t *testing.T) {
 		t.Fatalf("ingest after torn-tail repair: %v", err)
 	}
 }
+
+// TestDurabilityRestartHonoursDedupConfig: a snapshot carries the deduper's
+// remembered fingerprints, never its settings. Restarting on the same data
+// directory with a different -dedup-window (or with dedup off) must apply
+// the new Config, exactly as a WAL-only recovery does.
+func TestDurabilityRestartHonoursDedupConfig(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durConfig(dir)
+	cfg.DupDistance, cfg.DupWindow = 0, 8
+	texts := make([]string, 8)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("distinct post number %d about topic %d", i, i*i)
+	}
+	var nextID int64
+	// offer ingests text as the next post and reports whether it was
+	// admitted (not dropped as a duplicate).
+	offer := func(s *Server, text string) bool {
+		t.Helper()
+		nextID++
+		before := s.Metrics().DroppedDups
+		if err := s.Ingest(Post{ID: nextID, Time: float64(nextID), Text: text}); err != nil {
+			t.Fatal(err)
+		}
+		return s.Metrics().DroppedDups == before
+	}
+
+	a := newServer(t, cfg)
+	for _, text := range texts {
+		if !offer(a, text) {
+			t.Fatalf("distinct post %q dropped", text)
+		}
+	}
+	if offer(a, texts[0]) {
+		t.Fatal("window 8 forgot its oldest post")
+	}
+	if err := a.Close(); err != nil { // Close snapshots
+		t.Fatal(err)
+	}
+
+	// Narrower window: the newest two fingerprints survive, no more.
+	cfg.DupWindow = 2
+	b := newServer(t, cfg)
+	if b.Metrics().Durability.SnapshotLSN == 0 {
+		t.Fatal("restart did not load the snapshot")
+	}
+	if st := b.dedup.State(); st.Window != 2 || len(st.Recent) != 2 {
+		t.Fatalf("restored deduper window = %d holding %d, want 2 holding 2", st.Window, len(st.Recent))
+	}
+	if got := b.Metrics().DroppedDups; got != 1 {
+		t.Fatalf("dropped counter after restart = %d, want 1 (carried over)", got)
+	}
+	if offer(b, texts[7]) {
+		t.Error("newest remembered post admitted again after restart")
+	}
+	if !offer(b, texts[0]) {
+		t.Error("post outside the new window of 2 still dropped: the snapshot's window won")
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Dedup off: the snapshot must not switch it back on.
+	cfg.DupWindow = 0
+	c := newServer(t, cfg)
+	if c.dedup != nil {
+		t.Fatal("snapshot re-enabled deduplication under DupWindow 0")
+	}
+	if !offer(c, texts[0]) {
+		t.Error("duplicate dropped with dedup off")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Back on with a wider radius: starts empty, uses the new distance.
+	cfg.DupDistance, cfg.DupWindow = 64, 4
+	d := newServer(t, cfg)
+	defer d.Close()
+	if !offer(d, texts[1]) {
+		t.Error("first post after re-enabling dedup dropped")
+	}
+	if offer(d, texts[2]) {
+		t.Error("DupDistance 64 admitted a second post: the new distance was not applied")
+	}
+}

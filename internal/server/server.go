@@ -199,11 +199,11 @@ type Server struct {
 	dedup    *simhash.Deduper
 	lastTime float64
 	started  bool
-	// wordBuf is the reused tokenization buffer: each admitted post is
-	// tokenized exactly once under ingestMu, instead of each subscription
-	// re-tokenizing the text. Oversized scratch is dropped after the post
-	// (see keepIngestScratch) so one pathological post doesn't pin its
-	// buffers forever.
+	// wordBuf is the reused tokenization buffer: each post is tokenized
+	// exactly once under ingestMu, for the deduper and for routing, instead
+	// of the deduper and each subscription re-tokenizing the text.
+	// Oversized scratch is dropped after the post (see keepIngestScratch)
+	// so one pathological post doesn't pin its buffers forever.
 	wordBuf []string
 	// symBuf and candBuf are the fan-out scratch, reused under ingestMu
 	// like wordBuf: the post's tokens resolved to deduplicated symbols
@@ -577,20 +577,27 @@ func (s *Server) ingestOne(ctx context.Context, p Post) error {
 		span.SetInt("post_id", p.ID)
 		defer span.End()
 	}
-	if s.dedup != nil && !s.dedup.Offer(p.Text) {
-		s.dropped.Inc()
-		span.Set("dropped", "duplicate")
-		return nil
-	}
 	var start time.Time
 	if o != nil {
 		start = time.Now()
 	}
-	// Tokenize once per post; every candidate matches against the same
-	// symbols (read-only during the fan-out).
+	// Tokenize once per post: the deduper fingerprints these words, and
+	// every candidate matches against their symbols (read-only during the
+	// fan-out).
 	s.wordBuf = textutil.AppendWords(s.wordBuf[:0], p.Text)
+	words := s.wordBuf
+	// Mirror the wire pool's oversized-scratch policy: one pathological
+	// post must not pin a huge tokenize/routing scratch forever.
+	if cap(s.wordBuf) > keepIngestScratch {
+		s.wordBuf = nil
+	}
 	if o != nil {
 		o.tokenizeTime.ObserveSince(start)
+	}
+	if s.dedup != nil && !s.dedup.OfferWords(words) {
+		s.dropped.Inc()
+		span.Set("dropped", "duplicate")
+		return nil
 	}
 	// Inverted routing: resolve the post's tokens to symbols (unknown
 	// tokens are nobody's keyword and drop out here), k-way-merge the
@@ -598,8 +605,11 @@ func (s *Server) ingestOne(ctx context.Context, p Post) error {
 	// Every skipped subscription would have matched nothing, so emissions
 	// are byte-identical to feeding every subscription
 	// (TestRoutingEquivalence holds the broadcast oracle).
-	s.symBuf = route.DedupSyms(s.symtab.AppendSyms(s.symBuf[:0], s.wordBuf))
+	s.symBuf = route.DedupSyms(s.symtab.AppendSyms(s.symBuf[:0], words))
 	syms := s.symBuf
+	if cap(s.symBuf) > keepIngestScratch {
+		s.symBuf = nil
+	}
 	s.candBuf = s.routes.Candidates(s.candBuf[:0], syms)
 	cands := s.candBuf
 	if skipped := s.subCount.Load() - int64(len(cands)); skipped > 0 {
@@ -615,14 +625,6 @@ func (s *Server) ingestOne(ctx context.Context, p Post) error {
 		}
 		return nil
 	})
-	// Mirror the wire pool's oversized-scratch policy: one pathological
-	// post must not pin a huge tokenize/routing scratch forever.
-	if cap(s.wordBuf) > keepIngestScratch {
-		s.wordBuf = nil
-	}
-	if cap(s.symBuf) > keepIngestScratch {
-		s.symBuf = nil
-	}
 	if o != nil {
 		if span != nil {
 			o.ingestFanout.ObserveTraced(time.Since(start).Seconds(), span.TraceID())

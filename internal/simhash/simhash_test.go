@@ -97,7 +97,7 @@ func TestDeduperWindowEviction(t *testing.T) {
 	}
 }
 
-func TestDeduperLargeDistanceFallback(t *testing.T) {
+func TestDeduperLargeDistance(t *testing.T) {
 	d := NewDeduper(10, 16)
 	base := Hash(0xAAAAAAAAAAAAAAAA)
 	if !d.OfferHash(base) {
@@ -112,7 +112,7 @@ func TestDeduperLargeDistanceFallback(t *testing.T) {
 }
 
 func TestDeduperBucketConsistencyUnderChurn(t *testing.T) {
-	// Hammer a small window with random hashes; verify the banded filter
+	// Hammer a small window with random hashes; verify the quarter index
 	// agrees with brute force on every decision.
 	rng := rand.New(rand.NewSource(7))
 	d := NewDeduper(3, 8)

@@ -203,6 +203,21 @@ func TestTweetStreamNearDuplicates(t *testing.T) {
 	if rate := 1 - float64(kept)/float64(len(tweets)); rate < 0.03 {
 		t.Errorf("exact-dup drop rate %.3f; expected ≥ 3%% identical retweets", rate)
 	}
+	// Dup is the ground truth for those injections, and only for them.
+	marked := 0
+	for _, tw := range tweets {
+		if tw.Dup {
+			marked++
+		}
+	}
+	if share := float64(marked) / float64(len(tweets)); share < 0.25 || share > 0.35 {
+		t.Errorf("%.3f of tweets marked Dup at DupRatio 0.3", share)
+	}
+	for _, tw := range TweetStream(w, StreamConfig{Duration: 400, RatePerSec: 3, Seed: 5}) {
+		if tw.Dup {
+			t.Fatal("tweet marked Dup at DupRatio 0")
+		}
+	}
 }
 
 func TestDiurnalRateVaries(t *testing.T) {

@@ -18,6 +18,9 @@ type Tweet struct {
 	// Topics are the planted topic indexes the tweet draws from (ground
 	// truth; the matcher rediscovers them through keywords).
 	Topics []int
+	// Dup marks an injected near-duplicate (ground truth for the SimHash
+	// filter; see StreamConfig.DupRatio).
+	Dup bool
 }
 
 // StreamConfig shapes the synthetic tweet stream standing in for the
@@ -114,7 +117,7 @@ func TweetStream(w *World, cfg StreamConfig) []Tweet {
 			var tw Tweet
 			if c.DupRatio > 0 && len(recent) > 8 && rng.Float64() < c.DupRatio {
 				src := recent[rng.Intn(len(recent))]
-				tw = Tweet{ID: id, Time: t, Text: mutate(rng, src.Text), Topics: append([]int(nil), src.Topics...)}
+				tw = Tweet{ID: id, Time: t, Text: mutate(rng, src.Text), Topics: append([]int(nil), src.Topics...), Dup: true}
 			} else {
 				tw = compose(w, rng, topicPop, id, t, c)
 			}
