@@ -209,10 +209,8 @@ func (in *Instance) valueRange() (lo, hi float64) {
 }
 
 // windowInLabel returns the half-open position range [from, to) of LP(a)
-// whose values lie within [lo, hi].
-func (in *Instance) windowInLabel(a Label, lo, hi float64) (from, to int) {
+// whose values are Within r of v.
+func (in *Instance) windowInLabel(a Label, v, r float64) (from, to int) {
 	lp := in.byLabel[a]
-	from = sort.Search(len(lp), func(k int) bool { return in.posts[lp[k]].Value >= lo })
-	to = sort.Search(len(lp), func(k int) bool { return in.posts[lp[k]].Value > hi })
-	return from, to
+	return WithinRange(len(lp), func(k int) float64 { return in.posts[lp[k]].Value }, v, r)
 }

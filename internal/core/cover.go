@@ -86,9 +86,7 @@ func (in *Instance) VerifyCover(m LambdaModel, selected []int) error {
 			if !hasLabel(in.posts[i].Labels, Label(a)) {
 				continue
 			}
-			r := m.Lambda(i, Label(a))
-			v := in.posts[i].Value
-			from, to := in.windowInLabel(Label(a), v-r, v+r)
+			from, to := in.windowInLabel(Label(a), in.posts[i].Value, m.Lambda(i, Label(a)))
 			for k := from; k < to; k++ {
 				covered[k] = true
 			}

@@ -40,9 +40,7 @@ func (in *Instance) Exhaustive(m LambdaModel) (*Cover, error) {
 	coversOf := make([][]int, in.Len())   // coversOf[i] = pair ids post i covers
 	for u, pr := range pairs {
 		lp := in.byLabel[pr.label]
-		maxR := m.Max()
-		v := in.posts[pr.post].Value
-		from, to := in.windowInLabel(pr.label, v-maxR, v+maxR)
+		from, to := in.windowInLabel(pr.label, in.posts[pr.post].Value, m.Max())
 		for k := from; k < to; k++ {
 			i := int(lp[k])
 			if in.Covers(m, i, pr.post, pr.label) {

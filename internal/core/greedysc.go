@@ -84,8 +84,7 @@ func (g *greedyState) gain(i int) int {
 	p := g.in.posts[i]
 	total := 0
 	for _, a := range p.Labels {
-		r := g.m.Lambda(i, a)
-		from, to := g.in.windowInLabel(a, p.Value-r, p.Value+r)
+		from, to := g.in.windowInLabel(a, p.Value, g.m.Lambda(i, a))
 		total += g.counts[a].RangeSum(from, to)
 	}
 	return total
@@ -95,8 +94,7 @@ func (g *greedyState) gain(i int) int {
 func (g *greedyState) take(i int) {
 	p := g.in.posts[i]
 	for _, a := range p.Labels {
-		r := g.m.Lambda(i, a)
-		from, to := g.in.windowInLabel(a, p.Value-r, p.Value+r)
+		from, to := g.in.windowInLabel(a, p.Value, g.m.Lambda(i, a))
 		unc := g.uncovered[a]
 		for k := from; k < to; k++ {
 			if unc[k] {

@@ -24,7 +24,7 @@ func sameCover(t *testing.T, ctx string, serial, par *Cover) {
 // serial cover on seeded random instances.
 func TestQuickParallelSolversMatchSerial(t *testing.T) {
 	check := func(seed int64, lambdaRaw uint8) bool {
-		in := quickInstance(seed, 40, 8, 60)
+		in := quickInstance(seed, 40, 8, 60, 0)
 		lambda := float64(lambdaRaw%16) + 0.5
 		lm := FixedLambda(lambda)
 		for _, workers := range []int{2, 3, 8} {
@@ -45,7 +45,7 @@ func TestQuickParallelSolversMatchSerial(t *testing.T) {
 // the §6 per-post proportional model, where coverage is directional.
 func TestQuickParallelSolversMatchSerialProportional(t *testing.T) {
 	check := func(seed int64, lambdaRaw uint8) bool {
-		in := quickInstance(seed, 35, 6, 50)
+		in := quickInstance(seed, 35, 6, 50, 0)
 		lambda0 := float64(lambdaRaw%8) + 1
 		pl, err := NewProportionalLambda(in, lambda0)
 		if err != nil {

@@ -32,8 +32,8 @@ func (in *Instance) GreedySC(th Thresholds) (*Cover, error) {
 	gain := func(i int) int {
 		total := 0
 		for _, a := range in.posts[i].Labels {
-			from, to := in.timeWindow(a, in.posts[i].Time-th.TimeSec, in.posts[i].Time+th.TimeSec)
 			lp := in.byLabel[a]
+			from, to := core.WithinRange(len(lp), in.timeAt(a), in.posts[i].Time, th.TimeSec)
 			for k := from; k < to; k++ {
 				if uncovered[a][k] && in.Covers(th, i, int(lp[k])) {
 					total++
@@ -54,8 +54,8 @@ func (in *Instance) GreedySC(th Thresholds) (*Cover, error) {
 			return nil, fmt.Errorf("spatial: uncovered pairs remain but no post has positive gain")
 		}
 		for _, a := range in.posts[best].Labels {
-			from, to := in.timeWindow(a, in.posts[best].Time-th.TimeSec, in.posts[best].Time+th.TimeSec)
 			lp := in.byLabel[a]
+			from, to := core.WithinRange(len(lp), in.timeAt(a), in.posts[best].Time, th.TimeSec)
 			for k := from; k < to; k++ {
 				if uncovered[a][k] && in.Covers(th, best, int(lp[k])) {
 					uncovered[a][k] = false
@@ -91,7 +91,7 @@ func (in *Instance) TimeScan(th Thresholds) (*Cover, error) {
 				continue
 			}
 			left := int(lp[next])
-			from, to := in.timeWindow(core.Label(a), in.posts[left].Time-th.TimeSec, in.posts[left].Time+th.TimeSec)
+			from, to := core.WithinRange(len(lp), in.timeAt(core.Label(a)), in.posts[left].Time, th.TimeSec)
 			best, bestReach := -1, 0.0
 			for k := from; k < to; k++ {
 				cand := int(lp[k])
@@ -107,7 +107,7 @@ func (in *Instance) TimeScan(th Thresholds) (*Cover, error) {
 			}
 			selected[best] = true
 			// Mark everything the pick covers for this label.
-			bFrom, bTo := in.timeWindow(core.Label(a), in.posts[best].Time-th.TimeSec, in.posts[best].Time+th.TimeSec)
+			bFrom, bTo := core.WithinRange(len(lp), in.timeAt(core.Label(a)), in.posts[best].Time, th.TimeSec)
 			for k := bFrom; k < bTo; k++ {
 				if !covered[k] && in.Covers(th, best, int(lp[k])) {
 					covered[k] = true
@@ -147,8 +147,8 @@ func (in *Instance) Exhaustive(th Thresholds) (*Cover, error) {
 	coverers := make([][]int, len(pairs))
 	coversOf := make([][]int, in.Len())
 	for u, pr := range pairs {
-		from, to := in.timeWindow(pr.label, in.posts[pr.post].Time-th.TimeSec, in.posts[pr.post].Time+th.TimeSec)
 		lp := in.byLabel[pr.label]
+		from, to := core.WithinRange(len(lp), in.timeAt(pr.label), in.posts[pr.post].Time, th.TimeSec)
 		for k := from; k < to; k++ {
 			i := int(lp[k])
 			if in.Covers(th, i, pr.post) {

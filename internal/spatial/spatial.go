@@ -124,18 +124,15 @@ func (th Thresholds) validate() error {
 // rechecked), time within λt and location within λd.
 func (in *Instance) Covers(th Thresholds, i, j int) bool {
 	pi, pj := &in.posts[i], &in.posts[j]
-	if math.Abs(pi.Time-pj.Time) > th.TimeSec {
-		return false
-	}
-	return Haversine(pi.Lat, pi.Lon, pj.Lat, pj.Lon) <= th.DistKm
+	return core.Within(pi.Time, pj.Time, th.TimeSec) &&
+		Haversine(pi.Lat, pi.Lon, pj.Lat, pj.Lon) <= th.DistKm
 }
 
-// timeWindow returns positions of LP(a) within [lo, hi] in time.
-func (in *Instance) timeWindow(a core.Label, lo, hi float64) (int, int) {
+// timeAt returns the times of LP(a) by position, the sequence
+// core.WithinRange searches for a post's time window.
+func (in *Instance) timeAt(a core.Label) func(int) float64 {
 	lp := in.byLabel[a]
-	from := sort.Search(len(lp), func(k int) bool { return in.posts[lp[k]].Time >= lo })
-	to := sort.Search(len(lp), func(k int) bool { return in.posts[lp[k]].Time > hi })
-	return from, to
+	return func(k int) float64 { return in.posts[lp[k]].Time }
 }
 
 // VerifyCover independently re-checks that selected covers the instance.
@@ -155,7 +152,7 @@ func (in *Instance) VerifyCover(th Thresholds, selected []int) error {
 			if !hasLabel(in.posts[i].Labels, core.Label(a)) {
 				continue
 			}
-			from, to := in.timeWindow(core.Label(a), in.posts[i].Time-th.TimeSec, in.posts[i].Time+th.TimeSec)
+			from, to := core.WithinRange(len(lp), in.timeAt(core.Label(a)), in.posts[i].Time, th.TimeSec)
 			for k := from; k < to; k++ {
 				if !covered[k] && in.Covers(th, i, int(lp[k])) {
 					covered[k] = true

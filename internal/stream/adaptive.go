@@ -85,7 +85,7 @@ func (s *AdaptiveScan) Process(p core.Post) ([]Emission, error) {
 		st.recent = append(st.recent, p.Value)
 		st.pruneRecent(p.Value, s.lambda0)
 		r := s.radius(st, p.Value)
-		if st.lcSet && p.Value-st.lcTime <= st.lcRadius {
+		if st.lcSet && core.Within(st.lcTime, p.Value, st.lcRadius) {
 			continue // already covered for this label
 		}
 		st.pending = append(st.pending, adaptivePost{post: p, radius: r})
@@ -185,7 +185,7 @@ func (s *AdaptiveScan) decide(a core.Label, d float64) []Emission {
 		}
 		// Drop the suffix the pick covers.
 		keep := len(st.pending) - 1
-		for keep > 0 && pick.post.Value-st.pending[keep-1].post.Value <= pick.radius {
+		for keep > 0 && core.Within(pick.post.Value, st.pending[keep-1].post.Value, pick.radius) {
 			keep--
 		}
 		st.pending = st.pending[:keep]

@@ -46,7 +46,7 @@ func (s *Instant) Process(p core.Post) ([]Emission, error) {
 	covered := true
 	for _, a := range p.Labels {
 		c := s.cache[a]
-		if !c.set || p.Value-c.value > s.lambda {
+		if !c.set || !core.Within(c.value, p.Value, s.lambda) {
 			covered = false
 			break
 		}
