@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"mqdp/internal/core"
 )
@@ -47,7 +48,9 @@ type PendingSnapState struct {
 }
 
 // GreedyState is the serializable state of StreamGreedySC / StreamGreedySC+.
-// Pending holds only the live suffix of the buffer (head onward).
+// Pending holds only the live suffix of the buffer (head onward). Selected
+// holds at most the latest emitted value per label; older snapshots kept
+// several, and restore takes the largest.
 type GreedyState struct {
 	Lambda   float64
 	Tau      float64
@@ -103,7 +106,7 @@ func CaptureProcessor(p Processor) (*ProcState, error) {
 			Plus:     s.plus,
 			Clock:    ClockState{Now: s.clk.now, Started: s.clk.started},
 			Pending:  make([]PendingSnapState, 0, len(s.pending)-s.head),
-			Selected: make([][]float64, len(s.selected)),
+			Selected: make([][]float64, len(s.latest)),
 		}
 		for _, q := range s.pending[s.head:] {
 			st.Pending = append(st.Pending, PendingSnapState{
@@ -111,8 +114,10 @@ func CaptureProcessor(p Processor) (*ProcState, error) {
 				Uncovered: append([]core.Label(nil), q.uncovered...),
 			})
 		}
-		for a, sel := range s.selected {
-			st.Selected[a] = append([]float64(nil), sel...)
+		for a, v := range s.latest {
+			if s.hasLatest[a] {
+				st.Selected[a] = []float64{v}
+			}
 		}
 		return &ProcState{Greedy: st}, nil
 	case *Instant:
@@ -170,7 +175,9 @@ func RestoreProcessor(st *ProcState) (Processor, error) {
 			}
 		}
 		for a, sel := range c.Selected {
-			s.selected[a] = append([]float64(nil), sel...)
+			if len(sel) > 0 {
+				s.latest[a], s.hasLatest[a] = slices.Max(sel), true
+			}
 		}
 		return s, nil
 	case st.Instant != nil:

@@ -113,6 +113,35 @@ func TestCaptureRestoreEquivalence(t *testing.T) {
 	}
 }
 
+// TestGreedyRestoresParentSelected loads a GreedyState in the shape older
+// snapshots wrote — every emitted value per label, in gain order, not
+// sorted — and checks that the largest one covers the next arrival; a
+// capture then writes that one value alone.
+func TestGreedyRestoresParentSelected(t *testing.T) {
+	old := &ProcState{Greedy: &GreedyState{
+		Lambda: 1.5, Tau: 3,
+		Clock:    ClockState{Now: 3, Started: true},
+		Selected: [][]float64{{2, 0}, nil},
+	}}
+	p, err := RestoreProcessor(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es := mustProcess(t, p, mk(9, 3.2, 0)); len(es) != 0 {
+		t.Fatalf("arrival emitted %+v", es)
+	}
+	if es := p.Flush(); len(es) != 0 {
+		t.Errorf("arrival 1.2 after the emission at 2 (λ=1.5) was treated as uncovered: flush emitted %+v", es)
+	}
+	st, err := CaptureProcessor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]float64{{2}, nil}; !reflect.DeepEqual(st.Greedy.Selected, want) {
+		t.Errorf("captured Selected = %v, want %v", st.Greedy.Selected, want)
+	}
+}
+
 func TestCaptureRestoreRejectsUnknown(t *testing.T) {
 	if _, err := CaptureProcessor(nil); err == nil {
 		t.Fatal("CaptureProcessor(nil) should fail")
