@@ -8,7 +8,10 @@
 # builds its own harness and server from its own source. For every workload
 # and PAIRS seeds from SEED upwards both sides run
 # `bash bench/run.sh -workload W -seed S -trace 0`, one after the other,
-# alternating which side goes first. Each side's runs are merged into one
+# alternating which side goes first. A seed that fails on the parent alone
+# is reported as fixed by the change and replaced by the next seed, as is a
+# seed that fails on both; a seed that fails on the change alone ends the
+# run with an error. Each side's runs are merged into one
 # result file, then the per-metric pair win counts and
 # `bench/run.sh compare parent.json change.json` (the regression gate) are
 # printed.
@@ -46,9 +49,9 @@ run_side() { # side workload seed; the working tree is the change
 		-out "$ab/runs/$1-$2-$3.json") >"$ab/runs/$1-$2-$3.log" 2>&1
 }
 
-# A seed on which both sides fail (the harness's oracle rejects some
-# generated streams on every commit) is reported and replaced by the next
-# one; a seed on which one side fails is a finding, and ends the run.
+# A parent-only failure is a seed the change fixed, a failure on both sides
+# one the oracle rejects on every commit: both are replaced. A change-only
+# failure is a finding.
 for w in "${workloads[@]}"; do
 	s=$seed0
 	seeds=()
@@ -60,13 +63,14 @@ for w in "${workloads[@]}"; do
 		for side in "${order[@]}"; do
 			run_side "$side" "$w" "$s" || failed+=("$side")
 		done
-		case ${#failed[@]} in
-		0) seeds+=("$s") ;;
-		1)
-			echo "bench-ab: only ${failed[0]} failed on $w seed $s, see $ab/runs/${failed[0]}-$w-$s.log" >&2
+		case ${failed[*]:-} in
+		"") seeds+=("$s") ;;
+		parent) echo "bench-ab: only the parent fails on $w seed $s, fixed by the change (see $ab/runs/parent-$w-$s.log), seed skipped" >&2 ;;
+		change)
+			echo "bench-ab: only the change fails on $w seed $s, see $ab/runs/change-$w-$s.log" >&2
 			exit 1
 			;;
-		2) echo "bench-ab: both sides fail on $w seed $s (see $ab/runs/*-$w-$s.log), seed skipped" >&2 ;;
+		*) echo "bench-ab: both sides fail on $w seed $s (see $ab/runs/*-$w-$s.log), seed skipped" >&2 ;;
 		esac
 		s=$((s + 1))
 		((s - seed0 < 3 * pairs)) || { echo "bench-ab: too many failing seeds on $w" >&2; exit 1; }
