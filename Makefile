@@ -2,17 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-json bench-index bench-obs bench-smoke bench-ab routing-smoke trace-smoke chaos crash push-soak experiments smoke fuzz fuzz-smoke vet lint check clean
+.PHONY: all build test test-race bench bench-smoke bench-ab routing-smoke trace-smoke chaos crash push-soak experiments smoke fuzz fuzz-smoke vet lint check clean
 
 all: build test
 
 # The default verification gate: build, tests, static checks, the chaos
 # suite under the race detector, the kill-9 durability drill, the
-# push-delivery soak, the instrumented-vs-disabled solver overhead
-# comparison, the end-to-end trace-propagation smoke, the wire fuzz
-# corpus smoke, the subscription-routing smoke (equivalence property
+# push-delivery soak, the end-to-end trace-propagation smoke, the wire
+# fuzz corpus smoke, the subscription-routing smoke (equivalence property
 # under -race), and the load harness's own vet and tests.
-check: build test vet chaos crash push-soak bench-obs trace-smoke fuzz-smoke routing-smoke bench-smoke
+check: build test vet chaos crash push-soak trace-smoke fuzz-smoke routing-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -23,19 +22,11 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# One benchmark per paper table/figure plus solver micro-benchmarks.
+# One benchmark per paper table/figure plus the solver (serial vs
+# parallel) and index (optimized path vs linear-scan oracle)
+# micro-benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate the machine-readable serial-vs-parallel solver timing baseline.
-bench-json:
-	$(GO) run ./cmd/mqdp-bench -json > BENCH_baseline.json
-
-# Regenerate the index read-path baseline: each optimized query path
-# (time-skipping, galloping intersection, bounded top-k) against its naive
-# linear-scan reference in the same run.
-bench-index:
-	$(GO) run ./cmd/mqdp-bench -json-index > BENCH_index.json
 
 # Fault-schedule end-to-end suite under the race detector: scripted drops,
 # delays, 5xx, processor panics and admission sheds driven through
@@ -59,11 +50,6 @@ crash:
 # stream/poll/unsubscribe churn hammer.
 push-soak:
 	$(GO) test -race -count=1 -run 'TestPushSoak|TestStreamChurnHammer' ./internal/server
-
-# Compare BenchmarkScan with instrumentation disabled vs enabled: the
-# disabled path must sit within noise of the pre-obs solver.
-bench-obs:
-	$(GO) test -run NONE -bench 'ScanObs' -benchtime 300x ./internal/core
 
 # Routing smoke for `make check`: the emissions-byte-identical property
 # (server vs the in-test broadcast oracle × worker counts, quarantine
@@ -115,10 +101,13 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -run 'Fuzz' -count=1 ./internal/wire ./internal/wal ./internal/simhash ./internal/textutil
 
-# vet fails the build on any vet finding or unformatted file.
+# vet fails the build on any vet finding, any unformatted file, or a leaf
+# package (solvers, stream processors, index) that imports internal/obs:
+# instruments belong to the process that owns the registry.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@if $(GO) list -deps ./internal/core ./internal/stream ./internal/index | grep -qx mqdp/internal/obs; then echo "internal/core, internal/stream or internal/index depends on mqdp/internal/obs"; exit 1; fi
 
 lint: vet
 

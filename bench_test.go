@@ -82,8 +82,8 @@ func BenchmarkSolverScan(b *testing.B) {
 // The *Parallel variants run the same workloads as their serial counterparts
 // with workers = GOMAXPROCS, so one `go test -bench Solver` run compares the
 // two directly. The covers are identical by the determinism contract; only
-// wall-clock differs. See BENCH_baseline.json for the tracked 8-label
-// numbers.
+// wall-clock differs. `go test -run '^$' -bench Solver -benchmem` prints the
+// pairs; CHANGES.md records a 2-core run.
 
 func BenchmarkSolverScanParallel(b *testing.B) {
 	in := benchInstance(b, 5, 3600)

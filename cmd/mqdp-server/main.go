@@ -14,7 +14,7 @@
 //	GET    /subscriptions/1/stream  (Server-Sent Events push; try curl -N)
 //	GET    /subscriptions/1/topk    (continuous diversified top-k view)
 //	GET    /subscriptions/1/stats · GET /stats · GET /metrics · GET /healthz
-//	GET    /metrics/prometheus  (text exposition of every wired instrument)
+//	GET    /metrics/prometheus  (text exposition of every registered instrument)
 //	GET    /debug/traces · GET /debug/traces/{id}  (recent request traces)
 //	POST   /flush · DELETE /subscriptions/1
 //
@@ -93,12 +93,9 @@ import (
 	"syscall"
 	"time"
 
-	"mqdp/internal/core"
 	"mqdp/internal/faultinject"
-	"mqdp/internal/index"
 	"mqdp/internal/obs"
 	"mqdp/internal/server"
-	"mqdp/internal/stream"
 	"mqdp/internal/wal"
 )
 
@@ -185,19 +182,16 @@ func main() {
 		cfg.Faults = inj
 	}
 	if !*noObs {
-		// One registry backs every layer: solver stage timings, stream
-		// decision delays, index append/lookup and the server counters all
-		// land in the same /metrics/prometheus exposition. The tracer is
-		// attached before wiring so each package's SetObs captures it.
+		// The server owns the registry and every instrument in it: the
+		// solver, stream and index packages observe nothing, and what the
+		// server sees of them (matches, emissions, decision delays) it
+		// records itself into the /metrics/prometheus exposition.
 		reg := obs.NewRegistry()
 		if *trace {
 			tr := obs.NewTracer(*traceCapacity)
 			tr.SetRetention(*traceSlow, *traceSample)
 			reg.SetTracer(tr)
 		}
-		core.SetObs(reg)
-		stream.SetObs(reg)
-		index.SetObs(reg)
 		cfg.Obs = reg
 		if *sloIngest > 0 {
 			cfg.SLOIngest = obs.NewSLO("ingest", *sloIngest, *sloTarget)

@@ -29,10 +29,7 @@ func (in *Instance) GreedySC(m LambdaModel) *Cover { return in.GreedySCParallel(
 // selection sequence is identical to the serial run for any worker count.
 func (in *Instance) GreedySCParallel(m LambdaModel, workers int) *Cover {
 	start := time.Now()
-	w := parallel.Workers(workers)
-	span := obsState.Load().startSpan("core.GreedySC")
-	sel := in.greedySC(m, true, w)
-	endSolveSpan(span, in, w, len(sel))
+	sel := in.greedySC(m, true, parallel.Workers(workers))
 	return &Cover{Selected: sel, Algorithm: "GreedySC", Elapsed: time.Since(start)}
 }
 
@@ -44,9 +41,7 @@ func (in *Instance) GreedySCParallel(m LambdaModel, workers int) *Cover {
 // round's current best is not re-evaluated, which changes no selection.
 func (in *Instance) GreedySCNaive(m LambdaModel) *Cover {
 	start := time.Now()
-	span := obsState.Load().startSpan("core.GreedySC-naive")
 	sel := in.greedySC(m, false, 1)
-	endSolveSpan(span, in, 1, len(sel))
 	return &Cover{Selected: sel, Algorithm: "GreedySC-naive", Elapsed: time.Since(start)}
 }
 
@@ -137,21 +132,7 @@ func (h *gainHeap) Pop() any {
 }
 
 func (in *Instance) greedySC(m LambdaModel, lazy bool, workers int) []int {
-	o := obsState.Load()
 	g := newGreedyState(in, m)
-	// Work counters accumulate locally and flush to the registry once at the
-	// end, so the selection loops carry no atomic traffic.
-	var gains, heapOps int64
-	var sweepStart, selectStart time.Time
-	if o != nil {
-		sweepStart = time.Now()
-		defer func() {
-			o.greedySelect.ObserveSince(selectStart)
-			o.gains.Add(gains)
-			o.heapOps.Add(heapOps)
-			o.solves.Inc()
-		}()
-	}
 	var sel []int
 	if !lazy {
 		// ub[i] upper-bounds post i's current gain. Gains only shrink as
@@ -164,11 +145,6 @@ func (in *Instance) greedySC(m LambdaModel, lazy bool, workers int) []int {
 		for i := range in.posts {
 			ub[i] = g.gain(i)
 		}
-		gains += int64(len(in.posts))
-		if o != nil {
-			selectStart = time.Now()
-			o.greedySweep.Observe(selectStart.Sub(sweepStart).Seconds())
-		}
 		for g.remaining > 0 {
 			best, bestGain := -1, 0
 			for i := range in.posts {
@@ -176,7 +152,6 @@ func (in *Instance) greedySC(m LambdaModel, lazy bool, workers int) []int {
 					continue
 				}
 				gain := g.gain(i)
-				gains++
 				ub[i] = gain
 				if gain > bestGain {
 					best, bestGain = i, gain
@@ -214,17 +189,9 @@ func (in *Instance) greedySC(m LambdaModel, lazy bool, workers int) []int {
 		}
 	}
 	heap.Init(h)
-	gains += int64(len(in.posts))
-	heapOps += int64(h.Len())
-	if o != nil {
-		selectStart = time.Now()
-		o.greedySweep.Observe(selectStart.Sub(sweepStart).Seconds())
-	}
 	for g.remaining > 0 && h.Len() > 0 {
 		top := heap.Pop(h).([2]int)
-		heapOps++
 		gain, i := g.gain(top[1]), top[1]
-		gains++
 		if gain == 0 {
 			continue
 		}
@@ -236,7 +203,6 @@ func (in *Instance) greedySC(m LambdaModel, lazy bool, workers int) []int {
 			nextGain, nextIdx := h.gains[0], h.indexes[0]
 			if gain < nextGain || (gain == nextGain && nextIdx < i) {
 				heap.Push(h, [2]int{gain, i})
-				heapOps++
 				continue
 			}
 		}

@@ -77,51 +77,25 @@ func (in *Instance) Scan(m LambdaModel) *Cover { return in.ScanParallel(m, 1) }
 // are fully independent, so the merged selection is identical to the serial
 // one for any worker count.
 func (in *Instance) ScanParallel(m LambdaModel, workers int) *Cover {
-	o := obsState.Load()
-	span := o.startSpan("core.Scan")
 	start := time.Now()
 	var sel []int
-	var scanned int64
-	var sweepEnd time.Time
 	w := parallel.Workers(workers)
 	if w <= 1 || in.numLabels <= 1 {
 		scratch := scanScratchPool.Get().(*scanScratch)
 		local := scratch.sel[:0]
 		for a := 0; a < in.numLabels; a++ {
-			scanned += int64(in.scanLabel(m, Label(a), nil, &local))
-		}
-		if o != nil {
-			sweepEnd = time.Now()
+			in.scanLabel(m, Label(a), nil, &local)
 		}
 		sel = cloneSelection(normalizeSelected(local))
 		scratch.sel = local[:0]
 		scanScratchPool.Put(scratch)
 	} else {
-		var perLabel [][]int
-		if o != nil {
-			// Shards write disjoint slots; summed after the barrier.
-			counts := make([]int64, in.numLabels)
-			perLabel = parallel.Map(w, in.numLabels, func(a int) []int {
-				var local []int
-				counts[a] = int64(in.scanLabel(m, Label(a), nil, &local))
-				return local
-			})
-			sweepEnd = time.Now()
-			for _, n := range counts {
-				scanned += n
-			}
-		} else {
-			perLabel = parallel.Map(w, in.numLabels, func(a int) []int {
-				var local []int
-				in.scanLabel(m, Label(a), nil, &local)
-				return local
-			})
-		}
+		perLabel := parallel.Map(w, in.numLabels, func(a int) []int {
+			var local []int
+			in.scanLabel(m, Label(a), nil, &local)
+			return local
+		})
 		sel = normalizeSelected(concatSelections(perLabel))
-	}
-	if o != nil {
-		o.observeScanPhases(o.scanSweep, o.scanSelect, start, sweepEnd, scanned)
-		endSolveSpan(span, in, w, len(sel))
 	}
 	return &Cover{Selected: sel, Algorithm: "Scan", Elapsed: time.Since(start)}
 }
@@ -142,56 +116,31 @@ func (in *Instance) ScanPlus(m LambdaModel, order ScanOrder) *Cover {
 // When the labels form a single component (very high overlap) the pass
 // degenerates to serial; Scan's per-label sharding has no such limit.
 func (in *Instance) ScanPlusParallel(m LambdaModel, order ScanOrder, workers int) *Cover {
-	o := obsState.Load()
-	span := o.startSpan("core.Scan+")
 	start := time.Now()
 	scratch := scanScratchPool.Get().(*scanScratch)
 	covered := scratch.coveredViews(in)
 	labels := in.labelOrder(order)
 	var sel []int
-	var scanned int64
-	var sweepEnd time.Time
 	w := parallel.Workers(workers)
 	if w <= 1 || in.numLabels <= 1 {
 		local := scratch.sel[:0]
 		for _, a := range labels {
-			scanned += int64(in.scanLabel(m, a, covered, &local))
-		}
-		if o != nil {
-			sweepEnd = time.Now()
+			in.scanLabel(m, a, covered, &local)
 		}
 		sel = cloneSelection(normalizeSelected(local))
 		scratch.sel = local[:0]
 	} else {
 		comps := in.labelComponents(labels)
-		var counts []int64
-		if o != nil {
-			counts = make([]int64, len(comps))
-		}
 		perComp := parallel.Map(w, len(comps), func(c int) []int {
 			var local []int
-			n := 0
 			for _, a := range comps[c] {
-				n += in.scanLabel(m, a, covered, &local)
-			}
-			if counts != nil {
-				counts[c] = int64(n)
+				in.scanLabel(m, a, covered, &local)
 			}
 			return local
 		})
-		if o != nil {
-			sweepEnd = time.Now()
-			for _, n := range counts {
-				scanned += n
-			}
-		}
 		sel = normalizeSelected(concatSelections(perComp))
 	}
 	scanScratchPool.Put(scratch)
-	if o != nil {
-		o.observeScanPhases(o.scanPlusSweep, o.scanPlusSelect, start, sweepEnd, scanned)
-		endSolveSpan(span, in, w, len(sel))
-	}
 	return &Cover{Selected: sel, Algorithm: "Scan+", Elapsed: time.Since(start)}
 }
 
@@ -261,14 +210,11 @@ func (in *Instance) labelComponents(ordered []Label) [][]Label {
 // sel. covered is nil for plain Scan (labels are processed fully
 // independently, as in Algorithm 3); for Scan+, covered[b][k] marks position
 // k of LP(b) as satisfied and is updated for every label of each selection.
-// It returns the number of candidate positions examined (the obs work
-// counter; a local increment, free enough to track unconditionally).
-func (in *Instance) scanLabel(m LambdaModel, a Label, covered [][]bool, sel *[]int) int {
+func (in *Instance) scanLabel(m LambdaModel, a Label, covered [][]bool, sel *[]int) {
 	lp := in.byLabel[a]
 	n := len(lp)
 	maxR := m.Max()
 	next := 0 // frontier: position of the next possibly-uncovered post
-	scanned := 0
 	for {
 		if covered != nil {
 			for next < n && covered[a][next] {
@@ -276,7 +222,7 @@ func (in *Instance) scanLabel(m LambdaModel, a Label, covered [][]bool, sel *[]i
 			}
 		}
 		if next >= n {
-			return scanned
+			return
 		}
 		left := next
 		leftVal := in.posts[lp[left]].Value
@@ -286,13 +232,11 @@ func (in *Instance) scanLabel(m LambdaModel, a Label, covered [][]bool, sel *[]i
 		// covers distance 0).
 		best, bestR := left, m.Lambda(int(lp[left]), a)
 		bestReach := leftVal + bestR // ranks candidates; Within decides coverage
-		scanned++
 		for k := left + 1; k < n; k++ {
 			v := in.posts[lp[k]].Value
 			if !Within(leftVal, v, maxR) {
 				break
 			}
-			scanned++
 			r := m.Lambda(int(lp[k]), a)
 			if Within(leftVal, v, r) {
 				if reach := v + r; reach > bestReach {

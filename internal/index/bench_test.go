@@ -78,6 +78,31 @@ func BenchmarkAllQueryGalloping(b *testing.B) {
 	})
 }
 
+// BenchmarkSearchTopK measures a top-10 TF-IDF search over the same narrow
+// window: time-skipping postings into a bounded heap against the linear scan
+// that scores everything in range and sorts it in full.
+func BenchmarkSearchTopK(b *testing.B) {
+	ix := benchIndex(benchDocs, benchSegSize)
+	lo, hi := float64(benchDocs)*0.75, float64(benchDocs)*0.755
+	const query = "obama w3 rare"
+	b.Run("skip", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if len(ix.Search(query, 10, lo, hi)) != 10 {
+				b.Fatal("short result")
+			}
+		}
+	})
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if len(ix.SearchScan(query, 10, lo, hi)) != 10 {
+				b.Fatal("short result")
+			}
+		}
+	})
+}
+
 // BenchmarkConcurrentReadersWithWriter measures query throughput with every
 // CPU running readers while one goroutine appends continuously — the
 // read-path scaling the snapshot design exists for. ns/op is per query.

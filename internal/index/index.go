@@ -26,7 +26,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mqdp/internal/textutil"
 )
@@ -110,19 +109,10 @@ func (ix *Index) Add(doc Doc) error {
 // topic matcher (internal/match) tokenize each post exactly once.
 // Tokenization and term counting happen outside the write lock.
 func (ix *Index) AddTokens(doc Doc, tokens []textutil.Token) error {
-	o := obsState.Load()
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-	}
 	counts := countTerms(tokens)
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	if err := ix.addLocked(doc, counts); err != nil {
-		return err
-	}
-	o.observeAppend(start, 1, len(ix.snap.Load().sealed)+1, int(ix.termCount.Load()))
-	return nil
+	return ix.addLocked(doc, counts)
 }
 
 // AddBatch indexes docs in order under a single write-lock round,
@@ -130,11 +120,6 @@ func (ix *Index) AddTokens(doc Doc, tokens []textutil.Token) error {
 // of documents indexed; on a time-order violation indexing stops there and
 // the accepted prefix remains visible.
 func (ix *Index) AddBatch(docs []Doc) (int, error) {
-	o := obsState.Load()
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-	}
 	counts := make([]map[string]uint16, len(docs))
 	var buf []textutil.Token
 	for i, d := range docs {
@@ -145,11 +130,9 @@ func (ix *Index) AddBatch(docs []Doc) (int, error) {
 	defer ix.writeMu.Unlock()
 	for i, d := range docs {
 		if err := ix.addLocked(d, counts[i]); err != nil {
-			o.observeBatch(start, i, len(ix.snap.Load().sealed)+1, int(ix.termCount.Load()))
 			return i, err
 		}
 	}
-	o.observeBatch(start, len(docs), len(ix.snap.Load().sealed)+1, int(ix.termCount.Load()))
 	return len(docs), nil
 }
 
@@ -252,9 +235,6 @@ func (ix *Index) sealLocked(v *view) *activeSeg {
 	ix.snap.Store(&view{sealed: sealed, starts: starts, active: act})
 	ix.activeDocs = make([]Doc, 0, min(ix.segSize, 1024))
 	ix.activeTerms = make(map[string]*livePostings)
-	if o := obsState.Load(); o != nil {
-		o.seals.Inc()
-	}
 	return act
 }
 

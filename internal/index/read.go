@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mqdp/internal/textutil"
 )
@@ -64,14 +63,6 @@ type livePostings struct {
 	list atomic.Pointer[[]posting]
 }
 
-// lookupStats accumulates per-query skip counters locally; they are flushed
-// to the obs registry once per query.
-type lookupStats struct {
-	segSkips  int64 // segments skipped entirely by time bounds
-	termSkips int64 // per-term posting lists skipped by their bounds
-	postings  int64 // postings returned across all lists
-}
-
 // visibleDocs loads the active segment's published documents.
 func (a *activeSeg) visibleDocs() []Doc {
 	if d := a.docs.Load(); d != nil {
@@ -127,13 +118,12 @@ func (v *view) docFreq(term string) int {
 // rangePostings returns the slice of s's postings for term whose doc times
 // fall in [lo, hi], using the per-term bounds to skip and binary search over
 // the monotone doc times to trim: O(log n) instead of a linear scan.
-func (s *sealedSeg) rangePostings(term string, lo, hi float64, st *lookupStats) []posting {
+func (s *sealedSeg) rangePostings(term string, lo, hi float64) []posting {
 	ti, ok := s.postings[term]
 	if !ok {
 		return nil
 	}
 	if ti.minTime > hi || ti.maxTime < lo {
-		st.termSkips++
 		return nil
 	}
 	pl := ti.list
@@ -176,14 +166,12 @@ func rangeActive(docs []Doc, start int32, pl []posting, lo, hi float64) []postin
 
 // termPositions gathers term's positions within [lo, hi] across segments,
 // ascending.
-func (v *view) termPositions(term string, lo, hi float64, st *lookupStats, out []int32) []int32 {
-	base := len(out)
+func (v *view) termPositions(term string, lo, hi float64, out []int32) []int32 {
 	for _, seg := range v.sealed {
 		if seg.minTime > hi || seg.maxTime < lo {
-			st.segSkips++
 			continue
 		}
-		for _, p := range seg.rangePostings(term, lo, hi, st) {
+		for _, p := range seg.rangePostings(term, lo, hi) {
 			out = append(out, p.pos)
 		}
 	}
@@ -193,38 +181,22 @@ func (v *view) termPositions(term string, lo, hi float64, st *lookupStats, out [
 	for _, p := range rangeActive(docs, act.start, act.clampedPostings(term, limit), lo, hi) {
 		out = append(out, p.pos)
 	}
-	st.postings += int64(len(out) - base)
 	return out
 }
 
 // TermQuery returns the positions of documents containing term with Time in
 // [lo, hi], ascending. It pins the current snapshot and acquires no locks.
 func (ix *Index) TermQuery(term string, lo, hi float64) []int32 {
-	var st lookupStats
-	defer timeLookup(&st)()
-	return ix.snap.Load().termPositions(term, lo, hi, &st, nil)
-}
-
-// timeLookup returns the deferred half of a lookup-timing pair: a no-op
-// closure when instrumentation is disabled.
-func timeLookup(st *lookupStats) func() {
-	o := obsState.Load()
-	if o == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { o.observeLookup(start, st) }
+	return ix.snap.Load().termPositions(term, lo, hi, nil)
 }
 
 // AnyQuery returns positions of documents containing at least one of terms,
 // with Time in [lo, hi], ascending and deduplicated (boolean OR).
 func (ix *Index) AnyQuery(terms []string, lo, hi float64) []int32 {
-	var st lookupStats
-	defer timeLookup(&st)()
 	v := ix.snap.Load()
 	var all []int32
 	for _, t := range terms {
-		all = v.termPositions(t, lo, hi, &st, all)
+		all = v.termPositions(t, lo, hi, all)
 	}
 	return sortDedup(all)
 }
@@ -249,15 +221,13 @@ func sortDedup(all []int32) []int32 {
 // nothing. Lists intersect rarest-first with galloping (exponential) search,
 // so a rare ∧ common conjunction costs O(|rare| · log |common|).
 func (ix *Index) AllQuery(terms []string, lo, hi float64) []int32 {
-	var st lookupStats
-	defer timeLookup(&st)()
 	v := ix.snap.Load()
 	if len(terms) == 0 {
 		return nil
 	}
 	lists := make([][]int32, 0, len(terms))
 	for _, t := range terms {
-		pl := v.termPositions(t, lo, hi, &st, nil)
+		pl := v.termPositions(t, lo, hi, nil)
 		if len(pl) == 0 {
 			return nil
 		}
@@ -397,13 +367,11 @@ func searchTerms(query string) []string {
 // Search tokenizes query and returns the top-k documents in [lo, hi] by
 // TF-IDF score, best first. Equal scores break toward earlier documents.
 func (ix *Index) Search(query string, k int, lo, hi float64) []Hit {
-	var st lookupStats
-	defer timeLookup(&st)()
 	if k <= 0 {
 		return nil
 	}
 	v := ix.snap.Load()
-	scores := v.score(searchTerms(query), lo, hi, &st)
+	scores := v.score(searchTerms(query), lo, hi)
 	sel := topK{hits: make([]Hit, 0, min(k, len(scores))), k: k}
 	for pos, score := range scores {
 		sel.offer(Hit{Pos: pos, Score: score})
@@ -413,7 +381,7 @@ func (ix *Index) Search(query string, k int, lo, hi float64) []Hit {
 
 // score accumulates TF-IDF scores for every document in [lo, hi] matching
 // at least one term, using the skip bounds to trim each posting list.
-func (v *view) score(terms []string, lo, hi float64, st *lookupStats) map[int32]float64 {
+func (v *view) score(terms []string, lo, hi float64) map[int32]float64 {
 	n := float64(v.count())
 	scores := make(map[int32]float64)
 	act := v.active
@@ -427,17 +395,14 @@ func (v *view) score(terms []string, lo, hi float64, st *lookupStats) map[int32]
 		idf := idfWeight(n, float64(df))
 		for _, seg := range v.sealed {
 			if seg.minTime > hi || seg.maxTime < lo {
-				st.segSkips++
 				continue
 			}
-			for _, p := range seg.rangePostings(term, lo, hi, st) {
+			for _, p := range seg.rangePostings(term, lo, hi) {
 				scores[p.pos] += tfWeight(p.freq) * idf
-				st.postings++
 			}
 		}
 		for _, p := range rangeActive(actDocs, act.start, act.clampedPostings(term, actLimit), lo, hi) {
 			scores[p.pos] += tfWeight(p.freq) * idf
-			st.postings++
 		}
 	}
 	return scores

@@ -84,13 +84,13 @@ func (h *Histogram) ObserveTraced(v float64, trace TraceID) {
 		return
 	}
 	h.Observe(v)
-	h.AttachExemplar(v, trace)
+	h.attachExemplar(v, trace)
 }
 
-// AttachExemplar offers (v, trace) as the histogram's exemplar without
+// attachExemplar offers (v, trace) as the histogram's exemplar without
 // recording an observation. The exemplar with the largest value wins, so it
 // points at the trace behind the histogram's worst case. Zero traces no-op.
-func (h *Histogram) AttachExemplar(v float64, trace TraceID) {
+func (h *Histogram) attachExemplar(v float64, trace TraceID) {
 	if h == nil || trace.IsZero() {
 		return
 	}

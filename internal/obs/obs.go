@@ -160,8 +160,9 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 	r.hists[name] = h
 }
 
-// SetTracer attaches a span tracer; packages capture it when wired via their
-// SetObs hooks, so attach the tracer before wiring.
+// SetTracer attaches a span tracer. The registry's owner reads it back with
+// Tracer when it builds its instruments (server.New does), so attach the
+// tracer before handing the registry over.
 func (r *Registry) SetTracer(t *Tracer) {
 	if r != nil {
 		r.tracer.Store(t)

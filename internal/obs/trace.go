@@ -89,7 +89,7 @@ func NewTraceID() TraceID {
 }
 
 // Tracer records finished spans into a bounded in-memory ring journal for
-// post-mortem analysis (mqdp-bench -trace-dump, the server's /debug/traces).
+// post-mortem analysis (the server's /debug/traces, or Dump).
 // Starting and annotating a span touches only the span itself; the ring is
 // locked once, at End. When the ring is full the oldest spans are overwritten
 // and counted as dropped.

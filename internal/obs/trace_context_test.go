@@ -270,9 +270,9 @@ func TestHistogramExemplar(t *testing.T) {
 	if !ok || v != 0.5 || trace != big {
 		t.Fatalf("exemplar = (%v, %s, %v), want (0.5, %s, true)", v, trace, ok, big)
 	}
-	h.AttachExemplar(3, TraceID{}) // zero trace no-ops
+	h.attachExemplar(3, TraceID{}) // zero trace no-ops
 	if _, trace, _ := h.Exemplar(); trace != big {
-		t.Error("zero-trace AttachExemplar displaced the exemplar")
+		t.Error("zero-trace attachExemplar displaced the exemplar")
 	}
 
 	r := NewRegistry()

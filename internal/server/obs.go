@@ -26,6 +26,7 @@ type serverObs struct {
 	walAppendTime *obs.Histogram // one WAL record framed + buffered
 	walSyncTime   *obs.Histogram // one WAL commit (flush + fsync per policy)
 	snapshotTime  *obs.Histogram // one full state snapshot (encode + atomic write)
+	decisionDelay *obs.Histogram // event-time EmitAt − Post.Value per delivered emission
 }
 
 // newServerObs wires s's instruments into r.
@@ -55,6 +56,7 @@ func newServerObs(s *Server, r *obs.Registry) *serverObs {
 		walAppendTime: r.Histogram("mqdp_server_wal_append_seconds", "wall time framing one WAL record into the segment buffer", obs.TimeBuckets),
 		walSyncTime:   r.Histogram("mqdp_server_wal_commit_seconds", "wall time of one WAL commit (buffer flush plus fsync per policy)", obs.TimeBuckets),
 		snapshotTime:  r.Histogram("mqdp_server_snapshot_seconds", "wall time of one durability snapshot (encode plus atomic write)", obs.TimeBuckets),
+		decisionDelay: r.Histogram("mqdp_stream_decision_delay_seconds", "event-time reporting delay of emitted posts (EmitAt - value)", obs.DelayBuckets),
 	}
 }
 
@@ -65,9 +67,12 @@ func (o *serverObs) onMatch() {
 	}
 }
 
-func (o *serverObs) onEmit() {
+// onEmit also records the emission's decision delay, with its originating
+// trace offered as the histogram's exemplar.
+func (o *serverObs) onEmit(delay float64, trace obs.TraceID) {
 	if o != nil {
 		o.emitted.Inc()
+		o.decisionDelay.ObserveTraced(delay, trace)
 	}
 }
 

@@ -743,8 +743,7 @@ func (sub *subscription) deliver(es []mqdp.Emission, o *serverObs, trace obs.Tra
 		seq := sub.nextSeq.Add(1)
 		delay := e.EmitAt - e.Post.Value
 		sub.delays.Observe(delay)
-		stream.DecisionDelayExemplar(delay, trace)
-		o.onEmit()
+		o.onEmit(delay, trace)
 		em := Emission{
 			Seq:    seq,
 			PostID: e.Post.ID,

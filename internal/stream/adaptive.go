@@ -90,10 +90,6 @@ func (s *AdaptiveScan) Process(p core.Post) ([]Emission, error) {
 		}
 		st.pending = append(st.pending, adaptivePost{post: p, radius: r})
 	}
-	if o := obsState.Load(); o != nil {
-		o.postsProcessed.Inc()
-		o.observeDecisions(out)
-	}
 	return out, nil
 }
 
@@ -125,9 +121,7 @@ func (s *AdaptiveScan) radius(st *adaptiveLabel, now float64) float64 {
 
 // Flush implements Processor.
 func (s *AdaptiveScan) Flush() []Emission {
-	out := s.fireDue(math.Inf(1), math.Inf(1))
-	obsState.Load().observeDecisions(out)
-	return out
+	return s.fireDue(math.Inf(1), math.Inf(1))
 }
 
 // fire emits for every label whose oldest pending post's delay budget has

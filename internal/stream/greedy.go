@@ -76,18 +76,12 @@ func (s *Greedy) Process(p core.Post) ([]Emission, error) {
 		// A zero τ decides the arrival at its own timestamp.
 		out = append(out, s.runRounds(p.Value)...)
 	}
-	if o := obsState.Load(); o != nil {
-		o.postsProcessed.Inc()
-		o.observeDecisions(out)
-	}
 	return out, nil
 }
 
 // Flush implements Processor.
 func (s *Greedy) Flush() []Emission {
-	out := s.runRounds(math.Inf(1))
-	obsState.Load().observeDecisions(out)
-	return out
+	return s.runRounds(math.Inf(1))
 }
 
 // uncoveredLabels returns the labels of p not covered by prior emissions.

@@ -51,10 +51,6 @@ func (s *Instant) Process(p core.Post) ([]Emission, error) {
 			break
 		}
 	}
-	o := obsState.Load()
-	if o != nil {
-		o.postsProcessed.Inc()
-	}
 	if covered || len(p.Labels) == 0 {
 		return nil, nil
 	}
@@ -62,9 +58,7 @@ func (s *Instant) Process(p core.Post) ([]Emission, error) {
 		s.cache[a].set = true
 		s.cache[a].value = p.Value
 	}
-	out := []Emission{{Post: p, EmitAt: p.Value}}
-	o.observeDecisions(out)
-	return out, nil
+	return []Emission{{Post: p, EmitAt: p.Value}}, nil
 }
 
 // Flush implements Processor. Instant has no outstanding decisions.

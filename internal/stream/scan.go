@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"time"
 
 	"mqdp/internal/core"
 )
@@ -75,7 +74,6 @@ func (s *Scan) Process(p core.Post) ([]Emission, error) {
 	if err := s.clk.advance(p.Value); err != nil {
 		return nil, err
 	}
-	o := obsState.Load()
 	out := s.fire(p.Value)
 	for _, a := range p.Labels {
 		st := &s.labels[a]
@@ -88,15 +86,7 @@ func (s *Scan) Process(p core.Post) ([]Emission, error) {
 		}
 		st.lu = p
 	}
-	if o != nil {
-		start := time.Now()
-		s.prune(p.Value)
-		o.windowMaint.ObserveSince(start)
-		o.postsProcessed.Inc()
-		o.observeDecisions(out)
-	} else {
-		s.prune(p.Value)
-	}
+	s.prune(p.Value)
 	return out, nil
 }
 
@@ -104,7 +94,6 @@ func (s *Scan) Process(p core.Post) ([]Emission, error) {
 func (s *Scan) Flush() []Emission {
 	out := s.fireAll(func(float64) bool { return true })
 	sortEmissions(out)
-	obsState.Load().observeDecisions(out)
 	return out
 }
 
