@@ -101,13 +101,16 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -run 'Fuzz' -count=1 ./internal/wire ./internal/wal ./internal/simhash ./internal/textutil
 
-# vet fails the build on any vet finding, any unformatted file, or a leaf
-# package (solvers, stream processors, index) that imports internal/obs:
-# instruments belong to the process that owns the registry.
+# vet fails the build on any vet finding, any unformatted file, a leaf
+# package (solvers, stream processors, index) that imports internal/obs
+# (instruments belong to the process that owns the registry), or any
+# encoding/gob importer besides internal/server, whose snapshots are the
+# one gob-encoded state.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@if $(GO) list -deps ./internal/core ./internal/stream ./internal/index | grep -qx mqdp/internal/obs; then echo "internal/core, internal/stream or internal/index depends on mqdp/internal/obs"; exit 1; fi
+	@gob=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -w encoding/gob | cut -d' ' -f1); if [ "$$gob" != mqdp/internal/server ]; then echo "encoding/gob importers:" $$gob "(want only mqdp/internal/server)"; exit 1; fi
 
 lint: vet
 

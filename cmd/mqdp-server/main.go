@@ -69,8 +69,8 @@
 // disk: actions.
 //
 // With -debug-addr a second HTTP server exposes net/http/pprof under
-// /debug/pprof/ and expvar under /debug/vars (including an "mqdp" variable
-// mirroring the metrics registry snapshot), kept off the public port.
+// /debug/pprof/ and expvar's runtime memstats under /debug/vars, kept off
+// the public port.
 // -no-obs drops the registry entirely; every instrumented hot path falls
 // back to its no-op fast path.
 //
@@ -82,7 +82,7 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
+	_ "expvar"
 	"flag"
 	"log/slog"
 	"net"
@@ -201,7 +201,6 @@ func main() {
 			cfg.SLOPoll = obs.NewSLO("poll", *sloPoll, *sloTarget)
 			cfg.SLOPoll.Register(reg)
 		}
-		expvar.Publish("mqdp", expvar.Func(func() any { return reg.Snapshot() }))
 	}
 	if *dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(*fsync)

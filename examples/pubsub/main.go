@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -37,10 +38,11 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("mqdp-server at %s\n\n", base)
 	client := server.NewClient(base)
+	ctx := context.Background()
 
 	// Two profiles over the planted topic world.
 	world := synth.NewWorld(synth.WorldConfig{BroadTopics: 3, TopicsPerBroad: 3, Seed: 8})
-	newsDesk, err := client.Subscribe(server.SubscriptionConfig{
+	newsDesk, err := client.Subscribe(ctx, server.SubscriptionConfig{
 		Topics:    world.MatchTopics(world.ByBroad[0][:2]), // two politics topics
 		Lambda:    300,
 		Tau:       30,
@@ -49,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	trader, err := client.Subscribe(server.SubscriptionConfig{
+	trader, err := client.Subscribe(ctx, server.SubscriptionConfig{
 		Topics:    world.MatchTopics(world.ByBroad[2][:1]), // one business topic
 		Lambda:    120,
 		Tau:       0,
@@ -65,22 +67,22 @@ func main() {
 	for _, tw := range tweets {
 		batch = append(batch, server.Post{ID: tw.ID, Time: tw.Time, Text: tw.Text})
 		if len(batch) == cap(batch) {
-			if err := client.Ingest(batch...); err != nil {
+			if _, err := client.Ingest(ctx, batch...); err != nil {
 				log.Fatal(err)
 			}
 			batch = batch[:0]
 		}
 	}
 	if len(batch) > 0 {
-		if err := client.Ingest(batch...); err != nil {
+		if _, err := client.Ingest(ctx, batch...); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := client.Flush(); err != nil {
+	if err := client.Flush(ctx); err != nil {
 		log.Fatal(err)
 	}
 
-	stats, err := client.Stats()
+	stats, err := client.Stats(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,13 +92,13 @@ func main() {
 		name string
 		id   int64
 	}{{"news desk", newsDesk}, {"trader", trader}} {
-		ss, err := client.SubscriptionStats(sub.id)
+		ss, err := client.SubscriptionStats(ctx, sub.id)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s (%s, λ=%.0fs τ=%.0fs): %d matched → %d shown\n",
 			sub.name, ss.Algorithm, ss.Lambda, ss.Tau, ss.Matched, ss.Emitted)
-		es, err := client.Emissions(sub.id, 0, 3)
+		es, err := client.Emissions(ctx, sub.id, 0, 3)
 		if err != nil {
 			log.Fatal(err)
 		}

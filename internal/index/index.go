@@ -106,7 +106,7 @@ func (ix *Index) Add(doc Doc) error {
 
 // AddTokens indexes doc using the caller's tokenization of doc.Text — the
 // tokenize-once ingest path: callers that also run the tokens through a
-// topic matcher (internal/match) tokenize each post exactly once.
+// topic matcher tokenize each post exactly once.
 // Tokenization and term counting happen outside the write lock.
 func (ix *Index) AddTokens(doc Doc, tokens []textutil.Token) error {
 	counts := countTerms(tokens)

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -277,28 +276,5 @@ func TestSegmentSealing(t *testing.T) {
 	hits := ix.Search("word3 obama", 2, 0, 100)
 	if len(hits) != 2 || hits[0].Pos != 3 {
 		t.Errorf("cross-segment Search = %v", hits)
-	}
-}
-
-func TestSegmentedSnapshotRoundTrip(t *testing.T) {
-	ix := NewWithSegmentSize(3)
-	for i := 0; i < 8; i++ {
-		if err := ix.Add(Doc{ID: int64(i), Time: float64(i), Text: fmt.Sprintf("alpha beta%d", i%2)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 8 {
-		t.Fatalf("loaded %d docs", loaded.Len())
-	}
-	if !reflect.DeepEqual(ix.TermQuery("beta1", 0, 100), loaded.TermQuery("beta1", 0, 100)) {
-		t.Error("postings differ after segmented round trip")
 	}
 }

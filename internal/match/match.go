@@ -284,27 +284,6 @@ func (m *Matcher) FromIndex(ix *index.Index, dim Dimension, lo, hi float64) []co
 	return posts
 }
 
-// IndexBatch ingests docs into ix and projects the topic matches onto dim in
-// the same pass — the tokenize-once batch path: each document is tokenized
-// exactly once and the token slice is shared between the index writer
-// (index.AddTokens) and the topic matcher. It returns the matched posts and
-// the number of documents indexed; on a time-order violation ingestion stops
-// there, the accepted prefix stays indexed, and the error is returned.
-func (m *Matcher) IndexBatch(ix *index.Index, docs []index.Doc, dim Dimension) ([]core.Post, int, error) {
-	var posts []core.Post
-	var buf []textutil.Token
-	for i, doc := range docs {
-		buf = textutil.AppendTokens(buf[:0], doc.Text)
-		if err := ix.AddTokens(doc, buf); err != nil {
-			return posts, i, err
-		}
-		if p, ok := m.PostFromTokens(doc, buf, dim); ok {
-			posts = append(posts, p)
-		}
-	}
-	return posts, len(docs), nil
-}
-
 // FromLDA converts trained LDA topics into matcher queries: topic k becomes
 // a Topic named by namer (or "topic-k") with its top keywordsPerTopic
 // weighted keywords — the paper's §7.1 query-generation step.

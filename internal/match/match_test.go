@@ -215,61 +215,3 @@ func TestFromLDA(t *testing.T) {
 		t.Error("zero keywords accepted")
 	}
 }
-
-func TestIndexBatch(t *testing.T) {
-	m, err := NewMatcher(testTopics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs := []index.Doc{
-		{ID: 1, Time: 10, Text: "obama speech tonight"},
-		{ID: 2, Time: 20, Text: "cooking recipes and tips"},
-		{ID: 3, Time: 30, Text: "market rally lifts economy"},
-		{ID: 4, Time: 40, Text: "team wins the game"},
-	}
-	// Reference: serial Add + PostFromDoc.
-	serial := index.New()
-	var wantPosts []core.Post
-	for _, d := range docs {
-		if err := serial.Add(d); err != nil {
-			t.Fatal(err)
-		}
-		if p, ok := m.PostFromDoc(d, ByTime); ok {
-			wantPosts = append(wantPosts, p)
-		}
-	}
-	batched := index.New()
-	posts, n, err := m.IndexBatch(batched, docs, ByTime)
-	if err != nil || n != len(docs) {
-		t.Fatalf("IndexBatch = %d, %v", n, err)
-	}
-	if !reflect.DeepEqual(posts, wantPosts) {
-		t.Errorf("IndexBatch posts = %+v, want %+v", posts, wantPosts)
-	}
-	if batched.Len() != serial.Len() || batched.Terms() != serial.Terms() {
-		t.Errorf("batched index Len/Terms = %d/%d, serial %d/%d",
-			batched.Len(), batched.Terms(), serial.Len(), serial.Terms())
-	}
-	for _, term := range []string{"obama", "economy", "game"} {
-		if got, want := batched.TermQuery(term, 0, 100), serial.TermQuery(term, 0, 100); !reflect.DeepEqual(got, want) {
-			t.Errorf("TermQuery(%q): batched %v, serial %v", term, got, want)
-		}
-	}
-
-	// A time-order violation stops ingestion at the offender; the accepted
-	// prefix stays indexed and its matches are returned.
-	bad := []index.Doc{
-		{ID: 5, Time: 50, Text: "obama rally"},
-		{ID: 6, Time: 45, Text: "game night"},
-	}
-	posts, n, err = m.IndexBatch(batched, bad, ByTime)
-	if err == nil || n != 1 {
-		t.Fatalf("IndexBatch with violation = %d, %v; want 1, error", n, err)
-	}
-	if len(posts) != 1 || posts[0].ID != 5 {
-		t.Errorf("violation batch posts = %+v, want just doc 5", posts)
-	}
-	if batched.Len() != len(docs)+1 {
-		t.Errorf("index Len after violation = %d, want %d", batched.Len(), len(docs)+1)
-	}
-}

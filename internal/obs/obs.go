@@ -2,9 +2,8 @@
 // registry of named counters, gauges and fixed-bucket histograms whose hot
 // paths are single atomic operations, plus a lightweight span tracer with a
 // bounded in-memory journal (see trace.go). The registry exposes itself in
-// Prometheus text format (WritePrometheus) and as a JSON snapshot
-// (WriteJSON), so the same instruments back both the pub/sub server's
-// /metrics/prometheus endpoint and mqdp-bench's machine-readable counters.
+// Prometheus text format (WritePrometheus), which backs the pub/sub server's
+// /metrics/prometheus endpoint.
 //
 // Instrumentation is opt-in and near-free when disabled: every method is a
 // no-op on a nil receiver, and a nil *Registry hands out nil instruments, so
@@ -147,17 +146,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// RegisterHistogram adopts an existing histogram under name.
-func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
-	if r == nil || h == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, help, kindHistogram)
-	r.hists[name] = h
 }
 
 // SetTracer attaches a span tracer. The registry's owner reads it back with

@@ -53,16 +53,12 @@ func TestNilFastPaths(t *testing.T) {
 	if err := r.WritePrometheus(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	s := r.Snapshot()
-	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
-		t.Fatal("nil registry snapshot not empty")
-	}
 	var tr *Tracer
 	sp := tr.Start("noop")
 	sp.Set("k", "v")
 	sp.Child("c").End()
 	sp.End()
-	if tr.Spans() != nil || tr.Dump(io.Discard) != nil {
+	if tr.Spans() != nil || tr.Stats() != (TracerStats{}) {
 		t.Fatal("nil tracer not a no-op")
 	}
 	if r.Tracer() != nil {
@@ -87,14 +83,8 @@ func TestRegisterAdoptsExistingInstruments(t *testing.T) {
 	c.Add(7)
 	r.RegisterCounter("adopted_total", "pre-existing", &c)
 	c.Inc()
-	if got := r.Snapshot().Counters["adopted_total"]; got != 8 {
-		t.Fatalf("adopted counter = %d, want 8", got)
-	}
-	h := NewHistogram([]float64{1, 2})
-	h.Observe(1.5)
-	r.RegisterHistogram("adopted_seconds", "", h)
-	if got := r.Snapshot().Histograms["adopted_seconds"].Count; got != 1 {
-		t.Fatalf("adopted histogram count = %d, want 1", got)
+	if got := r.Counter("adopted_total", ""); got != &c || got.Value() != 8 {
+		t.Fatalf("adopted counter = %p (%d), want %p (8)", got, got.Value(), &c)
 	}
 }
 
@@ -134,7 +124,6 @@ func TestConcurrencyHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				_ = r.Snapshot()
 				_ = r.WritePrometheus(io.Discard)
 				_ = tr.Spans()
 			}

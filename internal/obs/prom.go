@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"math"
 	"strconv"
@@ -104,87 +103,4 @@ func formatFloat(v float64) string {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// Snapshot is the JSON form of the registry state.
-type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]float64           `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
-}
-
-// HistogramSnapshot summarizes one histogram: exact count/sum/max, bucket
-// counts (cumulative, mirroring the Prometheus exposition) and estimated
-// quantiles.
-type HistogramSnapshot struct {
-	Count    int64             `json:"count"`
-	Sum      float64           `json:"sum"`
-	Max      float64           `json:"max"`
-	Buckets  []Bucket          `json:"buckets"`
-	P50      float64           `json:"p50"`
-	P95      float64           `json:"p95"`
-	P99      float64           `json:"p99"`
-	Exemplar *ExemplarSnapshot `json:"exemplar,omitempty"`
-}
-
-// ExemplarSnapshot links a histogram's largest traced observation to the
-// trace that produced it.
-type ExemplarSnapshot struct {
-	TraceID string  `json:"trace_id"`
-	Value   float64 `json:"value"`
-}
-
-// Bucket is one cumulative histogram bucket; LE is "+Inf" for the last.
-type Bucket struct {
-	LE    string `json:"le"`
-	Count int64  `json:"count"`
-}
-
-// Snapshot captures the current instrument values. A nil registry returns an
-// empty (but non-nil-mapped) snapshot.
-func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		hs := HistogramSnapshot{
-			Count: h.Count(),
-			Sum:   h.Sum(),
-			Max:   h.Max(),
-			P50:   h.Quantile(0.50),
-			P95:   h.Quantile(0.95),
-			P99:   h.Quantile(0.99),
-		}
-		cum := int64(0)
-		for i := 0; i < h.NumBuckets(); i++ {
-			cum += h.BucketCount(i)
-			hs.Buckets = append(hs.Buckets, Bucket{LE: formatLe(h.BucketBound(i)), Count: cum})
-		}
-		if v, trace, ok := h.Exemplar(); ok {
-			hs.Exemplar = &ExemplarSnapshot{TraceID: trace.String(), Value: v}
-		}
-		s.Histograms[name] = hs
-	}
-	return s
-}
-
-// WriteJSON writes the snapshot as indented JSON (map keys sort, so output
-// is deterministic for deterministic state).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

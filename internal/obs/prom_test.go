@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"regexp"
 	"strconv"
 	"strings"
@@ -95,26 +94,5 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 	if again.String() != out {
 		t.Error("exposition is not deterministic across identical registries")
-	}
-}
-
-func TestSnapshotJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := buildSampleRegistry().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var s Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if s.Counters["mqdp_test_things_total"] != 3 {
-		t.Errorf("counter snapshot = %d, want 3", s.Counters["mqdp_test_things_total"])
-	}
-	h := s.Histograms["mqdp_test_lat_seconds"]
-	if h.Count != 3 || h.Max != 2 {
-		t.Errorf("histogram snapshot = %+v, want count 3 max 2", h)
-	}
-	if len(h.Buckets) != 3 || h.Buckets[2].LE != "+Inf" || h.Buckets[2].Count != 3 {
-		t.Errorf("buckets = %+v, want cumulative with +Inf last", h.Buckets)
 	}
 }

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"sync"
@@ -89,7 +87,7 @@ func NewTraceID() TraceID {
 }
 
 // Tracer records finished spans into a bounded in-memory ring journal for
-// post-mortem analysis (the server's /debug/traces, or Dump).
+// post-mortem analysis (the server's /debug/traces).
 // Starting and annotating a span touches only the span itself; the ring is
 // locked once, at End. When the ring is full the oldest spans are overwritten
 // and counted as dropped.
@@ -429,16 +427,6 @@ func (t *Tracer) Trace(id TraceID) []Span {
 	return out
 }
 
-// Dropped reports how many spans were overwritten by ring wraparound.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // TracerStats summarizes the journal's retention behavior.
 type TracerStats struct {
 	Recorded   uint64 `json:"recorded"`    // spans journaled (including later overwrites)
@@ -460,32 +448,4 @@ func (t *Tracer) Stats() TracerStats {
 		SampledOut: t.sampledOut,
 		Pending:    uint64(t.pendingSpans),
 	}
-}
-
-// Dump writes the journal to w, oldest span first, one line per span:
-//
-//	span=ID parent=PARENT name=NAME dur=DURATION [trace=HEX] [err=ERR] [key=value ...]
-//
-// followed by a trailer counting retained and dropped spans.
-func (t *Tracer) Dump(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	spans := t.Spans()
-	bw := bufio.NewWriter(w)
-	for _, s := range spans {
-		fmt.Fprintf(bw, "span=%d parent=%d name=%s dur=%s", s.ID, s.Parent, s.Name, s.Duration())
-		if !s.Trace.IsZero() {
-			fmt.Fprintf(bw, " trace=%s", s.Trace)
-		}
-		if s.Err != "" {
-			fmt.Fprintf(bw, " err=%q", s.Err)
-		}
-		for _, a := range s.Attrs {
-			fmt.Fprintf(bw, " %s=%s", a.Key, a.Val)
-		}
-		bw.WriteByte('\n')
-	}
-	fmt.Fprintf(bw, "# journal: %d spans retained, %d dropped\n", len(spans), t.Dropped())
-	return bw.Flush()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -242,11 +241,18 @@ func TestDumpWhileEndHammer(t *testing.T) {
 				return
 			default:
 			}
-			_ = tr.Dump(io.Discard)
-			for _, s := range tr.Spans() {
+			spans := tr.Spans()
+			for _, s := range spans {
 				for i := range s.Attrs {
 					// Mutating the returned copy must never touch the ring.
 					s.Attrs[i].Val = "clobbered"
+				}
+			}
+			if len(spans) > 0 {
+				for _, s := range tr.Trace(spans[0].Trace) {
+					for i := range s.Attrs {
+						s.Attrs[i].Val = "clobbered"
+					}
 				}
 			}
 			tr.Summaries()
@@ -258,7 +264,8 @@ func TestDumpWhileEndHammer(t *testing.T) {
 }
 
 func TestHistogramExemplar(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 1})
+	r := NewRegistry()
+	h := r.Histogram("mqdp_test_exemplar_seconds", "exemplar carrier", []float64{0.1, 1})
 	if _, _, ok := h.Exemplar(); ok {
 		t.Fatal("fresh histogram must have no exemplar")
 	}
@@ -275,8 +282,6 @@ func TestHistogramExemplar(t *testing.T) {
 		t.Error("zero-trace attachExemplar displaced the exemplar")
 	}
 
-	r := NewRegistry()
-	r.RegisterHistogram("mqdp_test_exemplar_seconds", "exemplar carrier", h)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -292,11 +297,6 @@ func TestHistogramExemplar(t *testing.T) {
 		if !sampleLine.MatchString(line) {
 			t.Errorf("line does not match the exposition grammar: %q", line)
 		}
-	}
-	snap := r.Snapshot()
-	ex := snap.Histograms["mqdp_test_exemplar_seconds"].Exemplar
-	if ex == nil || ex.TraceID != big.String() || ex.Value != 0.5 {
-		t.Errorf("snapshot exemplar = %+v, want trace %s value 0.5", ex, big)
 	}
 }
 

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -55,25 +53,7 @@ func TestTracerRingBounded(t *testing.T) {
 			t.Errorf("span %d = %s, want %s (oldest-first)", i, s.Name, want)
 		}
 	}
-	if tr.Dropped() != 6 {
-		t.Errorf("dropped = %d, want 6", tr.Dropped())
-	}
-}
-
-func TestTracerDump(t *testing.T) {
-	tr := NewTracer(8)
-	s := tr.Start("scan")
-	s.Set("algo", "Scan+")
-	s.End()
-	var buf bytes.Buffer
-	if err := tr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "name=scan") || !strings.Contains(out, "algo=Scan+") {
-		t.Fatalf("dump missing span line: %q", out)
-	}
-	if !strings.Contains(out, "# journal: 1 spans retained, 0 dropped") {
-		t.Fatalf("dump missing trailer: %q", out)
+	if got := tr.Stats().Dropped; got != 6 {
+		t.Errorf("dropped = %d, want 6", got)
 	}
 }

@@ -1,10 +1,9 @@
 // Package resilience is the repo's stdlib-only fault-tolerance toolkit:
 // exponential backoff with decorrelated jitter, a three-state circuit
-// breaker, a token-bucket rate limiter and an in-flight admission
-// semaphore, plus a context-aware retry driver that propagates
-// per-attempt deadlines. Every component takes an injectable clock
-// and/or RNG seed so tests (and the deterministic chaos harness in
-// internal/faultinject) replay byte-identically.
+// breaker, a token-bucket rate limiter, an in-flight admission
+// semaphore and a context-aware Sleep. Every component takes an
+// injectable clock and/or RNG seed so tests (and the deterministic chaos
+// harness in internal/faultinject) replay byte-identically.
 //
 // The pieces are deliberately decoupled: the pub/sub server composes
 // TokenBucket + Inflight into its admission controller, while the HTTP

@@ -245,72 +245,3 @@ func TestInflight(t *testing.T) {
 		t.Fatalf("blocked Acquire = %v, want deadline exceeded", err)
 	}
 }
-
-func TestDoRetriesAndClassifies(t *testing.T) {
-	calls := 0
-	err := Do(context.Background(), RetryConfig{MaxAttempts: 4, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond, Seed: 1},
-		func(ctx context.Context) error {
-			calls++
-			if calls < 3 {
-				return errors.New("transient")
-			}
-			return nil
-		})
-	if err != nil || calls != 3 {
-		t.Fatalf("Do = %v after %d calls, want success on 3rd", err, calls)
-	}
-
-	// Non-retryable error returns immediately.
-	fatal := errors.New("fatal")
-	calls = 0
-	err = Do(context.Background(), RetryConfig{
-		MaxAttempts: 5, BackoffBase: time.Millisecond, Seed: 1,
-		Retryable: func(err error) bool { return !errors.Is(err, fatal) },
-	}, func(ctx context.Context) error { calls++; return fatal })
-	if !errors.Is(err, fatal) || calls != 1 {
-		t.Fatalf("Do fatal = %v after %d calls, want 1 call", err, calls)
-	}
-
-	// Exhausted attempts wrap the last error with the attempt count.
-	calls = 0
-	err = Do(context.Background(), RetryConfig{MaxAttempts: 3, BackoffBase: time.Millisecond, Seed: 1},
-		func(ctx context.Context) error { calls++; return errors.New("always") })
-	if err == nil || calls != 3 {
-		t.Fatalf("Do exhausted = %v after %d calls", err, calls)
-	}
-}
-
-func TestDoPerAttemptDeadline(t *testing.T) {
-	var deadlines []time.Time
-	err := Do(context.Background(), RetryConfig{
-		MaxAttempts: 2, BackoffBase: time.Millisecond, Seed: 1,
-		PerAttemptTimeout: 50 * time.Millisecond,
-	}, func(ctx context.Context) error {
-		d, ok := ctx.Deadline()
-		if !ok {
-			t.Fatal("attempt context has no deadline")
-		}
-		deadlines = append(deadlines, d)
-		if len(deadlines) < 2 {
-			return errors.New("force retry")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each attempt gets a fresh deadline, not the first attempt's leftover.
-	if !deadlines[1].After(deadlines[0]) {
-		t.Errorf("second attempt deadline %v not after first %v", deadlines[1], deadlines[0])
-	}
-
-	// Parent cancellation wins over retries.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err = Do(ctx, RetryConfig{MaxAttempts: 3, Seed: 1}, func(ctx context.Context) error {
-		return errors.New("x")
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("Do on canceled parent = %v", err)
-	}
-}

@@ -36,7 +36,7 @@ func BenchmarkIngestManySubscriptions(b *testing.B) {
 				// Replay with a strictly advancing clock to satisfy the
 				// order check across wraps.
 				wrap := float64(i/len(tweets)) * 600
-				_ = s.Ingest(Post{ID: int64(i), Time: tw.Time + wrap, Text: tw.Text})
+				_ = ingestPost(s, Post{ID: int64(i), Time: tw.Time + wrap, Text: tw.Text})
 			}
 		})
 	}
@@ -80,7 +80,7 @@ func BenchmarkIngestSparseMatch(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_ = s.Ingest(Post{ID: int64(i + 1), Time: float64(i), Text: texts[i%len(texts)]})
+					_ = ingestPost(s, Post{ID: int64(i + 1), Time: float64(i), Text: texts[i%len(texts)]})
 				}
 			})
 		}
@@ -112,7 +112,7 @@ func BenchmarkIngestWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tw := tweets[i%len(tweets)]
 				wrap := float64(i/len(tweets)) * 600
-				_ = s.Ingest(Post{ID: int64(i), Time: tw.Time + wrap, Text: tw.Text})
+				_ = ingestPost(s, Post{ID: int64(i), Time: tw.Time + wrap, Text: tw.Text})
 			}
 		})
 	}
@@ -175,7 +175,7 @@ func benchIngestObs(b *testing.B, reg *obs.Registry) {
 	for i := 0; i < b.N; i++ {
 		tw := tweets[i%len(tweets)]
 		wrap := float64(i/len(tweets)) * 600
-		_ = s.Ingest(Post{ID: int64(i), Time: tw.Time + wrap, Text: tw.Text})
+		_ = ingestPost(s, Post{ID: int64(i), Time: tw.Time + wrap, Text: tw.Text})
 	}
 }
 

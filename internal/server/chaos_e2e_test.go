@@ -64,7 +64,7 @@ func TestChaosE2E(t *testing.T) {
 	clean := newServer(t, Config{Parallelism: 4})
 	cleanIDs := chaosSubscribe(t, world, clean.Subscribe)
 	for _, tw := range tweets {
-		if err := clean.Ingest(Post{ID: tw.ID, Time: tw.Time, Text: tw.Text}); err != nil {
+		if err := ingestPost(clean, Post{ID: tw.ID, Time: tw.Time, Text: tw.Text}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,9 @@ func TestChaosE2E(t *testing.T) {
 	cl.Retry = &RetryPolicy{MaxAttempts: 6, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond, Seed: 99}
 	cl.SetObs(reg)
 
-	ids := chaosSubscribe(t, world, cl.Subscribe)
+	ids := chaosSubscribe(t, world, func(cfg SubscriptionConfig) (int64, error) {
+		return cl.Subscribe(context.Background(), cfg)
+	})
 	if fmt.Sprint(ids) != fmt.Sprint(cleanIDs) {
 		t.Fatalf("subscription ids diverge: %v vs %v", ids, cleanIDs)
 	}
@@ -100,7 +102,7 @@ func TestChaosE2E(t *testing.T) {
 		for _, tw := range tweets[at:end] {
 			batch = append(batch, Post{ID: tw.ID, Time: tw.Time, Text: tw.Text})
 		}
-		n, err := cl.IngestAccepted(batch...)
+		n, err := cl.Ingest(context.Background(), batch...)
 		if err != nil {
 			t.Fatalf("batch at %d: %v", at, err)
 		}
@@ -108,7 +110,7 @@ func TestChaosE2E(t *testing.T) {
 			t.Fatalf("batch at %d: accepted %d of %d", at, n, len(batch))
 		}
 	}
-	if err := cl.Flush(); err != nil {
+	if err := cl.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -154,7 +156,7 @@ func TestChaosE2E(t *testing.T) {
 	}
 
 	last := tweets[len(tweets)-1]
-	_, err = cl.IngestAccepted(Post{ID: last.ID + 1, Time: last.Time + 1, Text: "post-flush probe"})
+	_, err = cl.Ingest(context.Background(), Post{ID: last.ID + 1, Time: last.Time + 1, Text: "post-flush probe"})
 	if StatusCode(err) != http.StatusConflict {
 		t.Fatalf("ingest after flush: want 409, got %v", err)
 	}
@@ -212,10 +214,10 @@ func TestChaosForcedShed(t *testing.T) {
 	cl := NewClient(ts.URL)
 	cl.Retry = &RetryPolicy{MaxAttempts: 6, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond, Seed: 99}
 	cl.SetObs(reg)
-	if _, err := cl.IngestAccepted(Post{ID: 1, Time: 1, Text: "takes the only token"}); err != nil {
+	if _, err := cl.Ingest(context.Background(), Post{ID: 1, Time: 1, Text: "takes the only token"}); err != nil {
 		t.Fatalf("ingest with a full bucket: %v", err)
 	}
-	_, err := cl.IngestAccepted(Post{ID: 2, Time: 2, Text: "shed on every attempt"})
+	_, err := cl.Ingest(context.Background(), Post{ID: 2, Time: 2, Text: "shed on every attempt"})
 	if StatusCode(err) != http.StatusTooManyRequests {
 		t.Fatalf("ingest with empty bucket: want 429, got %v", err)
 	}
@@ -266,9 +268,9 @@ func TestChaosExactlyOnceReplay(t *testing.T) {
 		{ID: 2, Time: 2, Text: "senate debate recap"},
 		{ID: 3, Time: 3, Text: "senate passes the budget"},
 	}
-	n, err := cl.IngestAccepted(posts...)
+	n, err := cl.Ingest(context.Background(), posts...)
 	if err != nil || n != len(posts) {
-		t.Fatalf("IngestAccepted = (%d, %v), want (%d, nil)", n, err, len(posts))
+		t.Fatalf("Ingest = (%d, %v), want (%d, nil)", n, err, len(posts))
 	}
 	// The first attempt was applied server-side even though its response
 	// was dropped; the retry must have replayed, not re-ingested.
@@ -406,7 +408,7 @@ func TestChaosIngestDeadline(t *testing.T) {
 	t.Run("manual resume", func(t *testing.T) {
 		ts, core := setup(t)
 		cl := NewClient(ts.URL) // no retry policy: the caller sees the cut
-		n, err := cl.IngestAccepted(posts...)
+		n, err := cl.Ingest(context.Background(), posts...)
 		if n != 3 {
 			t.Fatalf("accepted = %d, want 3 (deadline cuts after the stalled post)", n)
 		}
@@ -418,7 +420,7 @@ func TestChaosIngestDeadline(t *testing.T) {
 			t.Fatalf("want Retry-After 0 on a deadline cut, got (%v, %v)", ra, ok)
 		}
 		// Resume at the accepted offset, per the documented contract.
-		n, err = cl.IngestAccepted(posts[3:]...)
+		n, err = cl.Ingest(context.Background(), posts[3:]...)
 		if err != nil || n != 3 {
 			t.Fatalf("resume = (%d, %v), want (3, nil)", n, err)
 		}
@@ -431,9 +433,9 @@ func TestChaosIngestDeadline(t *testing.T) {
 		ts, core := setup(t)
 		cl := NewClient(ts.URL)
 		cl.Retry = &RetryPolicy{MaxAttempts: 4, BackoffBase: time.Millisecond, Seed: 3}
-		n, err := cl.IngestAccepted(posts...)
+		n, err := cl.Ingest(context.Background(), posts...)
 		if err != nil || n != len(posts) {
-			t.Fatalf("IngestAccepted = (%d, %v), want (%d, nil)", n, err, len(posts))
+			t.Fatalf("Ingest = (%d, %v), want (%d, nil)", n, err, len(posts))
 		}
 		if got := core.Stats().Ingested; got != int64(len(posts)) {
 			t.Fatalf("ingested %d, want %d (prefix re-applied?)", got, len(posts))
@@ -533,7 +535,7 @@ func TestChaosQuarantineOnFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Ingest(Post{ID: 1, Time: 1, Text: "senate coverage begins"}); err != nil {
+	if err := ingestPost(s, Post{ID: 1, Time: 1, Text: "senate coverage begins"}); err != nil {
 		t.Fatal(err)
 	}
 	sub, ok := s.lookup(bad)
@@ -582,13 +584,13 @@ func TestChaosClientBreaker(t *testing.T) {
 		BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
 	}
 
-	if _, err := cl.Stats(); err == nil {
+	if _, err := cl.Stats(context.Background()); err == nil {
 		t.Fatal("want failure while the transport drops /stats")
 	}
 	if got := cl.RetryStats().BreakerOpens; got != 1 {
 		t.Fatalf("breaker opens = %d, want 1 after %d consecutive failures", got, 2)
 	}
-	_, err = cl.Stats() // immediate: breaker is open, no request goes out
+	_, err = cl.Stats(context.Background()) // immediate: breaker is open, no request goes out
 	if !errors.Is(err, resilience.ErrBreakerOpen) {
 		t.Fatalf("want ErrBreakerOpen while open, got %v", err)
 	}
@@ -597,7 +599,7 @@ func TestChaosClientBreaker(t *testing.T) {
 	}
 
 	time.Sleep(80 * time.Millisecond) // past the cooldown: half-open probe
-	if _, err := cl.Stats(); err != nil {
+	if _, err := cl.Stats(context.Background()); err != nil {
 		t.Fatalf("probe after cooldown failed: %v", err)
 	}
 	if got := cl.RetryStats().BreakerOpens; got != 1 {

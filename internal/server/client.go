@@ -30,7 +30,10 @@ var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
 var clientSeq atomic.Int64
 
 // Client is a typed HTTP client for a running mqdp-server. The zero
-// value (plus BaseURL) works; Retry opts into fault tolerance.
+// value (plus BaseURL) works; Retry opts into fault tolerance. Ingest
+// batches travel as binary stream-post frames, and emission and top-k
+// polls ask for binary frames via Accept; the other endpoints speak JSON.
+// Every call takes a context first.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://localhost:8080".
 	BaseURL string
@@ -42,15 +45,6 @@ type Client struct {
 	// idempotency keys, and an optional circuit breaker fails fast
 	// after consecutive failures.
 	Retry *RetryPolicy
-	// DisableBinaryWire forces JSON bodies everywhere. By default the
-	// client prefers the binary frame format (Content-Type on ingest,
-	// Accept on polls) and falls back to JSON permanently after the
-	// first 415 from a server that doesn't speak it.
-	DisableBinaryWire bool
-
-	// binaryUnsupported latches after a 415: the server doesn't (or no
-	// longer) accepts frames, so all later calls go straight to JSON.
-	binaryUnsupported atomic.Bool
 
 	// Retry-decision observability; registered by SetObs, readable
 	// anytime via RetryStats.
@@ -201,31 +195,6 @@ func StatusCode(err error) int {
 	return 0
 }
 
-// useBinary reports whether this call should attempt the binary frame
-// format.
-func (c *Client) useBinary() bool {
-	return !c.DisableBinaryWire && !c.binaryUnsupported.Load()
-}
-
-// do runs one request with no retries (context.Background, legacy shape).
-func (c *Client) do(method, path string, body, out any) error {
-	return c.doCtx(context.Background(), method, path, body, out, "")
-}
-
-// doCtx runs exactly one JSON attempt: marshal, send, decode.
-func (c *Client) doCtx(ctx context.Context, method, path string, body, out any, idemKey string) error {
-	var buf []byte
-	contentType := ""
-	if body != nil {
-		var err error
-		if buf, err = json.Marshal(body); err != nil {
-			return err
-		}
-		contentType = wire.ContentTypeJSON
-	}
-	return c.doHTTP(ctx, method, path, buf, contentType, "", idemKey, jsonSink(out))
-}
-
 // jsonSink decodes a 2xx response body as JSON into out (nil skips it).
 func jsonSink(out any) func(*http.Response) error {
 	if out == nil {
@@ -338,11 +307,22 @@ func retrySleep(ctx context.Context, err error, bo *resilience.Backoff) error {
 	return resilience.Sleep(ctx, bo.Next())
 }
 
-// call drives one logical JSON request through the retry policy.
-// idempotent marks calls safe to repeat after an ambiguous failure.
+// call drives one logical JSON request through the retry policy: body
+// (nil for none) is marshaled once, and out (nil skips it) receives the
+// decoded 2xx response. idempotent marks calls safe to repeat after an
+// ambiguous failure.
 func (c *Client) call(ctx context.Context, method, path string, body, out any, idempotent bool) error {
+	var buf []byte
+	contentType := ""
+	if body != nil {
+		var err error
+		if buf, err = json.Marshal(body); err != nil {
+			return err
+		}
+		contentType = wire.ContentTypeJSON
+	}
 	return c.callAttempt(ctx, method, path, idempotent, func(ctx context.Context) error {
-		return c.doCtx(ctx, method, path, body, out, "")
+		return c.doHTTP(ctx, method, path, buf, contentType, "", "", jsonSink(out))
 	})
 }
 
@@ -378,14 +358,9 @@ func (c *Client) callAttempt(ctx context.Context, method, path string, idempoten
 	}
 }
 
-// Subscribe registers a profile and returns its id.
-func (c *Client) Subscribe(cfg SubscriptionConfig) (int64, error) {
-	return c.SubscribeContext(context.Background(), cfg)
-}
-
-// SubscribeContext is Subscribe honoring ctx. Subscribing is not
+// Subscribe registers a profile and returns its id. Subscribing is not
 // idempotent, so only sheds (429, provably unprocessed) are retried.
-func (c *Client) SubscribeContext(ctx context.Context, cfg SubscriptionConfig) (int64, error) {
+func (c *Client) Subscribe(ctx context.Context, cfg SubscriptionConfig) (int64, error) {
 	var created map[string]int64
 	if err := c.call(ctx, http.MethodPost, "/subscriptions", cfg, &created, false); err != nil {
 		return 0, err
@@ -394,50 +369,25 @@ func (c *Client) SubscribeContext(ctx context.Context, cfg SubscriptionConfig) (
 }
 
 // Unsubscribe removes a profile.
-func (c *Client) Unsubscribe(id int64) error {
-	return c.UnsubscribeContext(context.Background(), id)
-}
-
-// UnsubscribeContext is Unsubscribe honoring ctx.
-func (c *Client) UnsubscribeContext(ctx context.Context, id int64) error {
+func (c *Client) Unsubscribe(ctx context.Context, id int64) error {
 	return c.call(ctx, http.MethodDelete, fmt.Sprintf("/subscriptions/%d", id), nil, nil, true)
 }
 
-// Ingest feeds a batch of posts in time order.
-func (c *Client) Ingest(posts ...Post) error {
-	_, err := c.IngestAccepted(posts...)
-	return err
-}
-
-// IngestContext is Ingest honoring ctx.
-func (c *Client) IngestContext(ctx context.Context, posts ...Post) error {
-	_, err := c.IngestAcceptedContext(ctx, posts...)
-	return err
-}
-
-// IngestAccepted feeds a batch of posts in time order and returns how
-// many were accepted. On a mid-batch failure the server has already
-// ingested the first accepted posts; resume the batch at posts[accepted]
-// after fixing the failing item — do not resend the whole batch.
+// Ingest feeds a batch of posts in time order and returns how many were
+// accepted. On a mid-batch failure the server has already ingested the
+// first accepted posts; resume the batch at posts[accepted] after fixing
+// the failing item — do not resend the whole batch.
 //
 // With a RetryPolicy the resume is automatic and exactly-once: each
 // attempt carries an idempotency key, so a retry whose predecessor's
 // response was lost replays the recorded outcome instead of re-applying
 // the batch, and a batch cut by the server's ingest deadline resumes at
 // the accepted offset.
-func (c *Client) IngestAccepted(posts ...Post) (accepted int, err error) {
-	return c.IngestAcceptedContext(context.Background(), posts...)
-}
-
-// IngestAcceptedContext is IngestAccepted honoring ctx.
-func (c *Client) IngestAcceptedContext(ctx context.Context, posts ...Post) (accepted int, err error) {
+func (c *Client) Ingest(ctx context.Context, posts ...Post) (accepted int, err error) {
 	rp := c.Retry
 	if rp == nil {
 		res, _, err := c.doIngest(ctx, posts, "")
-		if err != nil {
-			return res.Accepted, err
-		}
-		return res.Accepted, nil
+		return res.Accepted, err
 	}
 	br := c.breakerFor(rp)
 	callID := c.calls.Add(1)
@@ -475,37 +425,20 @@ func (c *Client) IngestAcceptedContext(ctx context.Context, posts ...Post) (acce
 	}
 }
 
-// doIngest runs one POST /ingest attempt, preferring the binary frame
-// format and falling back (permanently) to JSON when the server answers
-// 415. got reports whether a genuine server outcome (an IngestResult,
-// success or error) was received — the signal that distinguishes "the
-// server decided" from "we cannot know". A 415 never applies the batch,
-// so the JSON resend inside the same attempt stays exactly-once.
+// doIngest runs one POST /ingest attempt carrying the batch as one binary
+// stream-post frame. got reports whether a genuine server outcome (an
+// IngestResult, success or error) was received — the signal that
+// distinguishes "the server decided" from "we cannot know".
 func (c *Client) doIngest(ctx context.Context, posts []Post, key string) (res IngestResult, got bool, err error) {
-	if c.useBinary() {
-		res, got, err = c.doIngestOnce(ctx, posts, key, true)
-		if StatusCode(err) != http.StatusUnsupportedMediaType {
-			return res, got, err
-		}
-		c.binaryUnsupported.Store(true)
+	enc := wire.GetEncoder()
+	sb := wire.GetStreamBatch()
+	for _, p := range posts {
+		sb.Posts = append(sb.Posts, wire.StreamPost(p))
 	}
-	return c.doIngestOnce(ctx, posts, key, false)
-}
-
-func (c *Client) doIngestOnce(ctx context.Context, posts []Post, key string, binary bool) (res IngestResult, got bool, err error) {
-	if binary {
-		enc := wire.GetEncoder()
-		sb := wire.GetStreamBatch()
-		for _, p := range posts {
-			sb.Posts = append(sb.Posts, wire.StreamPost(p))
-		}
-		frame := enc.EncodeStreamPosts(sb.Posts, wire.DefaultCompressThreshold)
-		err = c.doHTTP(ctx, http.MethodPost, "/ingest", frame, wire.ContentTypeBinary, "", key, jsonSink(&res))
-		sb.Release()
-		wire.PutEncoder(enc)
-	} else {
-		err = c.doCtx(ctx, http.MethodPost, "/ingest", posts, &res, key)
-	}
+	frame := enc.EncodeStreamPosts(sb.Posts, wire.DefaultCompressThreshold)
+	err = c.doHTTP(ctx, http.MethodPost, "/ingest", frame, wire.ContentTypeBinary, "", key, jsonSink(&res))
+	sb.Release()
+	wire.PutEncoder(enc)
 	if err == nil {
 		return res, true, nil
 	}
@@ -526,35 +459,17 @@ func (c *Client) doIngestOnce(ctx context.Context, posts []Post, key string, bin
 // reported instead of silently spliced over: the retained tail is
 // returned together with a *GapError (match with errors.Is(err, ErrGap))
 // whose FirstSeq says where the data resumes. A flushed, unsubscribed or
-// quarantined subscription returns a *StreamEndError.
-func (c *Client) Emissions(id, after int64, limit int) ([]Emission, error) {
-	return c.EmissionsContext(context.Background(), id, after, limit)
-}
-
-// EmissionsContext is Emissions honoring ctx. The poll negotiates the
-// binary frame format via Accept; a server that ignores it answers JSON
-// and the response is decoded by its Content-Type, so either way works.
-func (c *Client) EmissionsContext(ctx context.Context, id, after int64, limit int) ([]Emission, error) {
-	return c.emissions(ctx, id, after, limit, 0)
-}
-
-// emissions is the shared poll implementation; wait > 0 long-polls.
-func (c *Client) emissions(ctx context.Context, id, after int64, limit int, wait time.Duration) ([]Emission, error) {
+// quarantined subscription returns a *StreamEndError. The response is
+// one binary emissions frame.
+func (c *Client) Emissions(ctx context.Context, id, after int64, limit int) ([]Emission, error) {
 	path := fmt.Sprintf("/subscriptions/%d/emissions?after=%d", id, after)
 	if limit > 0 {
 		path += fmt.Sprintf("&limit=%d", limit)
 	}
-	if wait > 0 {
-		path += fmt.Sprintf("&wait=%s", wait)
-	}
 	var out []Emission
 	var gap *GapError
 	err := c.callAttempt(ctx, http.MethodGet, path, true, func(ctx context.Context) error {
-		accept := ""
-		if c.useBinary() {
-			accept = wire.ContentTypeBinary
-		}
-		return c.doHTTP(ctx, http.MethodGet, path, nil, "", accept, "", func(resp *http.Response) error {
+		return c.doHTTP(ctx, http.MethodGet, path, nil, "", wire.ContentTypeBinary, "", func(resp *http.Response) error {
 			out, gap = out[:0], nil
 			if fs := resp.Header.Get("X-First-Seq"); fs != "" {
 				first, err1 := strconv.ParseInt(fs, 10, 64)
@@ -562,9 +477,6 @@ func (c *Client) emissions(ctx context.Context, id, after int64, limit int, wait
 				if err1 == nil && err2 == nil {
 					gap = &GapError{GapFrom: from, FirstSeq: first}
 				}
-			}
-			if !wire.IsBinary(resp.Header.Get("Content-Type")) {
-				return json.NewDecoder(resp.Body).Decode(&out)
 			}
 			dec := wire.GetDecoder()
 			defer wire.PutDecoder(dec)
@@ -600,34 +512,19 @@ func (c *Client) emissions(ctx context.Context, id, after int64, limit int, wait
 
 // Flush forces every pending decision out. Flush is latched server-side,
 // so retrying it is safe.
-func (c *Client) Flush() error {
-	return c.FlushContext(context.Background())
-}
-
-// FlushContext is Flush honoring ctx.
-func (c *Client) FlushContext(ctx context.Context) error {
+func (c *Client) Flush(ctx context.Context) error {
 	return c.call(ctx, http.MethodPost, "/flush", struct{}{}, nil, true)
 }
 
 // Stats fetches service counters.
-func (c *Client) Stats() (Stats, error) {
-	return c.StatsContext(context.Background())
-}
-
-// StatsContext is Stats honoring ctx.
-func (c *Client) StatsContext(ctx context.Context) (Stats, error) {
+func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var st Stats
 	err := c.call(ctx, http.MethodGet, "/stats", nil, &st, true)
 	return st, err
 }
 
 // SubscriptionStats fetches one profile's counters.
-func (c *Client) SubscriptionStats(id int64) (SubscriptionStats, error) {
-	return c.SubscriptionStatsContext(context.Background(), id)
-}
-
-// SubscriptionStatsContext is SubscriptionStats honoring ctx.
-func (c *Client) SubscriptionStatsContext(ctx context.Context, id int64) (SubscriptionStats, error) {
+func (c *Client) SubscriptionStats(ctx context.Context, id int64) (SubscriptionStats, error) {
 	var st SubscriptionStats
 	err := c.call(ctx, http.MethodGet, fmt.Sprintf("/subscriptions/%d/stats", id), nil, &st, true)
 	return st, err
@@ -635,24 +532,14 @@ func (c *Client) SubscriptionStatsContext(ctx context.Context, id int64) (Subscr
 
 // Metrics fetches the full observability snapshot (service counters plus
 // every profile's stats and delay summary).
-func (c *Client) Metrics() (Metrics, error) {
-	return c.MetricsContext(context.Background())
-}
-
-// MetricsContext is Metrics honoring ctx.
-func (c *Client) MetricsContext(ctx context.Context) (Metrics, error) {
+func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
 	var m Metrics
 	err := c.call(ctx, http.MethodGet, "/metrics", nil, &m, true)
 	return m, err
 }
 
 // Health fetches the liveness snapshot.
-func (c *Client) Health() (Health, error) {
-	return c.HealthContext(context.Background())
-}
-
-// HealthContext is Health honoring ctx.
-func (c *Client) HealthContext(ctx context.Context) (Health, error) {
+func (c *Client) Health(ctx context.Context) (Health, error) {
 	var h Health
 	err := c.call(ctx, http.MethodGet, "/healthz", nil, &h, true)
 	return h, err

@@ -9,10 +9,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"mqdp/internal/obs"
-	"mqdp/internal/resilience"
 	"mqdp/internal/wire"
 )
 
@@ -21,15 +19,6 @@ import (
 // stream is open indefinitely); lifetime is governed by the request
 // context instead.
 var streamHTTPClient = &http.Client{}
-
-// fallbackPollInterval paces the polling fallback between empty rounds
-// against a server without a push surface.
-const fallbackPollInterval = 200 * time.Millisecond
-
-// fallbackPollWait is the wait= sent by the polling fallback: long
-// enough to amortize round trips, comfortably under defaultHTTPClient's
-// 30s timeout so an empty long-poll is an empty answer, not an error.
-const fallbackPollWait = 10 * time.Second
 
 // StreamEvent is one push-delivery event. Exactly one field is non-nil.
 type StreamEvent struct {
@@ -62,10 +51,8 @@ type callbackErr struct{ error }
 // or ctx.Err() when the context ends. With a RetryPolicy, dropped
 // connections reconnect with backoff and resume from the last delivered
 // seq (the attempt budget resets whenever a connection makes progress);
-// without one, the first failure is returned. Against another server
-// that does not implement the push surface (501 or 405), Stream degrades to
-// transparent polling of /emissions and /topk — fn sees the same event
-// sequence either way.
+// without one, the first failure is returned. A refused stream (for
+// example 501 or 405) is returned as a wrapped *APIError.
 func (c *Client) Stream(ctx context.Context, id, after int64, fn func(StreamEvent) error) error {
 	rp := c.Retry
 	bo := rp.backoff(func() int64 {
@@ -75,10 +62,8 @@ func (c *Client) Stream(ctx context.Context, id, after int64, fn func(StreamEven
 		return rp.Seed + c.calls.Add(1)
 	}())
 	attempt := 0
-	var lastVersion uint64
-	seenTopK := false
 	for {
-		progressed, end, err := c.streamOnce(ctx, id, &after, &lastVersion, &seenTopK, fn)
+		progressed, end, err := c.streamOnce(ctx, id, &after, fn)
 		if end {
 			return nil
 		}
@@ -88,10 +73,6 @@ func (c *Client) Stream(ctx context.Context, id, after int64, fn func(StreamEven
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
-		}
-		switch StatusCode(err) {
-		case http.StatusNotImplemented, http.StatusMethodNotAllowed:
-			return c.streamPoll(ctx, id, after, lastVersion, seenTopK, fn)
 		}
 		if progressed {
 			attempt = 0
@@ -108,10 +89,9 @@ func (c *Client) Stream(ctx context.Context, id, after int64, fn func(StreamEven
 }
 
 // streamOnce runs one SSE connection until it ends. It advances the
-// caller's resume cursor and top-k version as events arrive so a
-// reconnect (or the polling fallback) picks up where this connection
-// dropped.
-func (c *Client) streamOnce(ctx context.Context, id int64, after *int64, lastVersion *uint64, seenTopK *bool, fn func(StreamEvent) error) (progressed, end bool, err error) {
+// caller's resume cursor as events arrive so a reconnect picks up where
+// this connection dropped.
+func (c *Client) streamOnce(ctx context.Context, id int64, after *int64, fn func(StreamEvent) error) (progressed, end bool, err error) {
 	hc := c.HTTPClient
 	if hc == nil {
 		hc = streamHTTPClient
@@ -149,7 +129,7 @@ func (c *Client) streamOnce(ctx context.Context, id int64, after *int64, lastVer
 		switch {
 		case line == "":
 			if event != "" {
-				isEnd, derr := c.dispatchSSE(event, data, trace, after, lastVersion, seenTopK, fn)
+				isEnd, derr := c.dispatchSSE(event, data, trace, after, fn)
 				if derr != nil {
 					return progressed, false, derr
 				}
@@ -179,7 +159,7 @@ func (c *Client) streamOnce(ctx context.Context, id int64, after *int64, lastVer
 
 // dispatchSSE decodes one SSE event and hands it to fn. trace is the raw
 // value of a nonstandard trace: field line, empty when absent.
-func (c *Client) dispatchSSE(event, data, trace string, after *int64, lastVersion *uint64, seenTopK *bool, fn func(StreamEvent) error) (end bool, err error) {
+func (c *Client) dispatchSSE(event, data, trace string, after *int64, fn func(StreamEvent) error) (end bool, err error) {
 	switch event {
 	case "emission":
 		var em Emission
@@ -199,7 +179,6 @@ func (c *Client) dispatchSSE(event, data, trace string, after *int64, lastVersio
 		if err := json.Unmarshal([]byte(data), &snap); err != nil {
 			return false, fmt.Errorf("stream topk: %w", err)
 		}
-		*lastVersion, *seenTopK = snap.Version, true
 		if err := fn(StreamEvent{TopK: &snap}); err != nil {
 			return false, callbackErr{err}
 		}
@@ -226,84 +205,14 @@ func (c *Client) dispatchSSE(event, data, trace string, after *int64, lastVersio
 	return false, nil
 }
 
-// streamPoll is the polling fallback behind Stream: the same event
-// sequence reconstructed from /emissions (long-polled where the server
-// supports it) and /topk snapshots.
-func (c *Client) streamPoll(ctx context.Context, id, after int64, lastVersion uint64, seenTopK bool, fn func(StreamEvent) error) error {
-	for {
-		busy := false
-		es, err := c.emissions(ctx, id, after, 0, fallbackPollWait)
-		var gap *GapError
-		if errors.As(err, &gap) {
-			if ferr := fn(StreamEvent{Gap: gap}); ferr != nil {
-				return ferr
-			}
-			after, busy = gap.FirstSeq-1, true
-			err = nil
-		}
-		var endErr *StreamEndError
-		if errors.As(err, &endErr) {
-			if ferr := fn(StreamEvent{End: endErr}); ferr != nil {
-				return ferr
-			}
-			return nil
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return err
-		}
-		for i := range es {
-			after, busy = es[i].Seq, true
-			if ferr := fn(StreamEvent{Emission: &es[i]}); ferr != nil {
-				return ferr
-			}
-		}
-		snap, err := c.TopKContext(ctx, id)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return err
-		}
-		if !seenTopK || snap.Version != lastVersion {
-			lastVersion, seenTopK, busy = snap.Version, true, true
-			if ferr := fn(StreamEvent{TopK: &snap}); ferr != nil {
-				return ferr
-			}
-		}
-		if !busy {
-			// Against a server that ignores wait= the poll returns
-			// immediately; pace the loop instead of spinning.
-			if serr := resilience.Sleep(ctx, fallbackPollInterval); serr != nil {
-				return serr
-			}
-		}
-	}
-}
-
 // TopK fetches the subscription's continuously maintained diversified
-// top-k view.
-func (c *Client) TopK(id int64) (TopKSnapshot, error) {
-	return c.TopKContext(context.Background(), id)
-}
-
-// TopKContext is TopK honoring ctx, negotiating the binary frame format
-// via Accept like the emissions poll.
-func (c *Client) TopKContext(ctx context.Context, id int64) (TopKSnapshot, error) {
+// top-k view as one binary top-k frame.
+func (c *Client) TopK(ctx context.Context, id int64) (TopKSnapshot, error) {
 	path := fmt.Sprintf("/subscriptions/%d/topk", id)
 	var snap TopKSnapshot
 	err := c.callAttempt(ctx, http.MethodGet, path, true, func(ctx context.Context) error {
-		accept := ""
-		if c.useBinary() {
-			accept = wire.ContentTypeBinary
-		}
-		return c.doHTTP(ctx, http.MethodGet, path, nil, "", accept, "", func(resp *http.Response) error {
+		return c.doHTTP(ctx, http.MethodGet, path, nil, "", wire.ContentTypeBinary, "", func(resp *http.Response) error {
 			snap = TopKSnapshot{}
-			if !wire.IsBinary(resp.Header.Get("Content-Type")) {
-				return json.NewDecoder(resp.Body).Decode(&snap)
-			}
 			dec := wire.GetDecoder()
 			defer wire.PutDecoder(dec)
 			kind, body, err := dec.ReadFrame(resp.Body)

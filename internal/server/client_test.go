@@ -13,17 +13,17 @@ func TestClientEndToEnd(t *testing.T) {
 	ts, _ := newTestServer(t)
 	c := NewClient(ts.URL + "/") // trailing slash is normalized
 
-	id, err := c.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 60, Tau: 0, Algorithm: "instant"})
+	id, err := c.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics(), Lambda: 60, Tau: 0, Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ingest(
+	if _, err := c.Ingest(context.Background(),
 		Post{ID: 1, Time: 0, Text: "obama statement"},
 		Post{ID: 2, Time: 100, Text: "senate debate"},
 	); err != nil {
 		t.Fatal(err)
 	}
-	es, err := c.Emissions(id, 0, 0)
+	es, err := c.Emissions(context.Background(), id, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,25 +34,25 @@ func TestClientEndToEnd(t *testing.T) {
 		t.Errorf("first emission = %+v", es[0])
 	}
 	// Cursor + limit.
-	es, err = c.Emissions(id, es[0].Seq, 1)
+	es, err = c.Emissions(context.Background(), id, es[0].Seq, 1)
 	if err != nil || len(es) != 1 || es[0].PostID != 2 {
 		t.Errorf("cursor fetch = %+v, %v", es, err)
 	}
-	st, err := c.Stats()
+	st, err := c.Stats(context.Background())
 	if err != nil || st.Ingested != 2 || st.Subscriptions != 1 {
 		t.Errorf("stats = %+v, %v", st, err)
 	}
-	ss, err := c.SubscriptionStats(id)
+	ss, err := c.SubscriptionStats(context.Background(), id)
 	if err != nil || ss.Matched != 2 {
 		t.Errorf("sub stats = %+v, %v", ss, err)
 	}
-	if err := c.Flush(); err != nil {
+	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Unsubscribe(id); err != nil {
+	if err := c.Unsubscribe(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Emissions(id, 0, 0); StatusCode(err) != http.StatusNotFound {
+	if _, err := c.Emissions(context.Background(), id, 0, 0); StatusCode(err) != http.StatusNotFound {
 		t.Errorf("post-unsubscribe fetch error = %v (status %d), want 404", err, StatusCode(err))
 	}
 }
@@ -60,15 +60,15 @@ func TestClientEndToEnd(t *testing.T) {
 func TestClientErrorSurfacing(t *testing.T) {
 	ts, _ := newTestServer(t)
 	c := NewClient(ts.URL)
-	if _, err := c.Subscribe(SubscriptionConfig{}); err == nil {
+	if _, err := c.Subscribe(context.Background(), SubscriptionConfig{}); err == nil {
 		t.Error("bad subscription accepted")
 	} else if StatusCode(err) != http.StatusBadRequest {
 		t.Errorf("status = %d, want 400", StatusCode(err))
 	}
-	if err := c.Ingest(Post{ID: 1, Time: 100, Text: "x"}); err != nil {
+	if _, err := c.Ingest(context.Background(), Post{ID: 1, Time: 100, Text: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	err := c.Ingest(Post{ID: 2, Time: 50, Text: "y"})
+	_, err := c.Ingest(context.Background(), Post{ID: 2, Time: 50, Text: "y"})
 	if StatusCode(err) != http.StatusConflict {
 		t.Errorf("out-of-order status = %d, want 409", StatusCode(err))
 	}
@@ -80,15 +80,15 @@ func TestClientErrorSurfacing(t *testing.T) {
 func TestClientIngestAccepted(t *testing.T) {
 	ts, _ := newTestServer(t)
 	c := NewClient(ts.URL)
-	n, err := c.IngestAccepted(
+	n, err := c.Ingest(context.Background(),
 		Post{ID: 1, Time: 0, Text: "obama a"},
 		Post{ID: 2, Time: 10, Text: "obama b"},
 	)
 	if err != nil || n != 2 {
-		t.Fatalf("IngestAccepted = %d, %v", n, err)
+		t.Fatalf("Ingest = %d, %v", n, err)
 	}
 	// Mid-batch failure surfaces the accepted prefix alongside the error.
-	n, err = c.IngestAccepted(
+	n, err = c.Ingest(context.Background(),
 		Post{ID: 3, Time: 20, Text: "obama c"},
 		Post{ID: 4, Time: 5, Text: "obama d"}, // out of order
 		Post{ID: 5, Time: 30, Text: "obama e"},
@@ -100,28 +100,28 @@ func TestClientIngestAccepted(t *testing.T) {
 		t.Errorf("partial batch accepted = %d, want 1", n)
 	}
 	// Metrics and health are reachable through the client too.
-	m, err := c.Metrics()
+	m, err := c.Metrics(context.Background())
 	if err != nil || m.Ingested != 3 {
 		t.Errorf("metrics = %+v, %v", m, err)
 	}
-	h, err := c.Health()
+	h, err := c.Health(context.Background())
 	if err != nil || h.Status != "ok" {
 		t.Errorf("health = %+v, %v", h, err)
 	}
-	if err := c.Flush(); err != nil {
+	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.IngestAccepted(Post{ID: 6, Time: 40, Text: "late"}); StatusCode(err) != http.StatusConflict {
+	if _, err := c.Ingest(context.Background(), Post{ID: 6, Time: 40, Text: "late"}); StatusCode(err) != http.StatusConflict {
 		t.Errorf("ingest-after-flush error = %v, want 409", err)
 	}
-	if h, _ := c.Health(); h.Status != "flushed" {
+	if h, _ := c.Health(context.Background()); h.Status != "flushed" {
 		t.Errorf("health after flush = %+v", h)
 	}
 }
 
 func TestClientConnectionError(t *testing.T) {
 	c := NewClient("http://127.0.0.1:1") // nothing listens there
-	if _, err := c.Stats(); err == nil {
+	if _, err := c.Stats(context.Background()); err == nil {
 		t.Error("dead endpoint succeeded")
 	}
 }
@@ -133,7 +133,7 @@ func TestClientAPIErrorTyped(t *testing.T) {
 	ts, _ := newTestServer(t)
 	c := NewClient(ts.URL)
 
-	_, err := c.Emissions(999, 0, 0)
+	_, err := c.Emissions(context.Background(), 999, 0, 0)
 	if err == nil {
 		t.Fatal("want error for unknown subscription")
 	}
@@ -175,8 +175,8 @@ func TestClientDefaultTimeout(t *testing.T) {
 	}
 }
 
-// TestClientContextVariants verifies the ...Context methods honor caller
-// cancellation while the legacy signatures stay usable.
+// TestClientContextVariants verifies the client methods honor caller
+// cancellation.
 func TestClientContextVariants(t *testing.T) {
 	ts, core := newTestServer(t)
 	c := NewClient(ts.URL)
@@ -186,24 +186,24 @@ func TestClientContextVariants(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := c.IngestContext(ctx, Post{ID: 1, Time: 1, Text: "obama live"}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("IngestContext with canceled ctx: %v", err)
+	if _, err := c.Ingest(ctx, Post{ID: 1, Time: 1, Text: "obama live"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Ingest with canceled ctx: %v", err)
 	}
-	if _, err := c.EmissionsContext(ctx, 1, 0, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EmissionsContext with canceled ctx: %v", err)
+	if _, err := c.Emissions(ctx, 1, 0, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Emissions with canceled ctx: %v", err)
 	}
-	if _, err := c.StatsContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("StatsContext with canceled ctx: %v", err)
+	if _, err := c.Stats(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Stats with canceled ctx: %v", err)
 	}
 	// Nothing reached the server through the canceled context.
 	if got := core.Stats().Ingested; got != 0 {
 		t.Fatalf("canceled ingest landed %d posts", got)
 	}
-	if err := c.IngestContext(context.Background(), Post{ID: 1, Time: 1, Text: "obama live"}); err != nil {
+	if _, err := c.Ingest(context.Background(), Post{ID: 1, Time: 1, Text: "obama live"}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.StatsContext(context.Background())
+	st, err := c.Stats(context.Background())
 	if err != nil || st.Ingested != 1 {
-		t.Fatalf("StatsContext = (%+v, %v)", st, err)
+		t.Fatalf("Stats = (%+v, %v)", st, err)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -44,7 +45,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		refIDs = append(refIDs, id)
 	}
 	for _, p := range posts {
-		if err := ref.Ingest(p); err != nil {
+		if err := ingestPost(ref, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,7 +67,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 
 	ids := make([]int64, 0, len(durConfigs()))
 	for _, cfg := range durConfigs() {
-		id, err := cl.Subscribe(cfg)
+		id, err := cl.Subscribe(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 			}()
 		}
 		end := min(at+batchSize, len(posts))
-		n, err := cl.IngestAccepted(posts[at:end]...)
+		n, err := cl.Ingest(context.Background(), posts[at:end]...)
 		if err != nil {
 			t.Fatalf("batch at %d: %v", at, err)
 		}
@@ -127,10 +128,10 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		}
 	}
 
-	if h, err := cl.Health(); err != nil || h.Status != "ok" {
+	if h, err := cl.Health(context.Background()); err != nil || h.Status != "ok" {
 		t.Fatalf("health after two crash recoveries: %+v, %v", h, err)
 	}
-	st, err := cl.Stats()
+	st, err := cl.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	if st.Ingested != refSt.Ingested || st.DroppedDups != refSt.DroppedDups {
 		t.Fatalf("stats diverged after recovery: got %+v, want %+v (a batch lost or applied twice)", st, refSt)
 	}
-	if err := cl.Flush(); err != nil {
+	if err := cl.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		got, err := cl.Emissions(id, 0, 0)
+		got, err := cl.Emissions(context.Background(), id, 0, 0)
 		if err != nil {
 			t.Fatalf("sub %d: %v", id, err)
 		}

@@ -514,22 +514,23 @@ func decodeBatchRecord(data []byte) (key string, posts []Post, err error) {
 	return key, posts, nil
 }
 
-// Registry / terminal-state journal appends. All no-op while replaying
-// (the records being applied already exist) and degrade on failure.
+// Registry / terminal-state journal appends. Callers skip them while
+// replaying (the records being applied already exist); a failure degrades
+// the server and returns the ErrReadOnly-wrapped error.
 
-func (s *Server) durAppendSubscribe(d *durState, id int64, cfg SubscriptionConfig) {
+func (s *Server) durAppendSubscribe(d *durState, id int64, cfg SubscriptionConfig) error {
 	payload, _ := json.Marshal(struct {
 		ID  int64              `json:"id"`
 		Cfg SubscriptionConfig `json:"cfg"`
 	}{id, cfg})
-	s.durAppend(d, recSubscribe, payload, true)
+	return s.durAppend(d, recSubscribe, payload, true)
 }
 
-func (s *Server) durAppendUnsubscribe(d *durState, id int64) {
+func (s *Server) durAppendUnsubscribe(d *durState, id int64) error {
 	payload, _ := json.Marshal(struct {
 		ID int64 `json:"id"`
 	}{id})
-	s.durAppend(d, recUnsubscribe, payload, true)
+	return s.durAppend(d, recUnsubscribe, payload, true)
 }
 
 // durAppendQuarantine journals a quarantine latch. Called under sub.mu
@@ -547,26 +548,26 @@ func (s *Server) durAppendQuarantine(id int64, msg string) {
 	// No commit: the latch rides its own batch's ack commit (it lands
 	// between the batch record and the ack). A deterministic panic recurs
 	// on replay regardless; only a nondeterministically injected one can
-	// be lost with the tail.
-	s.durAppend(d, recQuarantine, payload, false)
+	// be lost with the tail. A failed append only degrades the server: the
+	// quarantine stands.
+	_ = s.durAppend(d, recQuarantine, payload, false)
 }
 
-func (s *Server) durAppendFlush(d *durState) {
-	s.durAppend(d, recFlush, nil, true)
+func (s *Server) durAppendFlush(d *durState) error {
+	return s.durAppend(d, recFlush, nil, true)
 }
 
-func (s *Server) durAppend(d *durState, kind byte, payload []byte, commit bool) {
+func (s *Server) durAppend(d *durState, kind byte, payload []byte, commit bool) error {
 	if _, err := d.log.Append(kind, payload); err != nil {
-		_ = s.degrade(d, err)
-		return
+		return s.degrade(d, err)
 	}
 	if commit {
 		if err := d.log.Commit(); err != nil {
-			_ = s.degrade(d, err)
-			return
+			return s.degrade(d, err)
 		}
 	}
 	s.walRecords.Inc()
+	return nil
 }
 
 // pendingBatch is a journaled ingest batch seen during replay whose ack

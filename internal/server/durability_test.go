@@ -80,7 +80,7 @@ func runReference(t *testing.T, posts []Post, flush bool) (map[int64][]Emission,
 		ids = append(ids, id)
 	}
 	for _, p := range posts {
-		if err := ref.Ingest(p); err != nil {
+		if err := ingestPost(ref, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestDurabilityCrashReplayNoSnapshot(t *testing.T) {
 		t.Fatalf("recovered %d subscriptions, want %d", m.Subscriptions, len(durConfigs()))
 	}
 	for _, p := range posts[cut:] {
-		if err := b.Ingest(p); err != nil {
+		if err := ingestPost(b, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestDurabilitySnapshotRestore(t *testing.T) {
 		}
 	}
 	for _, p := range posts[:60] {
-		if err := a.Ingest(p); err != nil {
+		if err := ingestPost(a, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestDurabilitySnapshotRestore(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	for _, p := range posts[60:90] {
-		if err := a.Ingest(p); err != nil {
+		if err := ingestPost(a, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestDurabilitySnapshotRestore(t *testing.T) {
 		t.Fatalf("replayed %d posts, want 30 (snapshot should cover the first 60)", m.Durability.ReplayedPosts)
 	}
 	for _, p := range posts[90:] {
-		if err := b.Ingest(p); err != nil {
+		if err := ingestPost(b, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestDurabilityGracefulRestartZeroReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range posts {
-		if err := a.Ingest(p); err != nil {
+		if err := ingestPost(a, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestDurabilityTerminalLatchesAcrossRestart(t *testing.T) {
 		if _, err := a.Subscribe(durConfigs()[0]); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Ingest(Post{ID: 1, Time: 1, Text: "obama speaks"}); err != nil {
+		if err := ingestPost(a, Post{ID: 1, Time: 1, Text: "obama speaks"}); err != nil {
 			t.Fatal(err)
 		}
 		a.Flush()
@@ -331,7 +331,7 @@ func TestDurabilityTerminalLatchesAcrossRestart(t *testing.T) {
 		if h := b.Health(); h.Status != "flushed" {
 			t.Fatalf("health %q, want flushed", h.Status)
 		}
-		if err := b.Ingest(Post{ID: 2, Time: 2, Text: "senate votes"}); !errors.Is(err, ErrClosed) {
+		if err := ingestPost(b, Post{ID: 2, Time: 2, Text: "senate votes"}); !errors.Is(err, ErrClosed) {
 			t.Fatalf("ingest after recovered flush: %v, want ErrClosed", err)
 		}
 		ts := httptest.NewServer(Handler(b))
@@ -359,7 +359,7 @@ func TestDurabilityTerminalLatchesAcrossRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Ingest(Post{ID: 1, Time: 1, Text: "obama speaks"}); err != nil {
+		if err := ingestPost(a, Post{ID: 1, Time: 1, Text: "obama speaks"}); err != nil {
 			t.Fatal(err)
 		}
 		st, _ := a.SubscriptionStats(id)
@@ -367,7 +367,7 @@ func TestDurabilityTerminalLatchesAcrossRestart(t *testing.T) {
 			t.Fatal("panic did not quarantine")
 		}
 		// The quarantine record rides the next committed batch.
-		if err := a.Ingest(Post{ID: 2, Time: 2, Text: "senate votes"}); err != nil {
+		if err := ingestPost(a, Post{ID: 2, Time: 2, Text: "senate votes"}); err != nil {
 			t.Fatal(err)
 		}
 		// Crash.
@@ -414,19 +414,19 @@ func TestDurabilityDegradedReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Ingest(Post{ID: 1, Time: 1, Text: "obama speaks"}); err != nil { // appends 2+3
+	if err := ingestPost(s, Post{ID: 1, Time: 1, Text: "obama speaks"}); err != nil { // appends 2+3
 		t.Fatal(err)
 	}
-	if err := s.Ingest(Post{ID: 2, Time: 2, Text: "senate votes"}); err != nil { // appends 4+5
+	if err := ingestPost(s, Post{ID: 2, Time: 2, Text: "senate votes"}); err != nil { // appends 4+5
 		t.Fatal(err)
 	}
 	// Append 6 — the next batch record — hits the injected disk fault.
-	err = s.Ingest(Post{ID: 3, Time: 3, Text: "congress debates"})
+	err = ingestPost(s, Post{ID: 3, Time: 3, Text: "congress debates"})
 	if !errors.Is(err, ErrReadOnly) || !errors.Is(err, faultinject.ErrDisk) {
 		t.Fatalf("ingest on disk fault: %v, want ErrReadOnly wrapping ErrDisk", err)
 	}
 	// Latched: everything write-shaped refuses instantly now.
-	if err := s.Ingest(Post{ID: 4, Time: 4, Text: "x"}); !errors.Is(err, ErrReadOnly) {
+	if err := ingestPost(s, Post{ID: 4, Time: 4, Text: "x"}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("ingest while degraded: %v", err)
 	}
 	if _, err := s.Subscribe(durConfigs()[1]); !errors.Is(err, ErrReadOnly) {
@@ -466,6 +466,68 @@ func TestDurabilityDegradedReadOnly(t *testing.T) {
 			t.Fatalf("poll while degraded: status %d", resp2.StatusCode)
 		}
 	}
+}
+
+// TestDurabilityRegistryAppendFailure: a subscribe or unsubscribe whose
+// WAL record cannot be written is refused with 503 + Retry-After, and the
+// live registry stays as it was — so the live server and a restart on the
+// same directory agree on which subscriptions exist.
+func TestDurabilityRegistryAppendFailure(t *testing.T) {
+	open := func(t *testing.T, dir, schedule string) (*Server, string) {
+		t.Helper()
+		inj, err := faultinject.ParseSchedule(schedule, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newServer(t, Config{
+			Parallelism: 1, Faults: inj,
+			Durability: DurabilityConfig{Dir: dir, Fsync: wal.SyncBatch},
+		})
+		ts := httptest.NewServer(Handler(s))
+		t.Cleanup(ts.Close)
+		return s, ts.URL
+	}
+	refused := func(t *testing.T, resp *http.Response) {
+		t.Helper()
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+			t.Fatalf("status %d, Retry-After %q; want 503 with Retry-After 1", resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	t.Run("subscribe", func(t *testing.T) {
+		dir := t.TempDir()
+		s, url := open(t, dir, "wal.append@1=disk:") // the subscribe record
+		refused(t, postJSON(t, url+"/subscriptions", durConfigs()[0]))
+		if n := s.Stats().Subscriptions; n != 0 {
+			t.Fatalf("live server kept %d unjournaled subscriptions", n)
+		}
+		if n := durOpen(t, dir).Stats().Subscriptions; n != 0 {
+			t.Fatalf("restart found %d subscriptions", n)
+		}
+	})
+	t.Run("unsubscribe", func(t *testing.T) {
+		dir := t.TempDir()
+		s, url := open(t, dir, "wal.append@2=disk:") // the unsubscribe record
+		id, err := s.Subscribe(durConfigs()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/subscriptions/%d", url, id), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused(t, resp)
+		if _, ok := s.lookup(id); !ok {
+			t.Fatal("live server dropped a subscription whose removal was never journaled")
+		}
+		if _, ok := durOpen(t, dir).lookup(id); !ok {
+			t.Fatalf("restart lost subscription %d", id)
+		}
+	})
 }
 
 // TestDurabilityCutBatchReplaysAckedPrefix: a batch the live run only
@@ -538,7 +600,7 @@ func TestDurabilityUndecodableRecordAbortsRecovery(t *testing.T) {
 	if _, err := a.Subscribe(durConfigs()[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Ingest(Post{ID: 1, Time: 1, Text: "obama speaks"}); err != nil {
+	if err := ingestPost(a, Post{ID: 1, Time: 1, Text: "obama speaks"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Close(); err != nil {
@@ -581,7 +643,7 @@ func TestDurabilitySnapshotFallbackReplaysFullSuffix(t *testing.T) {
 	}
 	ingest := func(ps []Post) {
 		for _, p := range ps {
-			if err := a.Ingest(p); err != nil {
+			if err := ingestPost(a, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -650,7 +712,7 @@ func TestDurabilityTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range posts {
-		if err := a.Ingest(p); err != nil {
+		if err := ingestPost(a, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -680,7 +742,7 @@ func TestDurabilityTornTailRecovery(t *testing.T) {
 	if m.Durability.ReplayedPosts != int64(len(posts)-1) {
 		t.Fatalf("replayed %d posts, want %d", m.Durability.ReplayedPosts, len(posts)-1)
 	}
-	if err := b.Ingest(posts[len(posts)-1]); err != nil {
+	if err := ingestPost(b, posts[len(posts)-1]); err != nil {
 		t.Fatalf("ingest after torn-tail repair: %v", err)
 	}
 }
@@ -704,7 +766,7 @@ func TestDurabilityRestartHonoursDedupConfig(t *testing.T) {
 		t.Helper()
 		nextID++
 		before := s.Metrics().DroppedDups
-		if err := s.Ingest(Post{ID: nextID, Time: float64(nextID), Text: text}); err != nil {
+		if err := ingestPost(s, Post{ID: nextID, Time: float64(nextID), Text: text}); err != nil {
 			t.Fatal(err)
 		}
 		return s.Metrics().DroppedDups == before

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -136,7 +137,7 @@ func TestEvictedTextPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Ingest(Post{ID: 1, Time: 0, Text: "obama holds a presser"}); err != nil {
+	if err := ingestPost(core, Post{ID: 1, Time: 0, Text: "obama holds a presser"}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the race the old code hit silently: the text is gone by the
@@ -181,7 +182,7 @@ func TestTextCacheLifecycle(t *testing.T) {
 	// 500 matching posts 1s apart: most are rejected (within λ of the last
 	// selection) and must still be evicted once past the horizon.
 	for i := 0; i < 500; i++ {
-		if err := s.Ingest(Post{ID: int64(i + 1), Time: float64(i), Text: fmt.Sprintf("obama note %d", i)}); err != nil {
+		if err := ingestPost(s, Post{ID: int64(i + 1), Time: float64(i), Text: fmt.Sprintf("obama note %d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +311,7 @@ func TestIngestAfterFlush(t *testing.T) {
 
 	// Direct API: a second Flush and a late Ingest behave the same.
 	core.Flush()
-	if err := core.Ingest(Post{ID: 3, Time: 9, Text: "x"}); !errors.Is(err, ErrClosed) {
+	if err := ingestPost(core, Post{ID: 3, Time: 9, Text: "x"}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Ingest after Flush = %v, want ErrClosed", err)
 	}
 }
@@ -328,8 +329,8 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = core.Ingest(Post{ID: 1, Time: 0, Text: "obama morning brief"})
-	_ = core.Ingest(Post{ID: 2, Time: 100, Text: "senate afternoon session"})
+	_ = ingestPost(core, Post{ID: 1, Time: 0, Text: "obama morning brief"})
+	_ = ingestPost(core, Post{ID: 2, Time: 100, Text: "senate afternoon session"})
 	core.Flush()
 
 	var m Metrics
@@ -408,7 +409,7 @@ func TestShardedIngestDeterminism(t *testing.T) {
 			ids = append(ids, id)
 		}
 		for _, tw := range tweets {
-			if err := s.Ingest(Post{ID: tw.ID, Time: tw.Time, Text: tw.Text}); err != nil {
+			if err := ingestPost(s, Post{ID: tw.ID, Time: tw.Time, Text: tw.Text}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -456,7 +457,7 @@ func TestConcurrentIngestSubscribePoll(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < posts/2; i++ {
 				tick := clock.Add(1)
-				_ = s.Ingest(Post{ID: tick, Time: float64(tick), Text: fmt.Sprintf("obama senate item %d", tick)})
+				_ = ingestPost(s, Post{ID: tick, Time: float64(tick), Text: fmt.Sprintf("obama senate item %d", tick)})
 			}
 		}()
 	}
@@ -540,7 +541,7 @@ func TestShutdownMidIngest(t *testing.T) {
 				batch[i] = Post{ID: next, Time: float64(next), Text: fmt.Sprintf("senate roll call %d", next)}
 				next++
 			}
-			n, err := cl.IngestAccepted(batch...)
+			n, err := cl.Ingest(context.Background(), batch...)
 			totalAccepted.Add(int64(n))
 			if err != nil {
 				cutErr = err
@@ -552,7 +553,7 @@ func TestShutdownMidIngest(t *testing.T) {
 	for core.Stats().Ingested < 50 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := cl.Flush(); err != nil {
+	if err := cl.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	<-done

@@ -37,7 +37,7 @@ func TestMetricsJSONGolden(t *testing.T) {
 		{ID: 6, Time: 200, Text: "president heads to camp david"},
 	}
 	for _, p := range posts {
-		if err := s.Ingest(p); err != nil {
+		if err := ingestPost(s, p); err != nil {
 			t.Fatal(err)
 		}
 	}

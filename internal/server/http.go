@@ -24,7 +24,8 @@ import (
 //	POST   /subscriptions                 {topics, lambda, tau, algorithm} → {"id": N}
 //	DELETE /subscriptions/{id}
 //	GET    /subscriptions/{id}/emissions?after=SEQ&limit=K&wait=DUR → [Emission]
-//	                                      (400 on an unparsable after or limit)
+//	                                      (400 on an unparsable limit or an after
+//	                                      that is not an integer ≥ 0)
 //	                                      (or one binary emissions frame when the
 //	                                      request Accepts application/x-mqdp-frame).
 //	                                      wait= long-polls up to DUR (capped at
@@ -43,7 +44,8 @@ import (
 //	                                      Accept negotiation)
 //	GET    /subscriptions/{id}/stream     Server-Sent Events push: emission,
 //	                                      topk, gap and end events. Resumes from
-//	                                      ?after=SEQ or Last-Event-ID. 503 +
+//	                                      ?after=SEQ (400 unless an integer ≥ 0)
+//	                                      or Last-Event-ID. 503 +
 //	                                      Retry-After over the MaxStreams cap.
 //	GET    /subscriptions/{id}/stats      → SubscriptionStats
 //	POST   /ingest                        Post or [Post] → {"accepted": N} (on a
@@ -120,7 +122,7 @@ func Handler(s *Server) http.Handler {
 			w.WriteHeader(http.StatusNoContent)
 		case len(parts) == 2 && parts[1] == "emissions" && r.Method == http.MethodGet:
 			q := r.URL.Query()
-			after, err := queryInt(q, "after")
+			after, err := queryCursor(q)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
@@ -494,6 +496,16 @@ func queryInt(q url.Values, name string) (int64, error) {
 	return n, nil
 }
 
+// queryCursor reads the ?after= resume cursor: a seq, so an integer ≥ 0.
+// A negative one would otherwise be reported as a gap that never existed.
+func queryCursor(q url.Values) (int64, error) {
+	after, err := queryInt(q, "after")
+	if err == nil && after < 0 {
+		err = fmt.Errorf("bad after=%d: want an integer ≥ 0", after)
+	}
+	return after, err
+}
+
 // maxLongPollWait caps ?wait= so a typoed duration can't pin a handler
 // goroutine for hours; clients wanting longer just reissue the poll.
 const maxLongPollWait = 60 * time.Second
@@ -570,6 +582,9 @@ func retryAfterSeconds(d time.Duration) string {
 }
 
 func httpError(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrReadOnly) {
+		w.Header().Set("Retry-After", "1")
+	}
 	http.Error(w, err.Error(), statusFor(err))
 }
 

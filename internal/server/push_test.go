@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,7 +36,7 @@ func TestPollGapReporting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if err := s.Ingest(Post{ID: int64(i + 1), Time: float64(i), Text: fmt.Sprintf("obama update %d", i)}); err != nil {
+		if err := ingestPost(s, Post{ID: int64(i + 1), Time: float64(i), Text: fmt.Sprintf("obama update %d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +88,7 @@ func TestPollGapEmptyBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := s.Ingest(Post{ID: int64(i + 1), Time: float64(i), Text: fmt.Sprintf("obama update %d", i)}); err != nil {
+		if err := ingestPost(s, Post{ID: int64(i + 1), Time: float64(i), Text: fmt.Sprintf("obama update %d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +132,7 @@ func TestWaitEmissionsWakeAndDrain(t *testing.T) {
 		got <- res{es, err}
 	}()
 	time.Sleep(20 * time.Millisecond) // let the waiter park
-	if err := s.Ingest(Post{ID: 1, Time: 0, Text: "obama speaks"}); err != nil {
+	if err := ingestPost(s, Post{ID: 1, Time: 0, Text: "obama speaks"}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -265,7 +267,7 @@ func TestLongPollHTTP(t *testing.T) {
 func TestFlushWakesIdleStream(t *testing.T) {
 	ts, core := newTestServer(t)
 	cl := NewClient(ts.URL)
-	id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics()})
+	id, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +310,7 @@ func TestStreamQuarantineEndsStream(t *testing.T) {
 	}
 	ts, core := newTestServerWith(t, Config{Faults: inj})
 	cl := NewClient(ts.URL)
-	id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
+	id, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +331,7 @@ func TestStreamQuarantineEndsStream(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	// Match #1 emits; match #2 panics the pipeline and quarantines.
 	for i := 0; i < 3; i++ {
-		if err := core.Ingest(Post{ID: int64(i + 1), Time: float64(i), Text: fmt.Sprintf("obama %d", i)}); err != nil {
+		if err := ingestPost(core, Post{ID: int64(i + 1), Time: float64(i), Text: fmt.Sprintf("obama %d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -447,7 +449,7 @@ func TestPushPollDeterminism(t *testing.T) {
 			defer ts.Close()
 			cl := NewClient(ts.URL)
 			cl.Retry = &RetryPolicy{MaxAttempts: 4, BackoffBase: time.Millisecond, BackoffCap: 8 * time.Millisecond, Seed: 7}
-			id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 20, Tau: 5})
+			id, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics(), Lambda: 20, Tau: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -471,7 +473,7 @@ func TestPushPollDeterminism(t *testing.T) {
 				})
 			}()
 			for _, p := range posts {
-				if err := core.Ingest(p); err != nil {
+				if err := ingestPost(core, p); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -480,7 +482,7 @@ func TestPushPollDeterminism(t *testing.T) {
 				t.Fatalf("stream: %v", err)
 			}
 
-			st, err := cl.SubscriptionStats(id)
+			st, err := cl.SubscriptionStats(context.Background(), id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -493,7 +495,7 @@ func TestPushPollDeterminism(t *testing.T) {
 			poll := newStreamCapture()
 			after := int64(0)
 			for {
-				es, err := cl.Emissions(id, after, 7)
+				es, err := cl.Emissions(context.Background(), id, after, 7)
 				var gap *GapError
 				if errors.As(err, &gap) {
 					poll.gap(gap)
@@ -556,55 +558,72 @@ func TestPushPollDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamFallbackWithoutPush verifies the 501 path: against a server
-// that does not implement SSE, Client.Stream degrades to long-polling and
-// still yields the identical event sequence, including the terminal end.
-func TestStreamFallbackWithoutPush(t *testing.T) {
+// TestStreamRefusedIsAPIError: a server that refuses the push surface
+// (501, or 405 from a proxy) fails Stream with the typed error, even with a
+// retry policy, instead of being retried or papered over.
+func TestStreamRefusedIsAPIError(t *testing.T) {
 	core := newServer(t, Config{})
-	ts := httptest.NewServer(legacyServer(Handler(core)))
-	defer ts.Close()
-	cl := NewClient(ts.URL)
-	id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
+	id, err := core.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capt := newStreamCapture()
-	done := make(chan error, 1)
-	go func() {
-		done <- cl.Stream(context.Background(), id, 0, func(ev StreamEvent) error {
-			switch {
-			case ev.Emission != nil:
-				capt.emission(t, ev.Emission)
-			case ev.Gap != nil:
-				capt.gap(ev.Gap)
-			case ev.TopK != nil:
-				capt.topks++
-			case ev.End != nil:
-				capt.reasons = append(capt.reasons, ev.End.Reason)
+	for _, status := range []int{http.StatusNotImplemented, http.StatusMethodNotAllowed} {
+		h := Handler(core)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/stream") {
+				http.Error(w, "no push here", status)
+				return
 			}
+			h.ServeHTTP(w, r)
+		}))
+		cl := NewClient(ts.URL)
+		cl.Retry = &RetryPolicy{BackoffBase: time.Millisecond}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := cl.Stream(ctx, id, 0, func(StreamEvent) error {
+			t.Error("refused stream delivered an event")
 			return nil
 		})
-	}()
-	for i := 0; i < 10; i++ {
-		if err := core.Ingest(Post{ID: int64(i + 1), Time: float64(i), Text: fmt.Sprintf("obama %d", i)}); err != nil {
+		cancel()
+		ts.Close()
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Status != status {
+			t.Errorf("Stream against a %d server = %v, want *APIError %d", status, err, status)
+		}
+		if got := cl.RetryStats().Retries; got != 0 {
+			t.Errorf("Stream retried a %d %d times", status, got)
+		}
+	}
+}
+
+// TestStreamNegativeLastEventID: a negative Last-Event-ID is ignored like
+// a malformed one, so the stream resumes at ?after= instead of announcing
+// a gap that never existed.
+func TestStreamNegativeLastEventID(t *testing.T) {
+	ts, core := newTestServer(t)
+	id, err := core.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // seqs 1 and 2
+		if err := ingestPost(core, Post{ID: int64(i + 1), Time: float64(i), Text: "obama speaks"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	core.Flush()
-	select {
-	case err := <-done:
+	for _, last := range []string{"-5", "garbage"} {
+		req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/subscriptions/%d/stream?after=1", ts.URL, id), nil)
 		if err != nil {
-			t.Fatalf("fallback stream returned %v", err)
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("fallback stream never terminated after flush")
-	}
-	capt.verifyPartition(t, 10)
-	if len(capt.reasons) != 1 || capt.reasons[0] != EndReasonFlushed {
-		t.Errorf("fallback end reasons = %v, want [flushed]", capt.reasons)
-	}
-	if capt.topks == 0 {
-		t.Error("fallback never delivered a top-k view")
+		req.Header.Set("Last-Event-ID", last)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _ := bufio.NewReader(resp.Body).ReadString('\n')
+		resp.Body.Close()
+		if first != "id: 2\n" {
+			t.Errorf("Last-Event-ID %q: stream opened with %q, want the seq-2 emission", last, first)
+		}
 	}
 }
 
@@ -613,7 +632,7 @@ func TestStreamFallbackWithoutPush(t *testing.T) {
 func TestMaxStreamsCap(t *testing.T) {
 	ts, core := newTestServerWith(t, Config{MaxStreams: 1})
 	cl := NewClient(ts.URL)
-	id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics()})
+	id, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +698,7 @@ func TestStreamChurnHammer(t *testing.T) {
 			default:
 			}
 			now += 0.5
-			_ = core.Ingest(Post{ID: int64(i), Time: now, Text: fmt.Sprintf("obama senate %d", i)})
+			_ = ingestPost(core, Post{ID: int64(i), Time: now, Text: fmt.Sprintf("obama senate %d", i)})
 		}
 	}()
 
@@ -693,7 +712,7 @@ func TestStreamChurnHammer(t *testing.T) {
 					return
 				default:
 				}
-				id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
+				id, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 				if err != nil {
 					continue
 				}
@@ -704,11 +723,11 @@ func TestStreamChurnHammer(t *testing.T) {
 				case 1:
 					_, _ = core.WaitEmissions(ctx, id, 0, 0)
 				case 2:
-					_, _ = cl.TopKContext(ctx, id)
-					_, _ = cl.EmissionsContext(ctx, id, 0, 0)
+					_, _ = cl.TopK(ctx, id)
+					_, _ = cl.Emissions(ctx, id, 0, 0)
 				}
 				cancel()
-				_ = cl.Unsubscribe(id)
+				_ = cl.Unsubscribe(context.Background(), id)
 			}
 		}(g)
 	}
@@ -738,11 +757,11 @@ func TestPushSoak(t *testing.T) {
 	cl := NewClient(ts.URL)
 
 	// 8 subscriptions; idle streams watch topics the feed never matches.
-	idleID, err := cl.Subscribe(SubscriptionConfig{Topics: quietTopics(), Algorithm: "instant"})
+	idleID, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: quietTopics(), Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotID, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
+	hotID, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -774,7 +793,7 @@ func TestPushSoak(t *testing.T) {
 	// Sustained ingest: the hot streams see every emission, the idle
 	// streams see none and must cost nothing.
 	for i := 0; i < 2000; i++ {
-		if err := core.Ingest(Post{ID: int64(i + 1), Time: float64(i) * 0.1, Text: fmt.Sprintf("obama burst %d", i)}); err != nil {
+		if err := ingestPost(core, Post{ID: int64(i + 1), Time: float64(i) * 0.1, Text: fmt.Sprintf("obama burst %d", i)}); err != nil {
 			t.Fatal(err)
 		}
 		if i%500 == 0 {

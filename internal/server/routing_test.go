@@ -67,7 +67,7 @@ func runRoutingServer(t *testing.T, workers int) map[int64][]byte {
 		ids = append(ids, id)
 	}
 	for i, p := range posts {
-		if err := s.Ingest(p); err != nil {
+		if err := ingestPost(s, p); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
 	}
@@ -231,7 +231,7 @@ func TestIngestScratchBounded(t *testing.T) {
 	if _, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 10, Tau: 0, Algorithm: "instant"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Ingest(Post{ID: 1, Time: 0, Text: "obama speaks briefly"}); err != nil {
+	if err := ingestPost(s, Post{ID: 1, Time: 0, Text: "obama speaks briefly"}); err != nil {
 		t.Fatal(err)
 	}
 	small := cap(s.wordBuf)
@@ -242,14 +242,14 @@ func TestIngestScratchBounded(t *testing.T) {
 	for i := 0; i < 2*keepIngestScratch; i++ {
 		fmt.Fprintf(&huge, "w%d ", i)
 	}
-	if err := s.Ingest(Post{ID: 2, Time: 1, Text: huge.String()}); err != nil {
+	if err := ingestPost(s, Post{ID: 2, Time: 1, Text: huge.String()}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cap(s.wordBuf); got != 0 {
 		t.Errorf("post-pathological wordBuf cap = %d, want 0 (dropped)", got)
 	}
 	// The next ordinary post re-grows a right-sized buffer.
-	if err := s.Ingest(Post{ID: 3, Time: 2, Text: "senate votes again"}); err != nil {
+	if err := ingestPost(s, Post{ID: 3, Time: 2, Text: "senate votes again"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cap(s.wordBuf); got == 0 || got > keepIngestScratch {
@@ -267,10 +267,10 @@ func TestRoutingSkippedAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Ingest(Post{ID: 1, Time: 0, Text: "nothing relevant here"}); err != nil {
+	if err := ingestPost(s, Post{ID: 1, Time: 0, Text: "nothing relevant here"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Ingest(Post{ID: 2, Time: 1, Text: "obama speaks"}); err != nil {
+	if err := ingestPost(s, Post{ID: 2, Time: 1, Text: "obama speaks"}); err != nil {
 		t.Fatal(err)
 	}
 	m := s.Metrics()

@@ -398,7 +398,12 @@ func (s *Server) Subscribe(cfg SubscriptionConfig) (int64, error) {
 		return 0, err
 	}
 	if d != nil && !d.replaying.Load() {
-		s.durAppendSubscribe(d, id, cfg)
+		if err := s.durAppendSubscribe(d, id, cfg); err != nil {
+			// Not journaled, so a restart would not know it: roll the
+			// registration back rather than report an id that can vanish.
+			_ = s.unsubscribe(id)
+			return 0, err
+		}
 	}
 	return id, nil
 }
@@ -473,7 +478,8 @@ func (s *Server) subscribe(id int64, cfg SubscriptionConfig) (int64, error) {
 // Unsubscribe removes a profile and terminates its live push streams:
 // blocked waiters wake immediately with an explicit stream end instead of
 // hanging until their own timeouts. With durability enabled the removal
-// is journaled; while degraded it is refused with ErrReadOnly.
+// is journaled before it is applied, so a failed append leaves the
+// subscription in place; while degraded it is refused with ErrReadOnly.
 func (s *Server) Unsubscribe(id int64) error {
 	d := s.dur
 	if d != nil && !d.replaying.Load() {
@@ -482,14 +488,16 @@ func (s *Server) Unsubscribe(id int64) error {
 		}
 		d.walBatchMu.Lock()
 		defer d.walBatchMu.Unlock()
+		// walBatchMu serializes registry mutations, so the subscription
+		// found here is still present when it is removed below.
+		if _, ok := s.lookup(id); !ok {
+			return ErrNoSuchSubscription
+		}
+		if err := s.durAppendUnsubscribe(d, id); err != nil {
+			return err
+		}
 	}
-	if err := s.unsubscribe(id); err != nil {
-		return err
-	}
-	if d != nil && !d.replaying.Load() {
-		s.durAppendUnsubscribe(d, id)
-	}
-	return nil
+	return s.unsubscribe(id)
 }
 
 func (s *Server) unsubscribe(id int64) error {
@@ -519,30 +527,6 @@ func (s *Server) unsubscribe(id int64) error {
 	sub.terminateLocked(EndReasonUnsubscribed)
 	sub.mu.Unlock()
 	return nil
-}
-
-// Ingest feeds one post (nondecreasing Time) to every subscription that
-// shares a keyword with it. The per-subscription work — matching,
-// processing, delivery — runs on up to Parallelism() workers, one
-// subscription per worker at a time, so the cost per post is
-// O(|candidates|/workers), not O(|subs|).
-func (s *Server) Ingest(p Post) error {
-	return s.IngestContext(context.Background(), p)
-}
-
-// IngestContext is Ingest honoring a caller deadline: a post is admitted
-// atomically or not at all — ctx is only consulted before admission, so
-// an expired deadline never leaves a half-fanned-out post behind. With
-// durability enabled the post goes through the batch/ack journal pair of
-// IngestBatch (one single-post WAL batch record plus its acked outcome,
-// committed per the fsync policy), so replay applies exactly what this
-// call reported; while degraded, ingest is refused with ErrReadOnly.
-func (s *Server) IngestContext(ctx context.Context, p Post) error {
-	if s.dur == nil {
-		return s.ingestOne(ctx, p)
-	}
-	_, _, err := s.IngestBatch(ctx, []Post{p}, "")
-	return err
 }
 
 // ingestOne is the WAL-free admission + fan-out core shared by the live
@@ -798,7 +782,7 @@ func (sub *subscription) gc(now float64) {
 }
 
 // Flush ends the stream, forcing every pending decision out, and latches
-// the server closed: further Ingest calls fail with ErrClosed and further
+// the server closed: further ingest fails with ErrClosed and further
 // Flush calls are no-ops (processor streams end exactly once).
 func (s *Server) Flush() {
 	d := s.dur
@@ -810,7 +794,7 @@ func (s *Server) Flush() {
 		// log can't record it, but the in-memory flush still proceeds —
 		// shutdown must not hinge on a broken disk.
 		if !s.closed.Load() && !d.degraded.Load() {
-			s.durAppendFlush(d)
+			_ = s.durAppendFlush(d)
 		}
 	}
 	s.ingestMu.Lock()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,7 +38,7 @@ func TestSubscribeIngestEmissions(t *testing.T) {
 		{ID: 5, Time: 200, Text: "president heads to camp david"},
 	}
 	for _, p := range posts {
-		if err := s.Ingest(p); err != nil {
+		if err := ingestPost(s, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,8 +104,8 @@ func TestPerSubscriptionIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = s.Ingest(Post{ID: 1, Time: 0, Text: "obama press conference"})
-	_ = s.Ingest(Post{ID: 2, Time: 1, Text: "senate hearing today"})
+	_ = ingestPost(s, Post{ID: 1, Time: 0, Text: "obama press conference"})
+	_ = ingestPost(s, Post{ID: 2, Time: 1, Text: "senate hearing today"})
 	s.Flush()
 	obamaEs, _ := s.Emissions(obamaID, 0, 0)
 	senateEs, _ := s.Emissions(senateID, 0, 0)
@@ -122,8 +123,8 @@ func TestDeduplicationBeforeMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = s.Ingest(Post{ID: 1, Time: 0, Text: "obama wins again"})
-	_ = s.Ingest(Post{ID: 2, Time: 1, Text: "obama wins again"}) // dropped
+	_ = ingestPost(s, Post{ID: 1, Time: 0, Text: "obama wins again"})
+	_ = ingestPost(s, Post{ID: 2, Time: 1, Text: "obama wins again"}) // dropped
 	s.Flush()
 	st := s.Stats()
 	if st.Ingested != 2 || st.DroppedDups != 1 {
@@ -137,8 +138,8 @@ func TestDeduplicationBeforeMatching(t *testing.T) {
 
 func TestIngestOrderEnforced(t *testing.T) {
 	s := newServer(t, Config{})
-	_ = s.Ingest(Post{ID: 1, Time: 10, Text: "x"})
-	if err := s.Ingest(Post{ID: 2, Time: 5, Text: "y"}); !errors.Is(err, ErrOutOfOrder) {
+	_ = ingestPost(s, Post{ID: 1, Time: 10, Text: "x"})
+	if err := ingestPost(s, Post{ID: 2, Time: 5, Text: "y"}); !errors.Is(err, ErrOutOfOrder) {
 		t.Errorf("out-of-order ingest error = %v", err)
 	}
 }
@@ -176,7 +177,7 @@ func TestConcurrentReadsDuringIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
-			_ = s.Ingest(Post{ID: int64(i), Time: float64(i), Text: fmt.Sprintf("obama item %d", i)})
+			_ = ingestPost(s, Post{ID: int64(i), Time: float64(i), Text: fmt.Sprintf("obama item %d", i)})
 		}
 	}()
 	for r := 0; r < 4; r++ {
@@ -206,6 +207,13 @@ func newServer(t testing.TB, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// ingestPost feeds one post through IngestBatch, the server's only ingest
+// entry.
+func ingestPost(s *Server, p Post) error {
+	_, _, err := s.IngestBatch(context.Background(), []Post{p}, "")
+	return err
 }
 
 func newTestServer(t *testing.T) (*httptest.Server, *Server) {
@@ -324,7 +332,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, core := newTestServer(t)
+	if _, err := core.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"}); err != nil { // id 1
+		t.Fatal(err)
+	}
 	cases := []struct {
 		method, path string
 		body         string
@@ -344,7 +355,14 @@ func TestHTTPErrors(t *testing.T) {
 		{"GET", "/flush", "", http.StatusMethodNotAllowed},
 		{"POST", "/stats", "", http.StatusMethodNotAllowed},
 		{"GET", "/subscriptions/1/unknown", "", http.StatusNotFound},
+		// Resume cursors are seqs: negative or malformed ones are refused on
+		// both the poll and the push endpoint, never read as a gap or as 0.
+		{"GET", "/subscriptions/1/emissions?after=-1", "", http.StatusBadRequest},
+		{"GET", "/subscriptions/1/emissions?after=-7&wait=1ms", "", http.StatusBadRequest},
+		{"GET", "/subscriptions/1/stream?after=-1", "", http.StatusBadRequest},
+		{"GET", "/subscriptions/1/stream?after=1O", "", http.StatusBadRequest},
 	}
+	gaps := core.gaps.Value()
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader([]byte(tc.body)))
 		if err != nil {
@@ -358,6 +376,9 @@ func TestHTTPErrors(t *testing.T) {
 		if resp.StatusCode != tc.wantStatus {
 			t.Errorf("%s %s → %d, want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
 		}
+	}
+	if got := core.gaps.Value(); got != gaps {
+		t.Errorf("refused cursors counted %d gaps", got-gaps)
 	}
 	// Out-of-order ingest maps to 409.
 	_ = postJSON(t, ts.URL+"/ingest", Post{ID: 1, Time: 100, Text: "x"})
@@ -410,8 +431,8 @@ func TestDigestEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = core.Ingest(Post{ID: 1, Time: 0, Text: "obama statement on budget"})
-	_ = core.Ingest(Post{ID: 2, Time: 3700, Text: "senate session opens"})
+	_ = ingestPost(core, Post{ID: 1, Time: 0, Text: "obama statement on budget"})
+	_ = ingestPost(core, Post{ID: 2, Time: 3700, Text: "senate session opens"})
 
 	resp, err := http.Get(fmt.Sprintf("%s/subscriptions/%d/digest", ts.URL, id))
 	if err != nil {
@@ -448,7 +469,7 @@ func TestServerDigestMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = s.Ingest(Post{ID: 1, Time: 0, Text: "obama and senate together"})
+	_ = ingestPost(s, Post{ID: 1, Time: 0, Text: "obama and senate together"})
 	d, err := s.Digest(id)
 	if err != nil {
 		t.Fatal(err)

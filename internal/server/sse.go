@@ -50,6 +50,11 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, id int64) {
 		http.Error(w, "streaming unsupported by connection", http.StatusNotImplemented)
 		return
 	}
+	after, err := queryCursor(r.URL.Query())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	sub, ok := s.lookup(id)
 	if !ok {
 		http.Error(w, ErrNoSuchSubscription.Error(), http.StatusNotFound)
@@ -63,11 +68,10 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, id int64) {
 	}
 	defer release()
 
-	after, _ := strconv.ParseInt(r.URL.Query().Get("after"), 10, 64)
-	if last := r.Header.Get("Last-Event-ID"); last != "" {
-		if v, err := strconv.ParseInt(last, 10, 64); err == nil {
-			after = v
-		}
+	// A malformed or negative Last-Event-ID is ignored: the ?after= cursor
+	// stands.
+	if v, err := strconv.ParseInt(r.Header.Get("Last-Event-ID"), 10, 64); err == nil && v >= 0 {
+		after = v
 	}
 
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -70,7 +70,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	ts, s, tracer := newTracedServer(t)
 
 	cl := NewClient(ts.URL)
-	id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
+	id, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	ct.SetRetention(0, 1)
 	root := ct.StartTrace("client.ingest")
 	ctx := obs.ContextWithSpan(context.Background(), root)
-	if err := cl.IngestContext(ctx, Post{ID: 1, Time: 0, Text: "obama speaks tonight"}); err != nil {
+	if _, err := cl.Ingest(ctx, Post{ID: 1, Time: 0, Text: "obama speaks tonight"}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -299,7 +299,7 @@ func TestTraceClientRetrySameTrace(t *testing.T) {
 	ct.SetRetention(0, 1)
 	root := ct.StartTrace("client.ingest")
 	ctx := obs.ContextWithSpan(context.Background(), root)
-	if err := cl.IngestContext(ctx, Post{ID: 1, Time: 0, Text: "obama speaks"}); err != nil {
+	if _, err := cl.Ingest(ctx, Post{ID: 1, Time: 0, Text: "obama speaks"}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -348,14 +348,14 @@ func TestTraceSSEReconnectSameTrace(t *testing.T) {
 
 	cl := NewClient(ts.URL)
 	cl.Retry = &RetryPolicy{MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond}
-	id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
+	id, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ct := obs.NewTracer(16)
 	ct.SetRetention(0, 1)
 	ingest := ct.StartTrace("client.ingest")
-	if err := cl.IngestContext(obs.ContextWithSpan(context.Background(), ingest), Post{ID: 1, Time: 0, Text: "obama speaks"}); err != nil {
+	if _, err := cl.Ingest(obs.ContextWithSpan(context.Background(), ingest), Post{ID: 1, Time: 0, Text: "obama speaks"}); err != nil {
 		t.Fatal(err)
 	}
 	ingest.End()
@@ -413,7 +413,7 @@ func TestEmissionsByteIdenticalTracedVsUntraced(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			if err := s.Ingest(Post{ID: int64(i + 1), Time: float64(i * 10), Text: fmt.Sprintf("obama update %d", i)}); err != nil {
+			if err := ingestPost(s, Post{ID: int64(i + 1), Time: float64(i * 10), Text: fmt.Sprintf("obama update %d", i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -440,12 +440,12 @@ func TestGapCounterIncrements(t *testing.T) {
 
 	ts, s, _ := newTracedServer(t)
 	cl := NewClient(ts.URL)
-	id, err := cl.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
+	id, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		if err := cl.Ingest(Post{ID: int64(i + 1), Time: float64(i * 10), Text: fmt.Sprintf("obama update %d", i)}); err != nil {
+		if _, err := cl.Ingest(context.Background(), Post{ID: int64(i + 1), Time: float64(i * 10), Text: fmt.Sprintf("obama update %d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -465,7 +465,7 @@ func TestGapCounterIncrements(t *testing.T) {
 	}
 
 	// The typed client surfaces the same gap as *GapError.
-	_, err = cl.Emissions(id, 0, 0)
+	_, err = cl.Emissions(context.Background(), id, 0, 0)
 	var gap *GapError
 	if !errors.As(err, &gap) {
 		t.Fatalf("client poll error = %v, want *GapError", err)

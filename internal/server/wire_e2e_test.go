@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,61 +29,53 @@ func wireE2EPosts() []Post {
 	}
 }
 
-// legacyServer wraps the real Handler as a server that predates the binary
-// wire and push delivery: binary-framed ingest gets 415, binary Accept
-// negotiation is ignored, and the SSE endpoint answers 501 — the signals
-// the Client's JSON latch and long-poll fallback exist for.
-func legacyServer(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case wire.IsBinary(r.Header.Get("Content-Type")):
-			http.Error(w, "unsupported media type", http.StatusUnsupportedMediaType)
-		case strings.HasSuffix(r.URL.Path, "/stream"):
-			http.Error(w, "not implemented", http.StatusNotImplemented)
-		default:
-			r.Header.Del("Accept")
-			h.ServeHTTP(w, r)
-		}
-	})
-}
-
-// runWireE2E ingests the standard stream through a client (binary by
-// default, JSON-pinned when jsonClient) against the real handler wrapped by
-// serve (nil = as is) and returns the JSON-marshaled emission streams per
-// profile.
-func runWireE2E(t *testing.T, serve func(http.Handler) http.Handler, jsonClient bool) []string {
+// runWireE2E ingests the standard stream against the real handler and
+// returns the JSON-marshaled emission streams per profile. The binary side
+// goes through the Client (binary ingest frames, binary polls); with
+// jsonWire the ingest and the polls are raw JSON requests that send no
+// Accept header.
+func runWireE2E(t *testing.T, jsonWire bool) []string {
 	t.Helper()
-	h := Handler(newServer(t, Config{DupDistance: 3, DupWindow: 64}))
-	if serve != nil {
-		h = serve(h)
-	}
-	ts := httptest.NewServer(h)
+	ts := httptest.NewServer(Handler(newServer(t, Config{DupDistance: 3, DupWindow: 64})))
 	defer ts.Close()
 	c := NewClient(ts.URL)
 	c.Retry = &RetryPolicy{Seed: 1}
-	c.DisableBinaryWire = jsonClient
+	ctx := context.Background()
 	var ids []int64
 	for _, cfg := range []SubscriptionConfig{
 		{Topics: politicsTopics(), Lambda: 60, Tau: 10, Algorithm: "streamscan+"},
 		{Topics: politicsTopics(), Lambda: 30, Tau: 0, Algorithm: "instant"},
 	} {
-		id, err := c.Subscribe(cfg)
+		id, err := c.Subscribe(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
-	if err := c.Ingest(wireE2EPosts()...); err != nil {
+	if jsonWire {
+		resp := postJSON(t, ts.URL+"/ingest", wireE2EPosts())
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("JSON ingest = %d", resp.StatusCode)
+		}
+	} else if _, err := c.Ingest(ctx, wireE2EPosts()...); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Flush(); err != nil {
+	if err := c.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	var streams []string
 	for _, id := range ids {
-		es, err := c.Emissions(id, 0, 0)
-		if err != nil {
-			t.Fatal(err)
+		var es []Emission
+		if jsonWire {
+			if st := getJSON(t, fmt.Sprintf("%s/subscriptions/%d/emissions?after=0", ts.URL, id), &es); st != http.StatusOK {
+				t.Fatalf("JSON poll = %d", st)
+			}
+		} else {
+			var err error
+			if es, err = c.Emissions(ctx, id, 0, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		blob, err := json.Marshal(es)
 		if err != nil {
@@ -94,11 +87,11 @@ func runWireE2E(t *testing.T, serve func(http.Handler) http.Handler, jsonClient 
 }
 
 // TestWireBinaryEmissionsIdentical is the format-equivalence contract:
-// a client negotiated to binary frames must observe byte-identical
-// emission streams to a JSON-only client over the same ingest.
+// binary ingest and binary polls must observe byte-identical emission
+// streams to JSON ingest and JSON polls over the same stream.
 func TestWireBinaryEmissionsIdentical(t *testing.T) {
-	jsonStreams := runWireE2E(t, nil, true)
-	binStreams := runWireE2E(t, nil, false)
+	jsonStreams := runWireE2E(t, true)
+	binStreams := runWireE2E(t, false)
 	if len(jsonStreams) != len(binStreams) {
 		t.Fatalf("profile counts differ: %d vs %d", len(jsonStreams), len(binStreams))
 	}
@@ -112,60 +105,13 @@ func TestWireBinaryEmissionsIdentical(t *testing.T) {
 	}
 }
 
-// TestWireClient415Fallback points a binary-preferring client at a server
-// without the binary surface: the first ingest must transparently
-// fall back to JSON (and latch, so later calls skip the binary attempt)
-// without losing any posts.
-func TestWireClient415Fallback(t *testing.T) {
-	streams := runWireE2E(t, legacyServer, false)
-	want := runWireE2E(t, nil, true)
-	for i := range streams {
-		if streams[i] != want[i] {
-			t.Errorf("profile %d emissions after 415 fallback differ:\n%s\nwant %s", i, streams[i], want[i])
-		}
-	}
-}
-
-// TestWireClient415Latches checks the fallback is remembered: after one
-// 415 the client stops sending binary frames entirely.
-func TestWireClient415Latches(t *testing.T) {
-	var contentTypes []string
-	inner := legacyServer(Handler(newServer(t, Config{})))
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/ingest" {
-			contentTypes = append(contentTypes, r.Header.Get("Content-Type"))
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-	c := NewClient(ts.URL)
-	if _, err := c.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 60, Tau: 0}); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 3; i++ {
-		if err := c.Ingest(Post{ID: i, Time: float64(i), Text: "obama speaks"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// First call: binary attempt (415) then JSON retry. Later calls: JSON only.
-	want := []string{wire.ContentTypeBinary, wire.ContentTypeJSON, wire.ContentTypeJSON, wire.ContentTypeJSON}
-	if len(contentTypes) != len(want) {
-		t.Fatalf("ingest content types = %v, want %v", contentTypes, want)
-	}
-	for i := range want {
-		if contentTypes[i] != want[i] {
-			t.Errorf("request %d content type %q, want %q", i, contentTypes[i], want[i])
-		}
-	}
-}
-
 // TestWireBinaryIdempotentReplay reruns the exactly-once contract over
 // binary frames: resending a batch with the same idempotency key must
 // replay the recorded outcome, not double-ingest.
 func TestWireBinaryIdempotentReplay(t *testing.T) {
 	ts, _ := newTestServer(t)
 	c := NewClient(ts.URL)
-	id, err := c.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 0, Tau: 0, Algorithm: "instant"})
+	id, err := c.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics(), Lambda: 0, Tau: 0, Algorithm: "instant"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +127,10 @@ func TestWireBinaryIdempotentReplay(t *testing.T) {
 	if res1.Accepted != 2 || res2.Accepted != 2 {
 		t.Fatalf("accepted %d then %d, want 2 and 2", res1.Accepted, res2.Accepted)
 	}
-	if err := c.Flush(); err != nil {
+	if err := c.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	es, err := c.Emissions(id, 0, 0)
+	es, err := c.Emissions(context.Background(), id, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -526,16 +526,6 @@ func (l *Log) Replay(from uint64, fn func(Record) error) error {
 	return replaySegments(segs, from, fn)
 }
 
-// ReplayDir replays a log directory without opening it for appends —
-// read-only recovery inspection. Same contract as Log.Replay.
-func ReplayDir(dir string, from uint64, fn func(Record) error) error {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	return replaySegments(segs, from, fn)
-}
-
 // callbackError tags an error returned by the caller's replay callback,
 // so replaySegments can tell "fn rejected a record" apart from "the
 // segment frame is damaged" — only the latter is a tolerable torn tail.

@@ -1,6 +1,7 @@
 package mqdp_test
 
 import (
+	"context"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -148,7 +149,7 @@ func TestSoakWithFaults(t *testing.T) {
 	ids := make([]int64, 0, 8)
 	algos := []string{"streamscan", "streamscan+", "streamgreedy", "streamgreedy+", "instant"}
 	for i := 0; i < 8; i++ {
-		id, err := cl.Subscribe(server.SubscriptionConfig{
+		id, err := cl.Subscribe(context.Background(), server.SubscriptionConfig{
 			Topics:    world.MatchTopics(world.SampleLabelSet(rng, 2+i%3)),
 			Lambda:    float64(60 * (1 + i%3)),
 			Tau:       float64(30 * (i % 2)),
@@ -167,12 +168,12 @@ func TestSoakWithFaults(t *testing.T) {
 		for _, tw := range tweets[at:end] {
 			batch = append(batch, server.Post{ID: tw.ID, Time: tw.Time, Text: tw.Text})
 		}
-		n, err := cl.IngestAccepted(batch...)
+		n, err := cl.Ingest(context.Background(), batch...)
 		if err != nil || n != len(batch) {
 			t.Fatalf("batch at %d: accepted (%d, %v), want (%d, nil)", at, n, err, len(batch))
 		}
 	}
-	if err := cl.Flush(); err != nil {
+	if err := cl.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
