@@ -28,8 +28,10 @@
 // correlated by trace_id.
 //
 // SLOs: -slo-ingest/-slo-poll set per-endpoint latency objectives
-// (e.g. -slo-ingest 50ms). Good/bad counters land in the Prometheus
-// exposition as mqdp_slo_*_total and burn rates appear under /metrics.
+// (e.g. -slo-ingest 50ms) against the -slo-target availability, which
+// must lie in (0, 1). Good/bad counters land in the Prometheus exposition
+// as mqdp_slo_*_total, and burn rates appear under /metrics even with
+// -no-obs.
 //
 // Push delivery: -max-streams caps concurrently served push waiters —
 // SSE streams plus blocked long-polls — refusing the excess with 503 +
@@ -155,6 +157,10 @@ func main() {
 		logger.Error("bad -shed-policy", "value", *shedPolicy, "want", string(server.ShedPolicyShed)+"|"+string(server.ShedPolicyBlock))
 		os.Exit(2)
 	}
+	if *sloTarget <= 0 || *sloTarget >= 1 {
+		logger.Error("bad -slo-target", "value", *sloTarget, "want", "in (0, 1)")
+		os.Exit(2)
+	}
 
 	// Everything the flags say goes into one Config; the server reads it
 	// once, in New, which also runs recovery when -data-dir is set.
@@ -193,14 +199,16 @@ func main() {
 			reg.SetTracer(tr)
 		}
 		cfg.Obs = reg
-		if *sloIngest > 0 {
-			cfg.SLOIngest = obs.NewSLO("ingest", *sloIngest, *sloTarget)
-			cfg.SLOIngest.Register(reg)
-		}
-		if *sloPoll > 0 {
-			cfg.SLOPoll = obs.NewSLO("poll", *sloPoll, *sloTarget)
-			cfg.SLOPoll.Register(reg)
-		}
+	}
+	// SLOs need no registry: JSON /metrics reports them either way, and
+	// Register is a no-op under -no-obs.
+	if *sloIngest > 0 {
+		cfg.SLOIngest = obs.NewSLO("ingest", *sloIngest, *sloTarget)
+		cfg.SLOIngest.Register(cfg.Obs)
+	}
+	if *sloPoll > 0 {
+		cfg.SLOPoll = obs.NewSLO("poll", *sloPoll, *sloTarget)
+		cfg.SLOPoll.Register(cfg.Obs)
 	}
 	if *dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(*fsync)

@@ -1,13 +1,12 @@
 // Package resilience is the repo's stdlib-only fault-tolerance toolkit:
-// exponential backoff with decorrelated jitter, a three-state circuit
-// breaker, a token-bucket rate limiter, an in-flight admission
-// semaphore and a context-aware Sleep. Every component takes an
-// injectable clock and/or RNG seed so tests (and the deterministic chaos
-// harness in internal/faultinject) replay byte-identically.
+// exponential backoff with decorrelated jitter, a token-bucket rate
+// limiter, an in-flight admission semaphore and a context-aware Sleep.
+// Backoff takes an RNG seed and TokenBucket an injectable clock, so their
+// own tests replay exactly.
 //
 // The pieces are deliberately decoupled: the pub/sub server composes
 // TokenBucket + Inflight into its admission controller, while the HTTP
-// client composes Backoff + Breaker into its RetryPolicy. Nothing here
+// client drives its RetryPolicy with Backoff and Sleep. Nothing here
 // imports anything above the standard library.
 package resilience
 

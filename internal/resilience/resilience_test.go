@@ -60,7 +60,7 @@ func TestSleepCancel(t *testing.T) {
 	}
 }
 
-// fakeClock is a settable time source shared by breaker/bucket tests.
+// fakeClock is a settable time source for the bucket tests.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -76,90 +76,6 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Lock()
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
-}
-
-func TestBreakerLifecycle(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	var transitions []string
-	b := NewBreaker(3, time.Second)
-	b.SetClock(clk.now)
-	b.OnTransition = func(from, to BreakerState) {
-		transitions = append(transitions, from.String()+"->"+to.String())
-	}
-
-	// Two failures: still closed.
-	for i := 0; i < 2; i++ {
-		if !b.Allow() {
-			t.Fatal("closed breaker refused")
-		}
-		b.Record(false)
-	}
-	if s := b.State(); s != BreakerClosed {
-		t.Fatalf("state after 2 failures = %v", s)
-	}
-	// Third consecutive failure trips it.
-	b.Allow()
-	b.Record(false)
-	if s := b.State(); s != BreakerOpen {
-		t.Fatalf("state after 3 failures = %v", s)
-	}
-	if b.Allow() {
-		t.Fatal("open breaker allowed before cooldown")
-	}
-	// Cooldown elapses: exactly one probe is admitted.
-	clk.advance(time.Second)
-	if s := b.State(); s != BreakerHalfOpen {
-		t.Fatalf("state after cooldown = %v", s)
-	}
-	if !b.Allow() {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if b.Allow() {
-		t.Fatal("second probe admitted while first in flight")
-	}
-	// Failed probe: open again for a fresh cooldown.
-	b.Record(false)
-	if b.Allow() {
-		t.Fatal("breaker allowed right after failed probe")
-	}
-	clk.advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("probe refused after second cooldown")
-	}
-	b.Record(true)
-	if s := b.State(); s != BreakerClosed {
-		t.Fatalf("state after successful probe = %v", s)
-	}
-	if !b.Allow() {
-		t.Fatal("closed breaker refused after recovery")
-	}
-	b.Record(true)
-
-	want := []string{
-		"closed->open", "open->half-open", "half-open->open",
-		"open->half-open", "half-open->closed",
-	}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions = %v, want %v", transitions, want)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transition %d = %q, want %q", i, transitions[i], want[i])
-		}
-	}
-}
-
-func TestBreakerSuccessResetsFailureCount(t *testing.T) {
-	b := NewBreaker(2, time.Second)
-	for i := 0; i < 10; i++ {
-		b.Allow()
-		b.Record(false)
-		b.Allow()
-		b.Record(true) // alternate: never two consecutive failures
-	}
-	if s := b.State(); s != BreakerClosed {
-		t.Errorf("alternating outcomes tripped the breaker: %v", s)
-	}
 }
 
 func TestTokenBucket(t *testing.T) {

@@ -15,8 +15,8 @@ type ShedPolicy string
 const (
 	// ShedPolicyShed rejects immediately with 429 + Retry-After.
 	ShedPolicyShed ShedPolicy = "shed"
-	// ShedPolicyBlock queues the request (bounded by MaxWait and the
-	// request context) and sheds only if no slot frees in time. The
+	// ShedPolicyBlock queues the request (bounded by maxAdmissionWait and
+	// the request context) and sheds only if no slot frees in time. The
 	// queue is the semaphore's wait list — bounded by the listener's
 	// connection backlog, never unbounded in-process buffering.
 	ShedPolicyBlock ShedPolicy = "block"
@@ -31,13 +31,15 @@ type AdmissionConfig struct {
 	// ingest request; Rate ≤ 0 disables the bucket.
 	Rate  float64
 	Burst int
-	// Policy is shed (default) or block.
+	// Policy is shed (default) or block. Only the in-flight cap blocks:
+	// the bucket always sheds, since waiting for refill would just move
+	// the queue inside the server.
 	Policy ShedPolicy
-	// MaxWait bounds how long a blocked request waits for an in-flight
-	// slot (0 = 1s). The bucket always sheds: waiting for refill would
-	// just move the queue inside the server.
-	MaxWait time.Duration
 }
+
+// maxAdmissionWait bounds how long a blocked request waits for an
+// in-flight slot.
+const maxAdmissionWait = time.Second
 
 // admission is the live controller built from an AdmissionConfig.
 type admission struct {
@@ -60,9 +62,6 @@ func newAdmission(cfg AdmissionConfig) *admission {
 	}
 	if a.cfg.Policy == "" {
 		a.cfg.Policy = ShedPolicyShed
-	}
-	if a.cfg.MaxWait <= 0 {
-		a.cfg.MaxWait = time.Second
 	}
 	return a
 }
@@ -87,7 +86,7 @@ func (s *Server) admit(ctx context.Context) (release func(), retryAfter time.Dur
 			s.shed.Inc()
 			return nil, time.Second, false
 		}
-		waitCtx, cancel := context.WithTimeout(ctx, a.cfg.MaxWait)
+		waitCtx, cancel := context.WithTimeout(ctx, maxAdmissionWait)
 		defer cancel()
 		if err := a.inflight.Acquire(waitCtx); err != nil {
 			s.shed.Inc()

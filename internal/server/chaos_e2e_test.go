@@ -15,7 +15,6 @@ import (
 	"mqdp"
 	"mqdp/internal/faultinject"
 	"mqdp/internal/obs"
-	"mqdp/internal/resilience"
 	"mqdp/internal/synth"
 	"mqdp/internal/wal"
 )
@@ -53,9 +52,10 @@ func chaosSubscribe(t *testing.T, world *synth.World, sub func(SubscriptionConfi
 //     the service metrics — while the server keeps serving;
 //   - every healthy subscription's emission sequence is byte-identical to a
 //     fault-free run over the same stream;
-//   - the obs registry's retry/breaker/quarantine counters reconcile with
-//     the injector's own record of what it injected (TestChaosForcedShed
-//     does the same for the shed counters).
+//   - the client's retries (attempts the transport saw beyond one per
+//     logical call) and the quarantine counters reconcile with the
+//     injector's own record of what it injected (TestChaosForcedShed does
+//     the same for the shed counters).
 func TestChaosE2E(t *testing.T) {
 	world := synth.NewWorld(synth.WorldConfig{Seed: 21})
 	tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 600, RatePerSec: 2, DupRatio: 0, Seed: 22})
@@ -86,8 +86,7 @@ func TestChaosE2E(t *testing.T) {
 	}
 	cl := NewClient(ts.URL)
 	cl.HTTPClient = &http.Client{Transport: faultinject.NewTransport(nil, clInj), Timeout: 10 * time.Second}
-	cl.Retry = &RetryPolicy{MaxAttempts: 6, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond, Seed: 99}
-	cl.SetObs(reg)
+	cl.Retry = &RetryPolicy{MaxAttempts: 6, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond}
 
 	ids := chaosSubscribe(t, world, func(cfg SubscriptionConfig) (int64, error) {
 		return cl.Subscribe(context.Background(), cfg)
@@ -96,6 +95,7 @@ func TestChaosE2E(t *testing.T) {
 		t.Fatalf("subscription ids diverge: %v vs %v", ids, cleanIDs)
 	}
 	const batchSize = 20
+	var ingestCalls int64
 	for at := 0; at < len(tweets); at += batchSize {
 		end := min(at+batchSize, len(tweets))
 		batch := make([]Post, 0, end-at)
@@ -103,6 +103,7 @@ func TestChaosE2E(t *testing.T) {
 			batch = append(batch, Post{ID: tw.ID, Time: tw.Time, Text: tw.Text})
 		}
 		n, err := cl.Ingest(context.Background(), batch...)
+		ingestCalls++
 		if err != nil {
 			t.Fatalf("batch at %d: %v", at, err)
 		}
@@ -157,12 +158,13 @@ func TestChaosE2E(t *testing.T) {
 
 	last := tweets[len(tweets)-1]
 	_, err = cl.Ingest(context.Background(), Post{ID: last.ID + 1, Time: last.Time + 1, Text: "post-flush probe"})
+	ingestCalls++
 	if StatusCode(err) != http.StatusConflict {
 		t.Fatalf("ingest after flush: want 409, got %v", err)
 	}
 
 	// Reconcile every counter with what the injector says it did.
-	cs := cl.RetryStats()
+	retries := clInj.Calls("POST /ingest") - ingestCalls
 	counts := clInj.Counts()
 	for kind, want := range map[string]int64{"drop": 1, "droprx": 1, "status": 1, "delay": 1} {
 		if counts[kind] != want {
@@ -172,18 +174,15 @@ func TestChaosE2E(t *testing.T) {
 	if got := srvInj.Counts()["panic"]; got != 1 {
 		t.Errorf("server injector panic count = %d, want 1", got)
 	}
-	if faultRetries := counts["drop"] + counts["droprx"] + counts["status"]; cs.Retries != faultRetries {
-		t.Errorf("client retries = %d, want %d (one per injected fault)", cs.Retries, faultRetries)
+	if faultRetries := counts["drop"] + counts["droprx"] + counts["status"]; retries != faultRetries {
+		t.Errorf("client retries = %d, want %d (one per injected fault)", retries, faultRetries)
 	}
 	m := core.Metrics()
 	if m.Quarantines != 1 {
 		t.Errorf("Metrics.Quarantines = %d, want 1", m.Quarantines)
 	}
-	if m.Sheds != 0 || cs.ShedResponses != 0 {
-		t.Errorf("Metrics.Sheds = %d, client saw %d 429s with no admission control configured", m.Sheds, cs.ShedResponses)
-	}
-	if cs.BreakerOpens != 0 {
-		t.Errorf("breaker opened %d times with no breaker configured", cs.BreakerOpens)
+	if m.Sheds != 0 {
+		t.Errorf("Metrics.Sheds = %d with no admission control configured", m.Sheds)
 	}
 
 	// The same story in the Prometheus exposition.
@@ -194,7 +193,6 @@ func TestChaosE2E(t *testing.T) {
 	defer resp.Body.Close()
 	text := readAll(t, resp)
 	for _, line := range []string{
-		fmt.Sprintf("mqdp_client_retries_total %d", cs.Retries),
 		"mqdp_server_quarantines_total 1",
 		"mqdp_server_quarantined_subscriptions 1",
 	} {
@@ -206,28 +204,33 @@ func TestChaosE2E(t *testing.T) {
 
 // TestChaosForcedShed: a near-empty token bucket admits one request and
 // sheds every attempt of the next, so the retrying client observes 429s
-// and gives up; the server's shed counter, the client's shed and retry
-// counters and the Prometheus exposition all tell the same story.
+// and gives up; the attempts its transport sent, the server's shed
+// counter and the Prometheus exposition all tell the same story.
 func TestChaosForcedShed(t *testing.T) {
 	reg := obs.NewRegistry()
 	ts, core := newTestServerWith(t, Config{Obs: reg, Admission: AdmissionConfig{Rate: 2, Burst: 1}})
+	clInj, err := faultinject.ParseSchedule("", 0) // counts attempts, injects nothing
+	if err != nil {
+		t.Fatal(err)
+	}
 	cl := NewClient(ts.URL)
-	cl.Retry = &RetryPolicy{MaxAttempts: 6, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond, Seed: 99}
-	cl.SetObs(reg)
+	cl.HTTPClient = &http.Client{Transport: faultinject.NewTransport(nil, clInj), Timeout: 5 * time.Second}
+	cl.Retry = &RetryPolicy{MaxAttempts: 6, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond}
 	if _, err := cl.Ingest(context.Background(), Post{ID: 1, Time: 1, Text: "takes the only token"}); err != nil {
 		t.Fatalf("ingest with a full bucket: %v", err)
 	}
-	_, err := cl.Ingest(context.Background(), Post{ID: 2, Time: 2, Text: "shed on every attempt"})
+	_, err = cl.Ingest(context.Background(), Post{ID: 2, Time: 2, Text: "shed on every attempt"})
 	if StatusCode(err) != http.StatusTooManyRequests {
 		t.Fatalf("ingest with empty bucket: want 429, got %v", err)
 	}
-	cs := cl.RetryStats()
-	if want := cs.ShedResponses - 1; cs.Retries != want { // the last shed attempt is not retried
-		t.Errorf("client retries = %d, want %d", cs.Retries, want)
+	// Every attempt after the first call's one was shed.
+	shed := clInj.Calls("POST /ingest") - 1
+	if shed < 2 {
+		t.Errorf("client sent %d shed attempts, want the 429 retried", shed)
 	}
 	m := core.Metrics()
-	if m.Sheds != cs.ShedResponses || m.Sheds == 0 {
-		t.Errorf("Metrics.Sheds = %d, client saw %d 429s", m.Sheds, cs.ShedResponses)
+	if m.Sheds != shed {
+		t.Errorf("Metrics.Sheds = %d, client saw %d 429s", m.Sheds, shed)
 	}
 	resp, err := http.Get(ts.URL + "/metrics/prometheus")
 	if err != nil {
@@ -235,13 +238,8 @@ func TestChaosForcedShed(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	text := readAll(t, resp)
-	for _, line := range []string{
-		fmt.Sprintf("mqdp_client_shed_responses_total %d", cs.ShedResponses),
-		fmt.Sprintf("mqdp_server_sheds_total %d", m.Sheds),
-	} {
-		if !strings.Contains(text, line) {
-			t.Errorf("prometheus exposition missing %q", line)
-		}
+	if line := fmt.Sprintf("mqdp_server_sheds_total %d", shed); !strings.Contains(text, line) {
+		t.Errorf("prometheus exposition missing %q", line)
 	}
 }
 
@@ -261,7 +259,7 @@ func TestChaosExactlyOnceReplay(t *testing.T) {
 	}
 	cl := NewClient(ts.URL)
 	cl.HTTPClient = &http.Client{Transport: faultinject.NewTransport(nil, clInj), Timeout: 5 * time.Second}
-	cl.Retry = &RetryPolicy{MaxAttempts: 4, BackoffBase: time.Millisecond, Seed: 2}
+	cl.Retry = &RetryPolicy{MaxAttempts: 4, BackoffBase: time.Millisecond}
 
 	posts := []Post{
 		{ID: 1, Time: 1, Text: "obama results tonight"},
@@ -277,7 +275,7 @@ func TestChaosExactlyOnceReplay(t *testing.T) {
 	if got := core.Stats().Ingested; got != int64(len(posts)) {
 		t.Fatalf("server ingested %d posts, want %d (batch applied twice?)", got, len(posts))
 	}
-	if got := cl.RetryStats().Retries; got != 1 {
+	if got := clInj.Calls("POST /ingest") - 1; got != 1 {
 		t.Errorf("retries = %d, want 1", got)
 	}
 	core.Flush()
@@ -431,8 +429,13 @@ func TestChaosIngestDeadline(t *testing.T) {
 
 	t.Run("automatic resume", func(t *testing.T) {
 		ts, core := setup(t)
+		clInj, err := faultinject.ParseSchedule("", 0) // counts attempts, injects nothing
+		if err != nil {
+			t.Fatal(err)
+		}
 		cl := NewClient(ts.URL)
-		cl.Retry = &RetryPolicy{MaxAttempts: 4, BackoffBase: time.Millisecond, Seed: 3}
+		cl.HTTPClient = &http.Client{Transport: faultinject.NewTransport(nil, clInj), Timeout: 5 * time.Second}
+		cl.Retry = &RetryPolicy{MaxAttempts: 4, BackoffBase: time.Millisecond}
 		n, err := cl.Ingest(context.Background(), posts...)
 		if err != nil || n != len(posts) {
 			t.Fatalf("Ingest = (%d, %v), want (%d, nil)", n, err, len(posts))
@@ -440,7 +443,7 @@ func TestChaosIngestDeadline(t *testing.T) {
 		if got := core.Stats().Ingested; got != int64(len(posts)) {
 			t.Fatalf("ingested %d, want %d (prefix re-applied?)", got, len(posts))
 		}
-		if got := cl.RetryStats().Retries; got != 1 {
+		if got := clInj.Calls("POST /ingest") - 1; got != 1 {
 			t.Errorf("retries = %d, want 1", got)
 		}
 	})
@@ -480,7 +483,7 @@ func TestChaosAdmissionPolicies(t *testing.T) {
 	}
 
 	t.Run("block waits for the slot", func(t *testing.T) {
-		core, ingest, slow := setup(t, AdmissionConfig{MaxInflight: 1, Policy: ShedPolicyBlock, MaxWait: 2 * time.Second})
+		core, ingest, slow := setup(t, AdmissionConfig{MaxInflight: 1, Policy: ShedPolicyBlock})
 		done := slow()
 		start := time.Now()
 		resp := ingest(Post{ID: 2, Time: 2, Text: "senate campaign diary"})
@@ -563,47 +566,6 @@ func TestChaosQuarantineOnFlush(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Quarantines != 1 {
 		t.Errorf("Metrics.Quarantines = %d, want 1", m.Quarantines)
-	}
-}
-
-// TestChaosClientBreaker drives the client's circuit breaker through its
-// full lifecycle against a transport that drops every /stats request
-// twice: consecutive failures open it, open calls fail fast wrapping
-// resilience.ErrBreakerOpen, and a successful probe after the cooldown
-// closes it again.
-func TestChaosClientBreaker(t *testing.T) {
-	ts, _ := newTestServer(t)
-	clInj, err := faultinject.ParseSchedule("GET /stats@1-2=drop", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := NewClient(ts.URL)
-	cl.HTTPClient = &http.Client{Transport: faultinject.NewTransport(nil, clInj), Timeout: 5 * time.Second}
-	cl.Retry = &RetryPolicy{
-		MaxAttempts: 2, BackoffBase: time.Millisecond, Seed: 4,
-		BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
-	}
-
-	if _, err := cl.Stats(context.Background()); err == nil {
-		t.Fatal("want failure while the transport drops /stats")
-	}
-	if got := cl.RetryStats().BreakerOpens; got != 1 {
-		t.Fatalf("breaker opens = %d, want 1 after %d consecutive failures", got, 2)
-	}
-	_, err = cl.Stats(context.Background()) // immediate: breaker is open, no request goes out
-	if !errors.Is(err, resilience.ErrBreakerOpen) {
-		t.Fatalf("want ErrBreakerOpen while open, got %v", err)
-	}
-	if got := clInj.Calls("GET /stats"); got != 2 {
-		t.Fatalf("transport saw %d /stats calls, want 2 (open breaker must not send)", got)
-	}
-
-	time.Sleep(80 * time.Millisecond) // past the cooldown: half-open probe
-	if _, err := cl.Stats(context.Background()); err != nil {
-		t.Fatalf("probe after cooldown failed: %v", err)
-	}
-	if got := cl.RetryStats().BreakerOpens; got != 1 {
-		t.Errorf("breaker reopened: opens = %d", got)
 	}
 }
 

@@ -41,23 +41,14 @@ type Client struct {
 	HTTPClient *http.Client
 	// Retry, when non-nil, makes calls fault tolerant: idempotent
 	// requests are retried with decorrelated-jitter backoff, Retry-After
-	// headers are honored, ingest batches resume exactly-once via
-	// idempotency keys, and an optional circuit breaker fails fast
-	// after consecutive failures.
+	// headers are honored, and ingest batches resume exactly-once via
+	// idempotency keys.
 	Retry *RetryPolicy
-
-	// Retry-decision observability; registered by SetObs, readable
-	// anytime via RetryStats.
-	retries      obs.Counter // attempts beyond the first
-	shedSeen     obs.Counter // 429 responses observed
-	breakerOpens obs.Counter // closed/half-open → open transitions
-
-	breakerOnce sync.Once
-	breaker     *resilience.Breaker
 
 	prefixOnce sync.Once
 	prefix     string       // idempotency-key namespace
-	calls      atomic.Int64 // per-client logical ingest call counter
+	jitterSeed int64        // per-client backoff seed, drawn with prefix
+	calls      atomic.Int64 // per-client logical call counter
 }
 
 // RetryPolicy configures Client retries. The zero value of each field
@@ -69,14 +60,6 @@ type RetryPolicy struct {
 	// delays between attempts (defaults 25ms and 1s).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// Seed makes the jitter deterministic for reproducible chaos tests.
-	Seed int64
-	// BreakerThreshold consecutive failed attempts open the circuit
-	// breaker; 0 disables it. While open, calls fail fast wrapping
-	// resilience.ErrBreakerOpen until BreakerCooldown (default 1s)
-	// admits a probe.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
 
 func (p *RetryPolicy) maxAttempts() int {
@@ -84,19 +67,6 @@ func (p *RetryPolicy) maxAttempts() int {
 		return 4
 	}
 	return p.MaxAttempts
-}
-
-func (p *RetryPolicy) backoff(seed int64) *resilience.Backoff {
-	base, cap := 25*time.Millisecond, time.Second
-	if p != nil {
-		if p.BackoffBase > 0 {
-			base = p.BackoffBase
-		}
-		if p.BackoffCap > 0 {
-			cap = p.BackoffCap
-		}
-	}
-	return resilience.NewBackoff(base, cap, seed)
 }
 
 // NewClient returns a client for baseURL.
@@ -111,55 +81,34 @@ func (c *Client) httpClient() *http.Client {
 	return defaultHTTPClient
 }
 
-// SetObs registers the client's retry-decision counters (retries taken,
-// 429 sheds observed, breaker-open transitions) in r, so client-side
-// fault handling shows up in the same exposition as the server's.
-func (c *Client) SetObs(r *obs.Registry) {
-	r.RegisterCounter("mqdp_client_retries_total", "request attempts beyond the first", &c.retries)
-	r.RegisterCounter("mqdp_client_shed_responses_total", "429 responses observed (server shed admission)", &c.shedSeen)
-	r.RegisterCounter("mqdp_client_breaker_open_total", "circuit-breaker open transitions", &c.breakerOpens)
-}
-
-// RetryStats is a snapshot of the client's fault-handling counters.
-type RetryStats struct {
-	Retries       int64 // attempts beyond the first
-	ShedResponses int64 // 429s observed
-	BreakerOpens  int64 // transitions to the open state
-}
-
-// RetryStats reports the client's fault-handling counters.
-func (c *Client) RetryStats() RetryStats {
-	return RetryStats{
-		Retries:       c.retries.Value(),
-		ShedResponses: c.shedSeen.Value(),
-		BreakerOpens:  c.breakerOpens.Value(),
-	}
-}
-
-// breakerFor lazily builds the client's shared breaker from the policy;
-// nil when the policy doesn't ask for one.
-func (c *Client) breakerFor(p *RetryPolicy) *resilience.Breaker {
-	if p == nil || p.BreakerThreshold <= 0 {
-		return nil
-	}
-	c.breakerOnce.Do(func() {
-		c.breaker = resilience.NewBreaker(p.BreakerThreshold, p.BreakerCooldown)
-		c.breaker.OnTransition = func(from, to resilience.BreakerState) {
-			if to == resilience.BreakerOpen {
-				c.breakerOpens.Inc()
-			}
-		}
-	})
-	return c.breaker
-}
-
-// idemPrefix lazily derives this client's idempotency-key namespace.
-// Keys need only be unique per logical call, not deterministic.
+// idemPrefix lazily derives this client's idempotency-key namespace and
+// backoff seed. Keys need only be unique per logical call, not
+// deterministic; the seed is random so clients spread their retries
+// instead of all drawing the same jitter.
 func (c *Client) idemPrefix() string {
 	c.prefixOnce.Do(func() {
 		c.prefix = fmt.Sprintf("c%x-%d", rand.Int63(), clientSeq.Add(1))
+		c.jitterSeed = rand.Int63()
 	})
 	return c.prefix
+}
+
+// backoff returns a fresh backoff for one logical call under the retry
+// policy. Its seed mixes the client's random draw with the call's
+// number, so neither two clients nor two calls of one client retry in
+// lockstep.
+func (c *Client) backoff(callID int64) *resilience.Backoff {
+	c.idemPrefix() // draws jitterSeed
+	base, cap := 25*time.Millisecond, time.Second
+	if p := c.Retry; p != nil {
+		if p.BackoffBase > 0 {
+			base = p.BackoffBase
+		}
+		if p.BackoffCap > 0 {
+			cap = p.BackoffCap
+		}
+	}
+	return resilience.NewBackoff(base, cap, c.jitterSeed+callID)
 }
 
 // APIError is a non-2xx server response. Calls wrap it with the method
@@ -249,29 +198,12 @@ func (c *Client) doHTTP(ctx context.Context, method, path string, body []byte, c
 				ae.hasRetryAfter = true
 			}
 		}
-		if ae.Status == http.StatusTooManyRequests {
-			c.shedSeen.Inc()
-		}
 		return fmt.Errorf("server: %s %s: %w", method, opPath, ae)
 	}
 	if sink == nil {
 		return nil
 	}
 	return sink(resp)
-}
-
-// serverFault classifies an error for the breaker: service-health
-// failures (transport errors, 429, 5xx) count; caller mistakes (other
-// 4xx) do not.
-func serverFault(err error) bool {
-	if err == nil {
-		return false
-	}
-	var ae *APIError
-	if errors.As(err, &ae) {
-		return ae.Status == http.StatusTooManyRequests || ae.Status >= 500
-	}
-	return true // transport-level failure
 }
 
 // retryable classifies an error for the retry loop. A 429 shed means
@@ -321,37 +253,27 @@ func (c *Client) call(ctx context.Context, method, path string, body, out any, i
 		}
 		contentType = wire.ContentTypeJSON
 	}
-	return c.callAttempt(ctx, method, path, idempotent, func(ctx context.Context) error {
+	return c.callAttempt(ctx, idempotent, func(ctx context.Context) error {
 		return c.doHTTP(ctx, method, path, buf, contentType, "", "", jsonSink(out))
 	})
 }
 
 // callAttempt drives one logical request (whatever its encoding) through
 // the retry policy.
-func (c *Client) callAttempt(ctx context.Context, method, path string, idempotent bool, attempt func(context.Context) error) error {
+func (c *Client) callAttempt(ctx context.Context, idempotent bool, attempt func(context.Context) error) error {
 	rp := c.Retry
 	if rp == nil {
 		return attempt(ctx)
 	}
-	br := c.breakerFor(rp)
-	bo := rp.backoff(rp.Seed + c.calls.Add(1))
-	var err error
+	bo := c.backoff(c.calls.Add(1))
 	for try := 1; ; try++ {
-		if br != nil && !br.Allow() {
-			opPath, _, _ := strings.Cut(path, "?")
-			return fmt.Errorf("server: %s %s: %w", method, opPath, resilience.ErrBreakerOpen)
-		}
-		err = attempt(ctx)
-		if br != nil {
-			br.Record(!serverFault(err))
-		}
+		err := attempt(ctx)
 		if err == nil {
 			return nil
 		}
 		if !retryable(idempotent, err) || try >= rp.maxAttempts() || ctx.Err() != nil {
 			return err
 		}
-		c.retries.Inc()
 		if serr := retrySleep(ctx, err, bo); serr != nil {
 			return serr
 		}
@@ -389,15 +311,11 @@ func (c *Client) Ingest(ctx context.Context, posts ...Post) (accepted int, err e
 		res, _, err := c.doIngest(ctx, posts, "")
 		return res.Accepted, err
 	}
-	br := c.breakerFor(rp)
 	callID := c.calls.Add(1)
-	bo := rp.backoff(rp.Seed + callID)
+	bo := c.backoff(callID)
 	sent := 0  // posts known applied by the server
 	epoch := 0 // bumps whenever a genuine server outcome lands
 	for attempt := 1; ; attempt++ {
-		if br != nil && !br.Allow() {
-			return sent, fmt.Errorf("server: POST /ingest: %w", resilience.ErrBreakerOpen)
-		}
 		// The key is stable across retries of the same logical suffix:
 		// if the previous attempt's response was lost after the server
 		// applied it, the replay returns that outcome instead of
@@ -405,9 +323,6 @@ func (c *Client) Ingest(ctx context.Context, posts ...Post) (accepted int, err e
 		// a later resume is a fresh operation with a fresh key.
 		key := fmt.Sprintf("%s-%d-%d", c.idemPrefix(), callID, epoch)
 		res, got, err := c.doIngest(ctx, posts[sent:], key)
-		if br != nil {
-			br.Record(!serverFault(err))
-		}
 		if err == nil {
 			return sent + res.Accepted, nil
 		}
@@ -418,7 +333,6 @@ func (c *Client) Ingest(ctx context.Context, posts ...Post) (accepted int, err e
 		if !retryable(true, err) || attempt >= rp.maxAttempts() || ctx.Err() != nil {
 			return sent, err
 		}
-		c.retries.Inc()
 		if serr := retrySleep(ctx, err, bo); serr != nil {
 			return sent, serr
 		}
@@ -468,7 +382,7 @@ func (c *Client) Emissions(ctx context.Context, id, after int64, limit int) ([]E
 	}
 	var out []Emission
 	var gap *GapError
-	err := c.callAttempt(ctx, http.MethodGet, path, true, func(ctx context.Context) error {
+	err := c.callAttempt(ctx, true, func(ctx context.Context) error {
 		return c.doHTTP(ctx, http.MethodGet, path, nil, "", wire.ContentTypeBinary, "", func(resp *http.Response) error {
 			out, gap = out[:0], nil
 			if fs := resp.Header.Get("X-First-Seq"); fs != "" {

@@ -50,17 +50,12 @@ type callbackErr struct{ error }
 // Stream returns nil after a terminal end event, fn's error if fn fails,
 // or ctx.Err() when the context ends. With a RetryPolicy, dropped
 // connections reconnect with backoff and resume from the last delivered
-// seq (the attempt budget resets whenever a connection makes progress);
-// without one, the first failure is returned. A refused stream (for
-// example 501 or 405) is returned as a wrapped *APIError.
+// seq (the attempt budget and the backoff reset whenever a connection
+// makes progress); without one, the first failure is returned. A refused
+// stream (for example 501 or 405) is returned as a wrapped *APIError.
 func (c *Client) Stream(ctx context.Context, id, after int64, fn func(StreamEvent) error) error {
 	rp := c.Retry
-	bo := rp.backoff(func() int64 {
-		if rp == nil {
-			return 0
-		}
-		return rp.Seed + c.calls.Add(1)
-	}())
+	bo := c.backoff(c.calls.Add(1))
 	attempt := 0
 	for {
 		progressed, end, err := c.streamOnce(ctx, id, &after, fn)
@@ -76,12 +71,12 @@ func (c *Client) Stream(ctx context.Context, id, after int64, fn func(StreamEven
 		}
 		if progressed {
 			attempt = 0
+			bo.Reset()
 		}
 		attempt++
 		if rp == nil || !retryable(true, err) || attempt >= rp.maxAttempts() {
 			return err
 		}
-		c.retries.Inc()
 		if serr := retrySleep(ctx, err, bo); serr != nil {
 			return serr
 		}
@@ -115,9 +110,6 @@ func (c *Client) streamOnce(ctx context.Context, id int64, after *int64, fn func
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		ae := &APIError{Status: resp.StatusCode, Body: string(msg)}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			c.shedSeen.Inc()
-		}
 		return false, false, fmt.Errorf("server: GET %s: %w", opPath, ae)
 	}
 
@@ -210,7 +202,7 @@ func (c *Client) dispatchSSE(event, data, trace string, after *int64, fn func(St
 func (c *Client) TopK(ctx context.Context, id int64) (TopKSnapshot, error) {
 	path := fmt.Sprintf("/subscriptions/%d/topk", id)
 	var snap TopKSnapshot
-	err := c.callAttempt(ctx, http.MethodGet, path, true, func(ctx context.Context) error {
+	err := c.callAttempt(ctx, true, func(ctx context.Context) error {
 		return c.doHTTP(ctx, http.MethodGet, path, nil, "", wire.ContentTypeBinary, "", func(resp *http.Response) error {
 			snap = TopKSnapshot{}
 			dec := wire.GetDecoder()

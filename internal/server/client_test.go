@@ -3,7 +3,11 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -205,5 +209,67 @@ func TestClientContextVariants(t *testing.T) {
 	st, err := c.Stats(context.Background())
 	if err != nil || st.Ingested != 1 {
 		t.Fatalf("Stats = (%+v, %v)", st, err)
+	}
+}
+
+// TestClientRetryJitterPerClient: two default clients draw different
+// retry delays, so a fleet whose requests fail together does not retry
+// in lockstep.
+func TestClientRetryJitterPerClient(t *testing.T) {
+	delays := func() []time.Duration {
+		c := NewClient("http://localhost")
+		c.Retry = &RetryPolicy{}
+		bo := c.backoff(1) // each fresh client's first logical call
+		out := make([]time.Duration, 5)
+		for i := range out {
+			out[i] = bo.Next()
+		}
+		return out
+	}
+	if a, b := delays(), delays(); slices.Equal(a, b) {
+		t.Fatalf("two clients drew the same retry delays %v", a)
+	}
+}
+
+// TestStreamReconnectBackoffResets: a stream whose every connection
+// delivers an event and then drops reconnects after the base delay each
+// time, not after a delay that has grown toward BackoffCap.
+func TestStreamReconnectBackoffResets(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		after, _ := strconv.ParseInt(r.URL.Query().Get("after"), 10, 64)
+		w.Header().Set("Content-Type", "text/event-stream")
+		// One emission, then the handler returns: the connection ends
+		// without an end event, which the client treats as a drop.
+		fmt.Fprintf(w, "event: emission\ndata: {\"seq\":%d}\n\n", after+1)
+	}))
+	defer ts.Close()
+	cl := NewClient(ts.URL)
+	cl.Retry = &RetryPolicy{BackoffBase: 10 * time.Millisecond}
+
+	const events = 16
+	enough := errors.New("enough events")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	n := int64(0)
+	start := time.Now()
+	err := cl.Stream(ctx, 1, 0, func(ev StreamEvent) error {
+		if ev.Emission == nil {
+			return nil
+		}
+		if n++; ev.Emission.Seq != n {
+			t.Errorf("event %d has seq %d", n, ev.Emission.Seq)
+		}
+		if n == events {
+			return enough
+		}
+		return nil
+	})
+	if !errors.Is(err, enough) {
+		t.Fatalf("Stream = %v after %d events", err, n)
+	}
+	// 15 reconnects at the 10ms base take ~150ms; a delay that keeps
+	// growing toward the 1s default cap takes several seconds.
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("%d events over reconnecting connections took %v", events, elapsed)
 	}
 }

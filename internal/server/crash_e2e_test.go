@@ -63,7 +63,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 
 	cl := NewClient(baseURL)
 	cl.HTTPClient = &http.Client{Timeout: 5 * time.Second}
-	cl.Retry = &RetryPolicy{MaxAttempts: 200, BackoffBase: 5 * time.Millisecond, BackoffCap: 50 * time.Millisecond, Seed: 3}
+	cl.Retry = &RetryPolicy{MaxAttempts: 200, BackoffBase: 5 * time.Millisecond, BackoffCap: 50 * time.Millisecond}
 
 	ids := make([]int64, 0, len(durConfigs()))
 	for _, cfg := range durConfigs() {

@@ -527,7 +527,7 @@ func TestShutdownMidIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := NewClient(ts.URL)
-	cl.Retry = &RetryPolicy{MaxAttempts: 3, BackoffBase: time.Millisecond, Seed: 5}
+	cl.Retry = &RetryPolicy{MaxAttempts: 3, BackoffBase: time.Millisecond}
 
 	var totalAccepted atomic.Int64
 	var cutErr error

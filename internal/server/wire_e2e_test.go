@@ -39,7 +39,7 @@ func runWireE2E(t *testing.T, jsonWire bool) []string {
 	ts := httptest.NewServer(Handler(newServer(t, Config{DupDistance: 3, DupWindow: 64})))
 	defer ts.Close()
 	c := NewClient(ts.URL)
-	c.Retry = &RetryPolicy{Seed: 1}
+	c.Retry = &RetryPolicy{}
 	ctx := context.Background()
 	var ids []int64
 	for _, cfg := range []SubscriptionConfig{
