@@ -52,7 +52,8 @@ push-soak:
 	$(GO) test -race -count=1 -run 'TestPushSoak|TestStreamChurnHammer' ./internal/server
 
 # Routing smoke for `make check`: the emissions-byte-identical property
-# (server vs the in-test broadcast oracle × worker counts, quarantine
+# (server vs the in-test broadcast oracle with every post pooled, at the
+# default pool threshold and with every post inline, quarantine
 # mid-stream) under the race detector.
 routing-smoke:
 	$(GO) test -race -count=1 -run 'TestRoutingEquivalence|TestRoutingSkippedAccounting|TestIngestScratchBounded' ./internal/server

@@ -2,7 +2,7 @@
 // clients register topic profiles and poll per-profile diversified feeds
 // while a shared post stream is ingested.
 //
-//	mqdp-server -addr :8080 -dedup 10 -parallelism 0
+//	mqdp-server -addr :8080 -dedup 10
 //
 // API (JSON):
 //
@@ -20,12 +20,12 @@
 //
 // Tracing: unless -trace=false (or -no-obs), every request runs under a
 // span; requests carrying a W3C traceparent header continue the caller's
-// trace and responses echo X-Trace-Id. The journal is tail-sampled —
-// errored and slow traces (≥ -trace-slow) are always kept, every
-// -trace-sample'th ordinary trace rides along — and browsable at
-// /debug/traces. Logs are structured (log/slog); -log-format json emits
-// machine-readable records, -log-level debug includes per-request lines
-// correlated by trace_id.
+// trace and responses echo X-Trace-Id. The journal keeps the last 4096
+// spans and is tail-sampled — errored and slow traces (≥ 100 ms) are
+// always kept, every -trace-sample'th ordinary trace rides along — and
+// browsable at /debug/traces. Logs are structured (log/slog); -log-format
+// json emits machine-readable records, -log-level debug includes
+// per-request lines correlated by trace_id.
 //
 // SLOs: -slo-ingest/-slo-poll set per-endpoint latency objectives
 // (e.g. -slo-ingest 50ms) against the -slo-target availability, which
@@ -39,7 +39,8 @@
 //
 // Ingest fan-out: posts route through an inverted keyword → subscription
 // index so only subscriptions sharing a keyword with the post are fed
-// (see docs/ARCHITECTURE.md, "Subscription routing").
+// (see docs/ARCHITECTURE.md, "Subscription routing"); a post with many
+// such candidates is fed on a GOMAXPROCS worker pool, the rest inline.
 //
 // Overload protection (all off by default): -max-inflight caps concurrent
 // ingest requests, -ingest-rate/-ingest-burst bound the ingest request
@@ -58,8 +59,8 @@
 // in-flight diversification windows, the idempotency replay cache —
 // then replays the WAL suffix, so a kill -9 loses nothing a retrying
 // client can't re-drive. -fsync picks the fsync cadence (batch = fsync
-// per ingest request, interval = background tick, off = OS page cache
-// only) and -wal-segment-bytes the segment rotation threshold. On a WAL
+// per ingest request, interval = a 50 ms background tick, off = OS page
+// cache only); segments rotate at 64 MiB. On a WAL
 // write failure the server degrades to read-only: ingest and
 // subscription changes answer 503 + Retry-After while reads keep
 // serving, and /healthz reports "degraded".
@@ -76,9 +77,9 @@
 // -no-obs drops the registry entirely; every instrumented hot path falls
 // back to its no-op fast path.
 //
-// On SIGINT/SIGTERM the server stops accepting connections, drains
-// in-flight requests, flushes every subscription's pending decisions and
-// logs the final counters before exiting.
+// On SIGINT/SIGTERM the server flushes every subscription's pending
+// decisions, drains in-flight requests for up to 10 s and logs the final
+// counters before exiting.
 package main
 
 import (
@@ -105,8 +106,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dedupDist := flag.Int("dedup", 10, "SimHash hamming threshold for near-duplicate dropping")
 	dedupWindow := flag.Int("dedup-window", 8192, "recent posts remembered for deduplication (0 disables)")
-	parallelism := flag.Int("parallelism", 0, "ingest fan-out workers across subscriptions (0 = GOMAXPROCS, 1 = serial)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "maximum time to drain in-flight requests on shutdown")
 	debugAddr := flag.String("debug-addr", "", "listen address for the debug server (pprof, expvar); empty disables")
 	noObs := flag.Bool("no-obs", false, "disable the metrics registry (/metrics/prometheus returns 503)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent ingest requests (0 = unlimited)")
@@ -120,16 +119,12 @@ func main() {
 	logFormat := flag.String("log-format", "text", `log output format: "text" or "json"`)
 	logLevel := flag.String("log-level", "info", `minimum log level: "debug", "info", "warn" or "error" (debug includes per-request records)`)
 	trace := flag.Bool("trace", true, "trace requests end-to-end and serve /debug/traces (needs the registry; -no-obs disables)")
-	traceCapacity := flag.Int("trace-capacity", 4096, "retained span journal size")
-	traceSlow := flag.Duration("trace-slow", 100*time.Millisecond, "traces at least this slow are always retained")
 	traceSample := flag.Int("trace-sample", 10, "keep every Nth ordinary trace (errored and slow ones are always kept; 1 keeps all)")
 	sloIngest := flag.Duration("slo-ingest", 0, "ingest latency objective, e.g. 50ms (0 disables the ingest SLO)")
 	sloPoll := flag.Duration("slo-poll", 0, "emission-poll latency objective (0 disables the poll SLO)")
 	sloTarget := flag.Float64("slo-target", 0.99, "availability target for both SLOs, in (0, 1)")
 	dataDir := flag.String("data-dir", "", "durability directory for the write-ahead log and snapshots (empty = in-memory only)")
-	fsync := flag.String("fsync", "batch", `WAL fsync policy: "batch" (per ingest request), "interval" (background tick), "off" (OS page cache only)`)
-	fsyncInterval := flag.Duration("fsync-interval", 50*time.Millisecond, `background WAL fsync tick for -fsync interval`)
-	walSegmentBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = default 64 MiB)")
+	fsync := flag.String("fsync", "batch", `WAL fsync policy: "batch" (per ingest request), "interval" (50 ms background tick), "off" (OS page cache only)`)
 	snapshotInterval := flag.Duration("snapshot-interval", time.Minute, "periodic state-snapshot cadence; snapshots also happen on graceful shutdown (0 = shutdown only)")
 	flag.Parse()
 
@@ -167,7 +162,6 @@ func main() {
 	cfg := server.Config{
 		DupDistance: *dedupDist,
 		DupWindow:   *dedupWindow,
-		Parallelism: *parallelism,
 		MaxStreams:  *maxStreams,
 		Admission: server.AdmissionConfig{
 			MaxInflight: *maxInflight,
@@ -194,8 +188,8 @@ func main() {
 		// records itself into the /metrics/prometheus exposition.
 		reg := obs.NewRegistry()
 		if *trace {
-			tr := obs.NewTracer(*traceCapacity)
-			tr.SetRetention(*traceSlow, *traceSample)
+			tr := obs.NewTracer(4096)
+			tr.SetRetention(100*time.Millisecond, *traceSample)
 			reg.SetTracer(tr)
 		}
 		cfg.Obs = reg
@@ -219,8 +213,6 @@ func main() {
 		cfg.Durability = server.DurabilityConfig{
 			Dir:              *dataDir,
 			Fsync:            policy,
-			FsyncInterval:    *fsyncInterval,
-			SegmentBytes:     *walSegmentBytes,
 			SnapshotInterval: *snapshotInterval,
 		}
 	}
@@ -272,7 +264,6 @@ func main() {
 			"addr", ln.Addr().String(),
 			"dedup_distance", *dedupDist,
 			"dedup_window", *dedupWindow,
-			"ingest_workers", s.Parallelism(),
 			"durability", *dataDir != "",
 			"tracing", !*noObs && *trace)
 		errc <- h.Serve(ln)
@@ -294,7 +285,7 @@ func main() {
 	// long-polls receive their terminal end event and finish. Draining
 	// first would park on those never-ending streams until the timeout.
 	s.Flush()
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := h.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Warn("drain", "err", err)

@@ -9,6 +9,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -101,5 +103,46 @@ func TestSLOWithoutObs(t *testing.T) {
 	}
 	if len(m.SLOs) != 1 || m.SLOs[0].Name != "ingest" || m.SLOs[0].Target != 0.95 {
 		t.Fatalf("/metrics slos = %+v, want one ingest SLO at target 0.95", m.SLOs)
+	}
+}
+
+// TestREADMEFlagTable pins the README's mqdp-server flag table to the
+// binary: the first column lists exactly the flags `mqdp-server -h`
+// prints, so a flag added or removed without its row fails here.
+func TestREADMEFlagTable(t *testing.T) {
+	bin := buildServer(t)
+	help, err := exec.Command(bin, "-h").CombinedOutput()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("mqdp-server -h: %v", err)
+	}
+	var binary []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllSubmatch(help, -1) {
+		binary = append(binary, string(m[1]))
+	}
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| `mqdp-server` flag |")
+	if !ok {
+		t.Fatal("README.md has no mqdp-server flag table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	var documented []string
+	for _, row := range strings.Split(table, "\n")[1:] {
+		cells := strings.Split(row, "|")
+		if len(cells) < 2 {
+			continue
+		}
+		for _, m := range regexp.MustCompile("`-([a-z-]+)`").FindAllStringSubmatch(cells[1], -1) {
+			documented = append(documented, m[1])
+		}
+	}
+	slices.Sort(binary)
+	slices.Sort(documented)
+	if len(binary) == 0 || !slices.Equal(binary, documented) {
+		t.Errorf("README flag table lists %v\nmqdp-server -h lists     %v", documented, binary)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -53,7 +54,7 @@ func BenchmarkIngestSparseMatch(b *testing.B) {
 		for _, rate := range []float64{0.01, 0.05} {
 			keywords := int(tokensPerPost/rate + 0.5)
 			b.Run(fmt.Sprintf("subs=%d/rate=%g/routed", subs, rate), func(b *testing.B) {
-				s := newServer(b, Config{Parallelism: 1})
+				s := newServer(b, Config{})
 				for i := 0; i < subs; i++ {
 					if _, err := s.Subscribe(SubscriptionConfig{
 						Topics: []match.Topic{{
@@ -87,34 +88,41 @@ func BenchmarkIngestSparseMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestWorkers measures how per-post ingest cost scales with the
-// fan-out worker count at a fixed, production-shaped subscription load —
-// the tentpole claim: O(|subs|/workers) per post instead of O(|subs|).
-func BenchmarkIngestWorkers(b *testing.B) {
-	const subs = 64
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("subs=%d/workers=%d", subs, workers), func(b *testing.B) {
-			world := synth.NewWorld(synth.WorldConfig{Seed: 1})
-			tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 600, RatePerSec: 4, Seed: 2})
-			s := newServer(b, Config{Parallelism: workers})
-			rng := newRand(3)
-			for i := 0; i < subs; i++ {
-				topicIdx := world.SampleLabelSet(rng, 3)
-				if _, err := s.Subscribe(SubscriptionConfig{
-					Topics: world.MatchTopics(topicIdx),
-					Lambda: 120,
-					Tau:    30,
-				}); err != nil {
-					b.Fatal(err)
+// BenchmarkIngestFanout prices the two fan-out paths per post against the
+// number of routed candidates: "inline" feeds them in a loop, "pool" hands
+// them to GOMAXPROCS workers. Every candidate matches, as in the bench
+// workloads, and each runs an Instant processor. Where pool starts to beat
+// inline is where poolFanoutMin belongs.
+func BenchmarkIngestFanout(b *testing.B) {
+	for _, cands := range []int{4, 8, 16, 32, 64, 128} {
+		for _, path := range []string{"inline", "pool"} {
+			b.Run(fmt.Sprintf("cands=%d/%s", cands, path), func(b *testing.B) {
+				old := poolFanoutMin
+				poolFanoutMin = math.MaxInt
+				if path == "pool" {
+					poolFanoutMin = 0
 				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tw := tweets[i%len(tweets)]
-				wrap := float64(i/len(tweets)) * 600
-				_ = ingestPost(s, Post{ID: int64(i), Time: tw.Time + wrap, Text: tw.Text})
-			}
-		})
+				defer func() { poolFanoutMin = old }()
+				s := newServer(b, Config{})
+				for i := 0; i < cands; i++ {
+					if _, err := s.Subscribe(SubscriptionConfig{
+						Topics: []match.Topic{{
+							Name:     fmt.Sprintf("t%d", i),
+							Keywords: []match.Keyword{{Text: "obama", Weight: 1}},
+						}},
+						Lambda:    30,
+						Algorithm: "instant",
+					}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = ingestPost(s, Post{ID: int64(i + 1), Time: float64(i), Text: "obama speaks to the senate tonight"})
+				}
+			})
+		}
 	}
 }
 
@@ -158,7 +166,7 @@ func BenchmarkEmissionsPoll(b *testing.B) {
 func benchIngestObs(b *testing.B, reg *obs.Registry) {
 	world := synth.NewWorld(synth.WorldConfig{Seed: 1})
 	tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 600, RatePerSec: 4, Seed: 2})
-	s := newServer(b, Config{Parallelism: 1, Obs: reg})
+	s := newServer(b, Config{Obs: reg})
 	rng := newRand(3)
 	for i := 0; i < 16; i++ {
 		topicIdx := world.SampleLabelSet(rng, 3)

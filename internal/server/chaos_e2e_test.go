@@ -61,7 +61,7 @@ func TestChaosE2E(t *testing.T) {
 	tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 600, RatePerSec: 2, DupRatio: 0, Seed: 22})
 
 	// Fault-free reference run, straight into a server core.
-	clean := newServer(t, Config{Parallelism: 4})
+	clean := newServer(t, Config{})
 	cleanIDs := chaosSubscribe(t, world, clean.Subscribe)
 	for _, tw := range tweets {
 		if err := ingestPost(clean, Post{ID: tw.ID, Time: tw.Time, Text: tw.Text}); err != nil {
@@ -77,7 +77,7 @@ func TestChaosE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, core := newTestServerWith(t, Config{Parallelism: 4, Obs: reg, Faults: srvInj})
+	ts, core := newTestServerWith(t, Config{Obs: reg, Faults: srvInj})
 
 	clInj, err := faultinject.ParseSchedule(
 		"POST /ingest@4=drop; POST /ingest@9=droprx; POST /ingest@15=status:503; POST /ingest@21=delay:20ms", 7)

@@ -35,7 +35,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 
 	// Uninterrupted reference over the same stream, mirroring the
 	// binary's defaults (-dedup 10 -dedup-window 8192).
-	ref := newServer(t, Config{DupDistance: 10, DupWindow: 8192, Parallelism: 1})
+	ref := newServer(t, Config{DupDistance: 10, DupWindow: 8192})
 	refIDs := make([]int64, 0, len(durConfigs()))
 	for _, cfg := range durConfigs() {
 		id, err := ref.Subscribe(cfg)

@@ -95,12 +95,9 @@ type DurabilityConfig struct {
 	// means no durability.
 	Dir string
 	// Fsync picks the WAL fsync cadence (wal.SyncBatch, SyncInterval,
-	// SyncOff).
+	// SyncOff). The interval tick is wal.DefaultInterval and segments
+	// rotate at 64 MiB, wal's default.
 	Fsync wal.SyncPolicy
-	// FsyncInterval is the background WAL flush/fsync tick (0 = default).
-	FsyncInterval time.Duration
-	// SegmentBytes is the WAL segment rotation threshold (0 = default).
-	SegmentBytes int64
 	// SnapshotInterval takes a state snapshot on a wall-clock timer
 	// (0 = only on Close).
 	SnapshotInterval time.Duration
@@ -115,10 +112,6 @@ type durState struct {
 	// order equals the apply order and snapshots cut between batches,
 	// never inside one. Ordered strictly before ingestMu.
 	walBatchMu sync.Mutex
-
-	// replaying marks recovery: appends are suppressed (the records being
-	// applied already exist) and degraded checks are skipped.
-	replaying atomic.Bool
 
 	// pending is the replay-time batch awaiting its ack record: a recBatch
 	// stashes here and the matching recBatchAck applies the acked prefix.
@@ -168,9 +161,7 @@ type DurabilityMetrics struct {
 func (s *Server) recover() error {
 	cfg := s.cfg.Durability
 	log, err := wal.Open(cfg.Dir, wal.Options{
-		SegmentBytes: cfg.SegmentBytes,
-		Policy:       cfg.Fsync,
-		Interval:     cfg.FsyncInterval,
+		Policy: cfg.Fsync,
 		// Chaos hook: the schedule's disk actions surface here as IO
 		// failures ("wal.append@3=disk:..." etc.).
 		Failpoint: func(op string) error {
@@ -201,22 +192,20 @@ func (s *Server) recover() error {
 		return err
 	}
 	d.lastSnapLSN.Store(snapLSN)
-	s.dur = d
-	d.replaying.Store(true)
-	rerr := log.Replay(snapLSN+1, func(rec wal.Record) error {
+	// Replay runs before s.dur is set, so the records it applies are not
+	// journaled a second time: the public paths it reuses (Unsubscribe,
+	// Flush, quarantine) see an in-memory server.
+	if err := log.Replay(snapLSN+1, func(rec wal.Record) error {
 		return s.applyWALRecord(d, rec)
-	})
-	if rerr == nil {
-		// A batch whose ack never reached the log: the crash cut between
-		// append and response, so the client never heard an outcome —
-		// apply it in full and record the recomputed result.
-		s.finishPendingBatch(d)
-	}
-	d.replaying.Store(false)
-	if rerr != nil {
+	}); err != nil {
 		log.Close()
-		return fmt.Errorf("server: WAL replay: %w", rerr)
+		return fmt.Errorf("server: WAL replay: %w", err)
 	}
+	// A batch whose ack never reached the log: the crash cut between
+	// append and response, so the client never heard an outcome — apply
+	// it in full and record the recomputed result.
+	s.finishPendingBatch(d)
+	s.dur = d
 	if l := s.cfg.Logger; l != nil {
 		l.Info("durability enabled",
 			slog.String("dir", cfg.Dir),
@@ -354,8 +343,7 @@ func (s *Server) IngestBatch(ctx context.Context, batch []Post, key string) (Ing
 		}
 	}
 	d := s.dur
-	journal := d != nil && !d.replaying.Load()
-	if journal {
+	if d != nil {
 		d.walBatchMu.Lock()
 		defer d.walBatchMu.Unlock()
 	}
@@ -365,7 +353,7 @@ func (s *Server) IngestBatch(ctx context.Context, batch []Post, key string) (Ing
 		// outcome is recorded inside the critical section.
 		defer func() { s.idem.settle(key, outcome) }()
 	}
-	if journal {
+	if d != nil {
 		if d.degraded.Load() {
 			return IngestResult{Error: ErrReadOnly.Error()}, http.StatusServiceUnavailable, ErrReadOnly
 		}
@@ -383,7 +371,7 @@ func (s *Server) IngestBatch(ctx context.Context, batch []Post, key string) (Ing
 		res.Error = err.Error()
 		status = statusFor(err)
 	}
-	if journal {
+	if d != nil {
 		if ackErr := d.appendBatchAck(s, accepted, status, res.Error); ackErr != nil {
 			// The outcome could not be made durable, so it must not be
 			// reported: a client holding an OK for a batch the restarted
@@ -514,9 +502,8 @@ func decodeBatchRecord(data []byte) (key string, posts []Post, err error) {
 	return key, posts, nil
 }
 
-// Registry / terminal-state journal appends. Callers skip them while
-// replaying (the records being applied already exist); a failure degrades
-// the server and returns the ErrReadOnly-wrapped error.
+// Registry / terminal-state journal appends. A failure degrades the
+// server and returns the ErrReadOnly-wrapped error.
 
 func (s *Server) durAppendSubscribe(d *durState, id int64, cfg SubscriptionConfig) error {
 	payload, _ := json.Marshal(struct {
@@ -538,7 +525,7 @@ func (s *Server) durAppendUnsubscribe(d *durState, id int64) error {
 // record lands right after the batch that poisoned the pipeline.
 func (s *Server) durAppendQuarantine(id int64, msg string) {
 	d := s.dur
-	if d == nil || d.replaying.Load() || d.degraded.Load() {
+	if d == nil || d.degraded.Load() {
 		return
 	}
 	payload, _ := json.Marshal(struct {
@@ -943,6 +930,9 @@ func (s *Server) restoreSub(ss *walSubSnap) error {
 		quarantineMsg: ss.QuarantineMsg,
 	}
 	sub.quarantined.Store(ss.Quarantined)
+	if ss.Quarantined {
+		s.obs.onQuarantine(1)
+	}
 	sub.nextSeq.Add(ss.NextSeq)
 	sub.matched.Add(ss.Matched)
 	sub.textMisses.Add(ss.TextMisses)

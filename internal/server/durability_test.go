@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"mqdp/internal/faultinject"
+	"mqdp/internal/obs"
 	"mqdp/internal/wal"
 )
 
@@ -54,7 +55,7 @@ func durConfigs() []SubscriptionConfig {
 // durConfig is a durable server on dir (SyncBatch, no snapshot timer).
 func durConfig(dir string) Config {
 	return Config{
-		DupDistance: 3, DupWindow: 64, Parallelism: 1,
+		DupDistance: 3, DupWindow: 64,
 		Durability: DurabilityConfig{Dir: dir, Fsync: wal.SyncBatch},
 	}
 }
@@ -70,7 +71,7 @@ func durOpen(t *testing.T, dir string) *Server {
 // and-recovered server must reproduce byte for byte.
 func runReference(t *testing.T, posts []Post, flush bool) (map[int64][]Emission, *Server) {
 	t.Helper()
-	ref := newServer(t, Config{DupDistance: 3, DupWindow: 64, Parallelism: 1})
+	ref := newServer(t, Config{DupDistance: 3, DupWindow: 64})
 	ids := make([]int64, 0, len(durConfigs()))
 	for _, cfg := range durConfigs() {
 		id, err := ref.Subscribe(cfg)
@@ -395,6 +396,56 @@ func TestDurabilityTerminalLatchesAcrossRestart(t *testing.T) {
 	})
 }
 
+// TestQuarantinedGauge: mqdp_server_quarantined_subscriptions counts the
+// registered quarantined subscriptions. It falls when one of them is
+// unsubscribed, and a graceful restart that recovers from the snapshot
+// alone reports the same count the process had before.
+func TestQuarantinedGauge(t *testing.T) {
+	dir := t.TempDir()
+	open := func(faults *faultinject.Injector) (*Server, *obs.Gauge) {
+		reg := obs.NewRegistry()
+		cfg := durConfig(dir)
+		cfg.Obs, cfg.Faults = reg, faults
+		return newServer(t, cfg), reg.Gauge("mqdp_server_quarantined_subscriptions", "")
+	}
+	inj, err := faultinject.ParseSchedule("sub1.process@1=panic:poisoned; sub2.process@1=panic:poisoned", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, gauge := open(inj)
+	for _, cfg := range durConfigs()[:3] {
+		if _, err := a.Subscribe(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ingestPost(a, Post{ID: 1, Time: 1, Text: "obama speaks"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge.Value(); got != 2 {
+		t.Fatalf("gauge after two quarantines = %v, want 2", got)
+	}
+	if err := a.Unsubscribe(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge.Value(); got != 1 {
+		t.Fatalf("gauge after unsubscribing a quarantined subscription = %v, want 1", got)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, gauge := open(nil)
+	if m := b.Metrics(); m.Durability.ReplayedRecords != 0 {
+		t.Fatalf("graceful restart replayed %d records, want a snapshot-only recovery", m.Durability.ReplayedRecords)
+	}
+	if st, err := b.SubscriptionStats(2); err != nil || !st.Quarantined {
+		t.Fatalf("subscription 2 after restart: %+v, %v; want quarantined", st, err)
+	}
+	if got := gauge.Value(); got != 1 {
+		t.Fatalf("gauge after restart = %v, want 1", got)
+	}
+}
+
 // TestDurabilityDegradedReadOnly (satellite): an injected disk fault on
 // the WAL append path latches read-only mode — ingest and registry
 // mutations answer 503 + Retry-After while reads keep serving.
@@ -407,7 +458,7 @@ func TestDurabilityDegradedReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newServer(t, Config{
-		Parallelism: 1, Faults: inj,
+		Faults:     inj,
 		Durability: DurabilityConfig{Dir: dir, Fsync: wal.SyncBatch},
 	})
 	id, err := s.Subscribe(durConfigs()[0]) // append 1
@@ -480,7 +531,7 @@ func TestDurabilityRegistryAppendFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := newServer(t, Config{
-			Parallelism: 1, Faults: inj,
+			Faults:     inj,
 			Durability: DurabilityConfig{Dir: dir, Fsync: wal.SyncBatch},
 		})
 		ts := httptest.NewServer(Handler(s))

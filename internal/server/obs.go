@@ -82,10 +82,10 @@ func (o *serverObs) onMiss() {
 	}
 }
 
-// onQuarantine tracks the live quarantined-subscription gauge alongside
-// the server's monotone quarantines counter.
-func (o *serverObs) onQuarantine() {
+// onQuarantine moves the gauge of registered quarantined subscriptions by
+// delta: +1 on a latch, -1 when a quarantined subscription is removed.
+func (o *serverObs) onQuarantine(delta float64) {
 	if o != nil {
-		o.quarantined.Add(1)
+		o.quarantined.Add(delta)
 	}
 }

@@ -90,7 +90,7 @@ func TestPrometheusEndpointE2E(t *testing.T) {
 	newObserved := func() string {
 		reg := obs.NewRegistry()
 		reg.SetTracer(obs.NewTracer(64))
-		ts, _ := newTestServerWith(t, Config{Parallelism: 1, Obs: reg})
+		ts, _ := newTestServerWith(t, Config{Obs: reg})
 		return ts.URL
 	}
 	a, b := newObserved(), newObserved()

@@ -420,7 +420,8 @@ func (c *streamCapture) verifyPartition(t *testing.T, total int64) {
 // any gc horizon, the pushed emission sequence and the poll-with-resume
 // sequence are byte-identical where delivered, every undelivered seq is
 // explicitly reported as a gap, and all runs agree with the workers=1
-// reference per seq.
+// reference per seq. workers=1 feeds inline; a larger count forces the
+// fan-out pool (threshold 0) and sizes it through GOMAXPROCS.
 func TestPushPollDeterminism(t *testing.T) {
 	texts := []string{
 		"obama meets the senate", "senate floor vote tonight", "obama presser at noon",
@@ -440,11 +441,15 @@ func TestPushPollDeterminism(t *testing.T) {
 	} {
 		name := fmt.Sprintf("workers=%d,buffer=%d", cfg.workers, cfg.buffer)
 		t.Run(name, func(t *testing.T) {
-			old := maxEmissionBuffer
+			oldBuf, oldPool := maxEmissionBuffer, poolFanoutMin
 			maxEmissionBuffer = cfg.buffer
-			defer func() { maxEmissionBuffer = old }()
+			if cfg.workers > 1 {
+				poolFanoutMin = 0
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cfg.workers))
+			}
+			defer func() { maxEmissionBuffer, poolFanoutMin = oldBuf, oldPool }()
 
-			core := newServer(t, Config{Parallelism: cfg.workers})
+			core := newServer(t, Config{})
 			ts := httptest.NewServer(Handler(core))
 			defer ts.Close()
 			cl := NewClient(ts.URL)
@@ -680,7 +685,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // delivery contents (the determinism test does) — its job is to drive
 // the hub's lock/wakeup paths under -race.
 func TestStreamChurnHammer(t *testing.T) {
-	core := newServer(t, Config{Parallelism: 4})
+	core := newServer(t, Config{})
 	ts := httptest.NewServer(Handler(core))
 	defer ts.Close()
 	cl := NewClient(ts.URL)
@@ -753,7 +758,7 @@ func TestPushSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test; skipped in -short")
 	}
-	core := newServer(t, Config{Parallelism: 4})
+	core := newServer(t, Config{})
 	ts := httptest.NewServer(Handler(core))
 	defer ts.Close()
 	cl := NewClient(ts.URL)

@@ -45,10 +45,14 @@ func routingWorkload() ([]SubscriptionConfig, []Post) {
 	return cfgs, posts
 }
 
-// runRoutingServer streams the workload through a real server and returns
-// every surviving subscription's emissions as JSON, keyed by id.
-func runRoutingServer(t *testing.T, workers int) map[int64][]byte {
+// runRoutingServer streams the workload through a real server whose pool
+// threshold is poolMin and returns every surviving subscription's
+// emissions as JSON, keyed by id.
+func runRoutingServer(t *testing.T, poolMin int) map[int64][]byte {
 	t.Helper()
+	old := poolFanoutMin
+	poolFanoutMin = poolMin
+	defer func() { poolFanoutMin = old }()
 	cfgs, posts := routingWorkload()
 	// Fire runs only after a match, so the trigger count is the victim's
 	// matched-post count whatever the fan-out feeds it.
@@ -57,7 +61,7 @@ func runRoutingServer(t *testing.T, workers int) map[int64][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(t, Config{DupDistance: routingDupDist, DupWindow: routingDupWindow, Parallelism: workers, Faults: inj})
+	s := newServer(t, Config{DupDistance: routingDupDist, DupWindow: routingDupWindow, Faults: inj})
 	var ids []int64
 	for _, cfg := range cfgs {
 		id, err := s.Subscribe(cfg)
@@ -82,7 +86,7 @@ func runRoutingServer(t *testing.T, workers int) map[int64][]byte {
 		t.Fatal(err)
 	}
 	if !st.Quarantined {
-		t.Fatalf("workers=%d: subscription %d not quarantined", workers, routingVictim)
+		t.Fatalf("threshold=%d: subscription %d not quarantined", poolMin, routingVictim)
 	}
 	out := make(map[int64][]byte)
 	for _, id := range ids {
@@ -103,7 +107,7 @@ func runRoutingServer(t *testing.T, workers int) map[int64][]byte {
 }
 
 // runBroadcastOracle is the fan-out the routing index replaced, kept here
-// as the reference: no symbol table, no inverted index, no workers. Every
+// as the reference: no symbol table, no inverted index, no pool. Every
 // post that survives deduplication is offered to every live profile's
 // uncompiled match.Matcher, and each profile owns one serial mqdp.NewStream
 // processor. The victim stops at its scripted matched post, unprocessed,
@@ -191,9 +195,9 @@ func runBroadcastOracle(t *testing.T) map[int64][]byte {
 }
 
 // TestRoutingEquivalence is routing's safety property: per-subscription
-// emission streams are byte-identical to a broadcast fan-out, across
-// fan-out worker counts, random topic overlap, a mid-stream quarantine and
-// an unsubscribe. Routing must be a pure superset filter — it may only
+// emission streams are byte-identical to a broadcast fan-out, whether each
+// post is fed on the worker pool or inline, across random topic overlap, a
+// mid-stream quarantine and an unsubscribe. Routing must be a pure superset filter — it may only
 // skip subscriptions that would have matched nothing.
 func TestRoutingEquivalence(t *testing.T) {
 	ref := runBroadcastOracle(t)
@@ -208,9 +212,12 @@ func TestRoutingEquivalence(t *testing.T) {
 	if total == 0 {
 		t.Fatal("oracle produced no emissions; workload too sparse to prove anything")
 	}
-	for _, workers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := runRoutingServer(t, workers)
+	// Every post pooled, the default, and every post inline: no post has
+	// more candidates than there are subscriptions.
+	cfgs, _ := routingWorkload()
+	for _, poolMin := range []int{0, poolFanoutMin, len(cfgs) + 1} {
+		t.Run(fmt.Sprintf("threshold=%d", poolMin), func(t *testing.T) {
+			got := runRoutingServer(t, poolMin)
 			if len(got) != len(ref) {
 				t.Fatalf("subscription count %d, want %d", len(got), len(ref))
 			}
@@ -261,7 +268,7 @@ func TestIngestScratchBounded(t *testing.T) {
 // channel: a post matching no subscription skips every live one, and the
 // Metrics snapshot reports the skip count.
 func TestRoutingSkippedAccounting(t *testing.T) {
-	s := newServer(t, Config{Parallelism: 1})
+	s := newServer(t, Config{})
 	for i := 0; i < 3; i++ {
 		if _, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 10, Tau: 0, Algorithm: "instant"}); err != nil {
 			t.Fatal(err)

@@ -9,12 +9,13 @@
 // Concurrency model: the Server's RWMutex guards only the subscription
 // registry. All per-subscription state (matcher, processor, emission
 // buffer, text cache) lives behind that subscription's own mutex, so
-// ingest fans each post out to the subscriptions in parallel via
-// internal/parallel while readers poll other subscriptions unblocked.
-// Ingest admission (order check, dedup, counters) is serialized by a
-// separate mutex, which also guarantees every subscription sees posts in
-// timestamp order: per-subscription emission sequences are identical for
-// any worker count.
+// readers poll other subscriptions unblocked while ingest feeds a post's
+// routed candidates: inline when there are fewer than poolFanoutMin of
+// them, otherwise in parallel on a GOMAXPROCS worker pool via
+// internal/parallel. Ingest admission (order check, dedup, counters) is
+// serialized by a separate mutex, which also guarantees every
+// subscription sees posts in timestamp order: per-subscription emission
+// sequences are identical on either path.
 package server
 
 import (
@@ -83,6 +84,13 @@ const defaultTopK = 10
 // maxEmissionBuffer caps each subscription's retained emission history.
 // A variable so tests can exercise the trim path cheaply.
 var maxEmissionBuffer = 65536
+
+// poolFanoutMin is the candidate count from which a post is fed on a
+// GOMAXPROCS worker pool; smaller fan-outs run inline, where the pool
+// hand-off costs more than the feeds it spreads (BenchmarkIngestFanout
+// prices both paths). Flush applies it to the subscription count. A
+// variable so tests can force either path.
+var poolFanoutMin = 32
 
 // pendingText queues a matched post for horizon-based text eviction.
 type pendingText struct {
@@ -161,7 +169,9 @@ func (sub *subscription) quarantine(msg string, s *Server) {
 	}
 	sub.quarantineMsg = msg
 	s.quarantines.Inc()
-	s.obs.onQuarantine()
+	if sub.doneReason != EndReasonUnsubscribed { // the gauge counts registered subscriptions
+		s.obs.onQuarantine(1)
+	}
 	// Journal the latch (no-op without durability or during replay): after
 	// a restart the profile answers quarantined exactly like before it.
 	s.durAppendQuarantine(sub.id, msg)
@@ -182,7 +192,8 @@ func (sub *subscription) quarantine(msg string, s *Server) {
 
 // Server is the multi-subscription diversification service. It is safe for
 // concurrent use: ingest admission is serialized to preserve stream order,
-// then each post is fanned out to the subscriptions in parallel.
+// then each post is fed to its routed candidate subscriptions, on a worker
+// pool once there are poolFanoutMin of them.
 type Server struct {
 	// mu guards only the registry (subs, order, nextID).
 	mu     sync.RWMutex
@@ -259,17 +270,13 @@ type Server struct {
 // Config is everything a Server can be told. New reads it once; a running
 // server is never reconfigured — to change a value, restart (with
 // Durability.Dir set the restart resumes from the recovered state). The
-// zero value is a working in-memory server: no deduplication, GOMAXPROCS
-// fan-out workers, no limits, no instrumentation.
+// zero value is a working in-memory server: no deduplication, no limits,
+// no instrumentation.
 type Config struct {
 	// DupDistance and DupWindow drop near-duplicates within that SimHash
 	// hamming distance over a window of that many recent posts before
 	// matching. DupWindow ≤ 0 disables deduplication.
 	DupDistance, DupWindow int
-	// Parallelism is the worker count used to fan each ingested post out
-	// across its candidate subscriptions: 0 means GOMAXPROCS, 1 is serial.
-	// Emission sequences per subscription are identical for any value.
-	Parallelism int
 	// MaxStreams caps concurrently served push waiters — SSE streams plus
 	// blocked long-polls; 0 means unlimited. Beyond the cap new streams are
 	// refused with 503 + Retry-After rather than queued, so a stampede
@@ -327,9 +334,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Parallelism reports the resolved fan-out worker count.
-func (s *Server) Parallelism() int { return parallel.Workers(s.cfg.Parallelism) }
-
 // Errors returned by the server.
 var (
 	ErrNoSuchSubscription = errors.New("server: no such subscription")
@@ -386,7 +390,7 @@ func (e *StreamEndError) Unwrap() error { return ErrStreamEnded }
 // ErrReadOnly (they could not be made durable).
 func (s *Server) Subscribe(cfg SubscriptionConfig) (int64, error) {
 	d := s.dur
-	if d != nil && !d.replaying.Load() {
+	if d != nil {
 		if d.degraded.Load() {
 			return 0, ErrReadOnly
 		}
@@ -397,7 +401,7 @@ func (s *Server) Subscribe(cfg SubscriptionConfig) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if d != nil && !d.replaying.Load() {
+	if d != nil {
 		if err := s.durAppendSubscribe(d, id, cfg); err != nil {
 			// Not journaled, so a restart would not know it: roll the
 			// registration back rather than report an id that can vanish.
@@ -482,7 +486,7 @@ func (s *Server) subscribe(id int64, cfg SubscriptionConfig) (int64, error) {
 // subscription in place; while degraded it is refused with ErrReadOnly.
 func (s *Server) Unsubscribe(id int64) error {
 	d := s.dur
-	if d != nil && !d.replaying.Load() {
+	if d != nil {
 		if d.degraded.Load() {
 			return ErrReadOnly
 		}
@@ -524,6 +528,9 @@ func (s *Server) unsubscribe(id int64) error {
 	// already) so routed ingest stops producing this candidate.
 	s.routes.Remove(id, sub.routeSyms)
 	sub.mu.Lock()
+	if sub.quarantined.Load() {
+		s.obs.onQuarantine(-1)
+	}
 	sub.terminateLocked(EndReasonUnsubscribed)
 	sub.mu.Unlock()
 	return nil
@@ -603,12 +610,7 @@ func (s *Server) ingestOne(ctx context.Context, p Post) error {
 	if o != nil {
 		o.routingCands.Observe(float64(len(cands)))
 	}
-	err := parallel.FirstErr(s.cfg.Parallelism, len(cands), func(i int) error {
-		if err := cands[i].V.feed(p, syms, s, span); err != nil {
-			return fmt.Errorf("server: subscription %d: %w", cands[i].ID, err)
-		}
-		return nil
-	})
+	err := s.fanout(cands, p, syms, span)
 	if o != nil {
 		if span != nil {
 			o.ingestFanout.ObserveTraced(time.Since(start).Seconds(), span.TraceID())
@@ -618,6 +620,21 @@ func (s *Server) ingestOne(ctx context.Context, p Post) error {
 	}
 	span.SetError(err)
 	return err
+}
+
+// fanout feeds p to every candidate and returns the lowest-index failure.
+// Every feed runs on either path, so both report the same error.
+func (s *Server) fanout(cands []route.Entry[*subscription], p Post, syms []uint32, span *obs.ActiveSpan) error {
+	if len(cands) >= poolFanoutMin {
+		return parallel.FirstErr(0, len(cands), func(i int) error { return cands[i].V.feed(p, syms, s, span) })
+	}
+	var first error
+	for _, c := range cands {
+		if err := c.V.feed(p, syms, s, span); first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // keepIngestScratch bounds the per-post scratch (words, symbols) retained
@@ -669,7 +686,7 @@ func (sub *subscription) feed(p Post, syms []uint32, s *Server, parent *obs.Acti
 	o.onMatch()
 	if inj := s.cfg.Faults; inj != nil {
 		if err := inj.Fire(fmt.Sprintf("sub%d.process", sub.id)); err != nil {
-			return err
+			return fmt.Errorf("server: subscription %d: %w", sub.id, err)
 		}
 	}
 	sub.texts[p.ID] = p
@@ -686,7 +703,7 @@ func (sub *subscription) feed(p Post, syms []uint32, s *Server, parent *obs.Acti
 	if err != nil {
 		procSpan.SetError(err)
 		procSpan.End()
-		return err
+		return fmt.Errorf("server: subscription %d: %w", sub.id, err)
 	}
 	procSpan.SetInt("decisions", int64(len(es)))
 	procSpan.End()
@@ -786,7 +803,7 @@ func (sub *subscription) gc(now float64) {
 // Flush calls are no-ops (processor streams end exactly once).
 func (s *Server) Flush() {
 	d := s.dur
-	if d != nil && !d.replaying.Load() {
+	if d != nil {
 		d.walBatchMu.Lock()
 		defer d.walBatchMu.Unlock()
 		// Journal the end-of-stream latch (first Flush only) so a restart
@@ -806,7 +823,11 @@ func (s *Server) Flush() {
 	shards := s.order
 	s.mu.RUnlock()
 	o := s.obs
-	parallel.ForEach(s.cfg.Parallelism, len(shards), func(i int) {
+	workers := 1 // inline below the pool threshold, like the ingest fan-out
+	if len(shards) >= poolFanoutMin {
+		workers = 0
+	}
+	parallel.ForEach(workers, len(shards), func(i int) {
 		sub := shards[i]
 		sub.mu.Lock()
 		defer sub.mu.Unlock()
@@ -1013,7 +1034,6 @@ type Metrics struct {
 	// (posts × subscriptions with no keyword overlap).
 	RoutingSkipped int64           `json:"routing_skipped"`
 	Flushed        bool            `json:"flushed"`
-	Workers        int             `json:"workers"`
 	SLOs           []obs.SLOStatus `json:"slos,omitempty"`
 	// Durability is the WAL/snapshot/recovery section; nil (omitted) when
 	// the server runs in-memory only.
@@ -1037,7 +1057,6 @@ func (s *Server) Metrics() Metrics {
 		Gaps:           s.gaps.Value(),
 		RoutingSkipped: s.routingSkipped.Value(),
 		Flushed:        s.closed.Load(),
-		Workers:        s.Parallelism(),
 		SLOs:           s.SLOs(),
 		Durability:     s.durabilityMetrics(),
 		Profiles:       make([]SubscriptionStats, 0, len(shards)),

@@ -25,7 +25,7 @@ func newTracedServer(t *testing.T) (*httptest.Server, *Server, *obs.Tracer) {
 	tracer := obs.NewTracer(256)
 	tracer.SetRetention(0, 1) // retain every trace: tests assert exact contents
 	reg.SetTracer(tracer)
-	ts, s := newTestServerWith(t, Config{Parallelism: 1, Obs: reg})
+	ts, s := newTestServerWith(t, Config{Obs: reg})
 	return ts, s, tracer
 }
 
@@ -326,7 +326,7 @@ func TestTraceSSEReconnectSameTrace(t *testing.T) {
 	tracer := obs.NewTracer(256)
 	tracer.SetRetention(0, 1)
 	reg.SetTracer(tracer)
-	s := newServer(t, Config{Parallelism: 1, Obs: reg})
+	s := newServer(t, Config{Obs: reg})
 
 	inner := Handler(s)
 	var mu sync.Mutex
@@ -401,7 +401,7 @@ func TestTraceSSEReconnectSameTrace(t *testing.T) {
 // server yields byte-identical /emissions bodies.
 func TestEmissionsByteIdenticalTracedVsUntraced(t *testing.T) {
 	build := func(traced bool) *httptest.Server {
-		cfg := Config{Parallelism: 1}
+		cfg := Config{}
 		if traced {
 			cfg.Obs = obs.NewRegistry()
 			tracer := obs.NewTracer(256)

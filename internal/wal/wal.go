@@ -56,7 +56,7 @@ const (
 	// boundaries (surviving a process kill) but a power loss can drop the
 	// unsynced suffix. Clients re-drive lost batches via idempotency keys.
 	SyncOff SyncPolicy = iota
-	// SyncInterval fsyncs on the background tick (Options.Interval).
+	// SyncInterval fsyncs on the background tick (DefaultInterval).
 	SyncInterval
 	// SyncBatch fsyncs on every Commit — one fsync per ingest batch.
 	SyncBatch
@@ -111,9 +111,9 @@ const (
 	// DefaultSegmentBytes is the rotation threshold when Options leaves
 	// SegmentBytes zero.
 	DefaultSegmentBytes = 64 << 20
-	// DefaultInterval is the background flush/fsync tick when Options
-	// leaves Interval zero.
-	DefaultInterval = 100 * time.Millisecond
+	// DefaultInterval is the background flush tick; under SyncInterval it
+	// fsyncs too, so it bounds what a power loss can take.
+	DefaultInterval = 50 * time.Millisecond
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -132,9 +132,6 @@ type Options struct {
 	// Policy picks the fsync cadence. The zero value is SyncOff; servers
 	// that want durability must set it explicitly.
 	Policy SyncPolicy
-	// Interval is the background flush tick; it fsyncs too under
-	// SyncInterval (default DefaultInterval).
-	Interval time.Duration
 	// Failpoint, when non-nil, is consulted before every physical append
 	// ("wal.append") and fsync ("wal.sync"); a returned error is treated
 	// as the corresponding IO failure. Chaos-test hook.
@@ -201,9 +198,6 @@ func (b *bufWriter) Flush() error {
 func Open(dir string, opt Options) (*Log, error) {
 	if opt.SegmentBytes <= 0 {
 		opt.SegmentBytes = DefaultSegmentBytes
-	}
-	if opt.Interval <= 0 {
-		opt.Interval = DefaultInterval
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -441,7 +435,7 @@ func (l *Log) syncLocked() error {
 // the user-space buffer and drives the SyncInterval policy.
 func (l *Log) tick() {
 	defer close(l.doneTick)
-	t := time.NewTicker(l.opt.Interval)
+	t := time.NewTicker(DefaultInterval)
 	defer t.Stop()
 	for {
 		select {

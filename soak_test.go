@@ -128,7 +128,7 @@ func TestSoakWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core, err := server.New(server.Config{Parallelism: 4, Obs: reg, Faults: srvInj})
+	core, err := server.New(server.Config{Obs: reg, Faults: srvInj})
 	if err != nil {
 		t.Fatal(err)
 	}
