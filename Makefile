@@ -23,7 +23,7 @@ test-race:
 	$(GO) test -race ./...
 
 # One benchmark per paper table/figure plus the solver (serial vs
-# parallel) and index (optimized path vs linear-scan oracle)
+# parallel) and index (three-term OR over a narrow window)
 # micro-benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"mqdp"
 	"mqdp/internal/index"
@@ -23,6 +25,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the newsroom pipeline's report to w.
+func run(w io.Writer) error {
 	// 1. Plant a topic world and train LDA on its news corpus (§7.1's
 	//    query-generation pipeline).
 	world := synth.NewWorld(synth.WorldConfig{BroadTopics: 4, TopicsPerBroad: 4, KeywordsPerTopic: 25, Seed: 1})
@@ -32,7 +41,7 @@ func main() {
 	}
 	model, err := lda.Train(corpus, lda.Options{Topics: len(world.Topics), Iterations: 80, Seed: 3})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 2. The journalist's profile: three LDA topics as queries.
@@ -47,15 +56,15 @@ func main() {
 		if len(head) > 6 {
 			head = head[:6]
 		}
-		fmt.Printf("query %d:", k)
+		fmt.Fprintf(w, "query %d:", k)
 		for _, kw := range head {
-			fmt.Printf(" %s", kw.Text)
+			fmt.Fprintf(w, " %s", kw.Text)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	matcher, err := match.NewMatcher(topics)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 3. A two-hour tweet stream (with retweet noise) goes into the
@@ -64,10 +73,10 @@ func main() {
 	ix := index.New()
 	for _, tw := range tweets {
 		if err := ix.Add(index.Doc{ID: tw.ID, Time: tw.Time, Text: tw.Text}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("\nindexed %d tweets (%d terms)\n", ix.Len(), ix.Terms())
+	fmt.Fprintf(w, "\nindexed %d tweets (%d terms)\n", ix.Len(), ix.Terms())
 
 	// 4. Retrieve matching posts, drop near-duplicates, diversify.
 	matched := matcher.FromIndex(ix, match.ByTime, 0, 7200)
@@ -79,25 +88,26 @@ func main() {
 		}
 	}
 	seen, dropped := dedup.Stats()
-	fmt.Printf("matched %d posts; SimHash dropped %d of %d near-duplicates\n", len(matched), dropped, seen)
+	fmt.Fprintf(w, "matched %d posts; SimHash dropped %d of %d near-duplicates\n", len(matched), dropped, seen)
 
 	inst, err := mqdp.NewInstance(posts, matcher.NumTopics())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cover, err := mqdp.Solve(inst, mqdp.Options{Lambda: 900, Algorithm: mqdp.GreedySC}) // λ = 15 minutes
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ndigest: %d representative posts (λ = 15 min) out of %d\n\n", cover.Size(), inst.Len())
+	fmt.Fprintf(w, "\ndigest: %d representative posts (λ = 15 min) out of %d\n\n", cover.Size(), inst.Len())
 	for _, i := range cover.Selected {
 		p := inst.Post(i)
 		text := ix.Doc(findPos(ix, p.ID)).Text
 		if len(text) > 64 {
 			text = text[:64] + "…"
 		}
-		fmt.Printf("  [%5.0fs] labels %v  %s\n", p.Value, p.Labels, text)
+		fmt.Fprintf(w, "  [%5.0fs] labels %v  %s\n", p.Value, p.Labels, text)
 	}
+	return nil
 }
 
 // findPos locates a document position by ID. The synthetic stream assigns

@@ -18,12 +18,12 @@ func Example() {
 			panic(err)
 		}
 	}
-	for _, pos := range ix.TermQuery("obama", 0, 100) {
+	for _, pos := range ix.AnyQuery([]string{"obama"}, 0, 100) {
 		fmt.Println(ix.Doc(pos).ID)
 	}
-	fmt.Println("both terms:", len(ix.AllQuery([]string{"obama", "senate"}, 0, 100)))
+	fmt.Println("economy or sports:", len(ix.AnyQuery([]string{"economy", "sports"}, 0, 100)))
 	// Output:
 	// 1
 	// 3
-	// both terms: 1
+	// economy or sports: 2
 }

@@ -3,29 +3,49 @@ package index
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"mqdp/internal/textutil"
 )
 
+// scanQuery is the linear-scan reference for AnyQuery. It re-tokenizes every
+// document in [lo, hi] and shares nothing with the posting lists.
+func scanQuery(ix *Index, terms []string, lo, hi float64) []int32 {
+	var out []int32
+	for pos := int32(0); int(pos) < ix.Len(); pos++ {
+		d := ix.Doc(pos)
+		if !(d.Time >= lo && d.Time <= hi) {
+			continue
+		}
+		for _, tok := range textutil.Tokenize(d.Text) {
+			if !(tok.Kind == textutil.Word && textutil.IsStopword(tok.Text)) && slices.Contains(terms, tok.Text) {
+				out = append(out, pos)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// checkScan fails t unless AnyQuery agrees with scanQuery.
+func checkScan(t testing.TB, ix *Index, terms []string, lo, hi float64) {
+	t.Helper()
+	if got, want := ix.AnyQuery(terms, lo, hi), scanQuery(ix, terms, lo, hi); !slices.Equal(got, want) {
+		t.Fatalf("AnyQuery(%q, %v, %v) = %v, scan = %v", terms, lo, hi, got, want)
+	}
+}
+
 // randCorpus builds a deterministic random corpus: vocab words with a skewed
-// (roughly zipfian) draw, clustered timestamps, segment size forced small so
-// queries cross many sealed segments plus the active one.
-func randCorpus(rng *rand.Rand, n, segSize int) *Index {
-	ix := NewWithSegmentSize(segSize)
-	now := 0.0
+// (roughly zipfian) draw and clustered timestamps.
+func randCorpus(rng *rand.Rand, n int) *Index {
+	ix, now := New(), 0.0
 	for i := 0; i < n; i++ {
 		now += rng.Float64() * 2
 		text := ""
-		words := 1 + rng.Intn(5)
-		for w := 0; w < words; w++ {
-			// Skewed vocabulary: low word ids are much more frequent.
-			id := int(rng.ExpFloat64() * 4)
-			if id > 40 {
-				id = 40
-			}
-			text += fmt.Sprintf("w%d ", id)
+		for w := rng.Intn(5); w >= 0; w-- {
+			text += fmt.Sprintf("w%d ", min(int(rng.ExpFloat64()*4), 40))
 		}
 		if rng.Intn(10) == 0 {
 			text += "#tag"
@@ -37,97 +57,37 @@ func randCorpus(rng *rand.Rand, n, segSize int) *Index {
 	return ix
 }
 
-// randWindow picks a random time window, sometimes degenerate or out of
-// range, to exercise the skip bounds from every side.
+// randWindow picks a random time window; some are empty, a single point or
+// inverted.
 func randWindow(rng *rand.Rand, span float64) (lo, hi float64) {
-	switch rng.Intn(7) {
-	case 0:
-		return -10, -1 // entirely before
-	case 1:
-		return span + 1, span + 10 // entirely after
-	case 2:
-		return 0, span // everything
-	case 3:
-		p := rng.Float64() * span
-		return p, p // point window
-	case 4:
-		// Inverted window overlapping the data: must select nothing
-		// without tripping the binary-search slicing.
-		return span * 0.7, span * 0.3
-	default:
-		a, b := rng.Float64()*span, rng.Float64()*span
-		if a > b {
-			a, b = b, a
-		}
-		return a, b
-	}
+	a, b := rng.Float64()*span, rng.Float64()*span
+	w := [...][2]float64{{-10, -1}, {span + 1, span + 10}, {0, span}, {a, a}, {span * 0.7, span * 0.3}, {a, b}, {min(a, b), max(a, b)}}[rng.Intn(7)]
+	return w[0], w[1]
 }
 
-// TestQueryEquivalenceProperty pins every optimized query path to its naive
-// linear-scan reference over random corpora, vocabularies and windows.
+// TestQueryEquivalenceProperty pins AnyQuery to the linear scan over random
+// corpora, term sets and windows.
 func TestQueryEquivalenceProperty(t *testing.T) {
+	// The inverted window a fuzzer once found over this corpus.
+	checkScan(t, randCorpus(rand.New(rand.NewSource(11)), 400), []string{"w0"}, 11, 2.857142857142857)
 	rng := rand.New(rand.NewSource(7))
+	w := func(n int) string { return fmt.Sprintf("w%d", rng.Intn(n)) }
 	for trial := 0; trial < 30; trial++ {
-		segSize := 1 + rng.Intn(40)
 		n := 50 + rng.Intn(300)
-		ix := randCorpus(rng, n, segSize)
+		ix := randCorpus(rng, n)
 		span := ix.Doc(int32(n-1)).Time + 1
 		for q := 0; q < 40; q++ {
 			lo, hi := randWindow(rng, span)
-			term := fmt.Sprintf("w%d", rng.Intn(45))
-			if got, want := ix.TermQuery(term, lo, hi), ix.TermQueryScan(term, lo, hi); !equalPositions(got, want) {
-				t.Fatalf("trial %d: TermQuery(%q, %v, %v) = %v, scan = %v", trial, term, lo, hi, got, want)
-			}
-			terms := []string{
-				fmt.Sprintf("w%d", rng.Intn(45)),
-				fmt.Sprintf("w%d", rng.Intn(10)),
-				fmt.Sprintf("w%d", rng.Intn(3)),
-			}
-			if got, want := ix.AnyQuery(terms, lo, hi), ix.AnyQueryScan(terms, lo, hi); !equalPositions(got, want) {
-				t.Fatalf("trial %d: AnyQuery(%v, %v, %v) = %v, scan = %v", trial, terms, lo, hi, got, want)
-			}
-			if got, want := ix.AllQuery(terms, lo, hi), ix.AllQueryScan(terms, lo, hi); !equalPositions(got, want) {
-				t.Fatalf("trial %d: AllQuery(%v, %v, %v) = %v, scan = %v", trial, terms, lo, hi, got, want)
-			}
-			k := 1 + rng.Intn(12)
-			query := fmt.Sprintf("w%d w%d #tag", rng.Intn(10), rng.Intn(45))
-			got, want := ix.Search(query, k, lo, hi), ix.SearchScan(query, k, lo, hi)
-			if !equalHits(got, want) {
-				t.Fatalf("trial %d: Search(%q, %d, %v, %v) = %v, scan = %v", trial, query, k, lo, hi, got, want)
-			}
+			checkScan(t, ix, []string{w(45)}, lo, hi)
+			checkScan(t, ix, []string{w(45), w(10), w(3), "#tag"}, lo, hi)
 		}
 	}
 }
 
-func equalPositions(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalHits(a, b []Hit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Pos != b[i].Pos || a[i].Score != b[i].Score {
-			return false
-		}
-	}
-	return true
-}
-
-// FuzzTermQueryEquivalence fuzzes term and window over a fixed corpus,
-// asserting the skipping path matches the linear scan.
+// FuzzTermQueryEquivalence fuzzes a one-term query and its window over a
+// fixed corpus against the linear scan.
 func FuzzTermQueryEquivalence(f *testing.F) {
-	rng := rand.New(rand.NewSource(11))
-	ix := randCorpus(rng, 400, 16)
+	ix := randCorpus(rand.New(rand.NewSource(11)), 400)
 	span := ix.Doc(int32(ix.Len() - 1)).Time
 	f.Add("w0", 0.0, 10.0)
 	f.Add("w3", -5.0, 1e9)
@@ -135,258 +95,40 @@ func FuzzTermQueryEquivalence(f *testing.F) {
 	f.Add("missing", 0.0, span)
 	f.Add("w1", span/2, span/4) // inverted window overlapping the data
 	f.Fuzz(func(t *testing.T, term string, lo, hi float64) {
-		got := ix.TermQuery(term, lo, hi)
-		want := ix.TermQueryScan(term, lo, hi)
-		if !equalPositions(got, want) {
-			t.Fatalf("TermQuery(%q, %v, %v) = %v, scan = %v", term, lo, hi, got, want)
-		}
-		gotAll := ix.AllQuery([]string{term, "w0"}, lo, hi)
-		wantAll := ix.AllQueryScan([]string{term, "w0"}, lo, hi)
-		if !equalPositions(gotAll, wantAll) {
-			t.Fatalf("AllQuery([%q w0], %v, %v) = %v, scan = %v", term, lo, hi, gotAll, wantAll)
-		}
+		checkScan(t, ix, []string{term}, lo, hi)
 	})
 }
 
-// TestConcurrentEquivalenceWithWriter runs the full query surface against a
-// hot writer under -race. Queries over the frozen prefix window must match
-// the reference exactly at all times; live-window queries must stay sorted,
-// deduplicated and resolvable.
+// TestConcurrentEquivalenceWithWriter queries the frozen prefix against a
+// hot writer under -race: the answer must match the scan at all times.
 func TestConcurrentEquivalenceWithWriter(t *testing.T) {
-	const prefix = 500
-	ix := NewWithSegmentSize(64)
-	for i := 0; i < prefix; i++ {
-		mustAdd(t, ix, Doc{ID: int64(i), Time: float64(i), Text: fmt.Sprintf("w%d obama news", i%7)})
-	}
-	prefixHi := float64(prefix - 1)
-	wantTerm := ix.TermQueryScan("obama", 0, prefixHi)
-	wantAll := ix.AllQueryScan([]string{"obama", "w3"}, 0, prefixHi)
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
+	ix := randCorpus(rand.New(rand.NewSource(3)), 500)
+	terms, hi := []string{"w3", "w5"}, ix.Doc(499).Time
+	want := scanQuery(ix, terms, 0, hi)
+	var done atomic.Bool
 	go func() {
-		defer wg.Done()
-		for i := prefix; i < prefix+3000; i++ {
-			_ = ix.Add(Doc{ID: int64(i), Time: float64(i), Text: fmt.Sprintf("w%d obama fresh", i%7)})
+		for i := 0; i < 3000; i++ {
+			_ = ix.Add(Doc{ID: int64(500 + i), Time: hi + 1 + float64(i), Text: "w3 w5 fresh"})
 		}
-		stop.Store(true)
+		done.Store(true)
 	}()
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for !stop.Load() {
-				// Frozen prefix: exact equivalence while the writer runs.
-				if got := ix.TermQuery("obama", 0, prefixHi); !equalPositions(got, wantTerm) {
-					t.Errorf("prefix TermQuery diverged: %d vs %d", len(got), len(wantTerm))
-					return
-				}
-				if got := ix.AllQuery([]string{"obama", "w3"}, 0, prefixHi); !equalPositions(got, wantAll) {
-					t.Errorf("prefix AllQuery diverged")
-					return
-				}
-				// Search scores depend on total corpus size (IDF), so a
-				// frozen window still rescores as the writer runs; check
-				// structural invariants instead of a fixed reference.
-				hits := ix.Search("obama w2", 10, 0, prefixHi)
-				if len(hits) > 10 {
-					t.Errorf("prefix Search returned %d > k hits", len(hits))
-					return
-				}
-				for i := 1; i < len(hits); i++ {
-					if !worseHit(hits[i], hits[i-1]) {
-						t.Errorf("prefix Search hits out of order at %d", i)
-						return
-					}
-				}
-				for _, h := range hits {
-					if d := ix.Doc(h.Pos); d.Time > prefixHi {
-						t.Errorf("prefix Search hit outside window: %v", d.Time)
-						return
-					}
-				}
-				// Live window: structural invariants only.
-				hi := float64(prefix + rng.Intn(3000))
-				got := ix.AnyQuery([]string{"obama", "fresh"}, 0, hi)
-				for i := 1; i < len(got); i++ {
-					if got[i-1] >= got[i] {
-						t.Errorf("live AnyQuery not strictly ascending at %d", i)
-						return
-					}
-				}
-				if len(got) > 0 {
-					// Every returned position resolves against the index.
-					d := ix.Doc(got[len(got)-1])
-					if d.Time > hi {
-						t.Errorf("live query returned doc outside window: %v > %v", d.Time, hi)
-						return
-					}
-				}
-				_ = ix.DocFreq("obama")
-				_ = ix.Len()
-				_ = ix.Terms()
-			}
-		}(int64(r))
-	}
-	wg.Wait()
-	// Quiesced: full equivalence once more.
-	if got, want := ix.TermQuery("fresh", 0, 1e9), ix.TermQueryScan("fresh", 0, 1e9); !equalPositions(got, want) {
-		t.Fatalf("post-writer TermQuery = %d docs, scan = %d", len(got), len(want))
-	}
-	if got, want := ix.Search("obama w2", 10, 0, prefixHi), ix.SearchScan("obama w2", 10, 0, prefixHi); !equalHits(got, want) {
-		t.Fatalf("post-writer Search diverged from scan")
-	}
-	if ix.DocFreq("obama") != prefix+3000 {
-		t.Fatalf("DocFreq(obama) = %d", ix.DocFreq("obama"))
-	}
-}
-
-func mustAdd(t *testing.T, ix *Index, d Doc) {
-	t.Helper()
-	if err := ix.Add(d); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReadsCompleteWhileWriterMutexHeld pins the zero-lock acceptance
-// criterion: every query method completes while the writer mutex is held,
-// proving the read path acquires no lock shared with the writer.
-func TestReadsCompleteWhileWriterMutexHeld(t *testing.T) {
-	ix := NewWithSegmentSize(32)
-	for i := 0; i < 200; i++ {
-		mustAdd(t, ix, Doc{ID: int64(i), Time: float64(i), Text: fmt.Sprintf("w%d obama", i%5)})
-	}
-	ix.writeMu.Lock()
-	defer ix.writeMu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if got := ix.TermQuery("obama", 0, 1e9); len(got) != 200 {
-			t.Errorf("TermQuery under held writer mutex = %d docs", len(got))
-		}
-		_ = ix.AnyQuery([]string{"obama", "w1"}, 0, 1e9)
-		_ = ix.AllQuery([]string{"obama", "w1"}, 0, 1e9)
-		_ = ix.Search("obama w2", 5, 0, 1e9)
-		_ = ix.Doc(150)
-		_ = ix.DocFreq("w3")
-		_ = ix.Len()
-		_ = ix.Segments()
-		_ = ix.Terms()
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("queries blocked while the writer mutex was held")
-	}
-}
-
-// TestSearchDeterministicTies pins tie-breaking: equal-score hits come back
-// ordered by position, identically across repeated runs (map iteration
-// order must not leak through) and identically to the full-sort reference.
-func TestSearchDeterministicTies(t *testing.T) {
-	ix := New()
-	// 40 docs with identical text → identical TF-IDF scores.
-	for i := 0; i < 40; i++ {
-		mustAdd(t, ix, Doc{ID: int64(i), Time: float64(i), Text: "obama speech"})
-	}
-	want := ix.SearchScan("obama", 7, 0, 1e9)
-	if len(want) != 7 {
-		t.Fatalf("reference returned %d hits", len(want))
-	}
-	for i, h := range want {
-		if h.Pos != int32(i) {
-			t.Fatalf("reference tie order wrong: hit %d at pos %d", i, h.Pos)
-		}
-	}
-	for run := 0; run < 50; run++ {
-		got := ix.Search("obama", 7, 0, 1e9)
-		if !equalHits(got, want) {
-			t.Fatalf("run %d: Search ties nondeterministic: %v vs %v", run, got, want)
+	for !done.Load() {
+		if got := ix.AnyQuery(terms, 0, hi); !slices.Equal(got, want) {
+			t.Fatalf("prefix AnyQuery diverged: %d vs %d docs", len(got), len(want))
 		}
 	}
 }
 
-// TestAddBatch pins the batch path: equivalence with serial Adds and the
-// accepted-prefix contract on a time-order violation.
-func TestAddBatch(t *testing.T) {
-	docs := make([]Doc, 100)
-	for i := range docs {
-		docs[i] = Doc{ID: int64(i), Time: float64(i), Text: fmt.Sprintf("w%d obama", i%6)}
-	}
-	serial := NewWithSegmentSize(16)
-	for _, d := range docs {
-		mustAdd(t, serial, d)
-	}
-	batched := NewWithSegmentSize(16)
-	n, err := batched.AddBatch(docs)
-	if err != nil || n != len(docs) {
-		t.Fatalf("AddBatch = %d, %v", n, err)
-	}
-	if batched.Len() != serial.Len() || batched.Terms() != serial.Terms() {
-		t.Fatalf("batch Len/Terms = %d/%d, serial %d/%d", batched.Len(), batched.Terms(), serial.Len(), serial.Terms())
-	}
-	for _, term := range []string{"obama", "w0", "w5", "missing"} {
-		if got, want := batched.TermQuery(term, 0, 1e9), serial.TermQuery(term, 0, 1e9); !equalPositions(got, want) {
-			t.Errorf("TermQuery(%q): batch %v, serial %v", term, got, want)
+// BenchmarkAnyQueryRange measures a three-term OR over 0.5% of a 200k-doc
+// corpus, the narrow window of the paper's real-time queries.
+func BenchmarkAnyQueryRange(b *testing.B) {
+	ix := randCorpus(rand.New(rand.NewSource(1)), 200_000)
+	span := ix.Doc(int32(ix.Len() - 1)).Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(ix.AnyQuery([]string{"w0", "w7", "#tag"}, span*0.75, span*0.755)) == 0 {
+			b.Fatal("no hits")
 		}
 	}
-
-	// Mid-batch violation: the accepted prefix stays indexed.
-	bad := []Doc{{ID: 1, Time: 10, Text: "x"}, {ID: 2, Time: 20, Text: "y"}, {ID: 3, Time: 5, Text: "z"}}
-	ix := New()
-	n, err = ix.AddBatch(bad)
-	if n != 2 || err == nil {
-		t.Fatalf("AddBatch with violation = %d, %v; want 2, ErrTimeOrder", n, err)
-	}
-	if ix.Len() != 2 {
-		t.Errorf("after failed batch Len = %d, want 2", ix.Len())
-	}
-}
-
-// TestIntersectGallop pins the galloping intersection against the merge
-// reference over random sorted sets.
-func TestIntersectGallop(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		a := randSortedSet(rng, rng.Intn(50))
-		b := randSortedSet(rng, rng.Intn(2000))
-		want := mergeIntersect(a, b)
-		got := intersectGallop(append([]int32(nil), a...), b)
-		if !equalPositions(got, want) {
-			t.Fatalf("intersectGallop(%v, |b|=%d) = %v, want %v", a, len(b), got, want)
-		}
-	}
-}
-
-func randSortedSet(rng *rand.Rand, n int) []int32 {
-	seen := map[int32]bool{}
-	for len(seen) < n {
-		seen[int32(rng.Intn(4000))] = true
-	}
-	out := make([]int32, 0, n)
-	for v := range seen {
-		out = append(out, v)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort, n is small
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func mergeIntersect(a, b []int32) []int32 {
-	var out []int32
-	k := 0
-	for _, x := range a {
-		for k < len(b) && b[k] < x {
-			k++
-		}
-		if k < len(b) && b[k] == x {
-			out = append(out, x)
-		}
-	}
-	return out
 }
