@@ -114,7 +114,7 @@ func sortNodes(ns []*TraceNode) {
 //
 //	http.ingest 1.21ms span=12 status=200
 //	  server.admit 8µs
-//	  ingest.post 1.1ms post_id=42
+//	  ingest.batch 1.1ms posts=64
 func WriteTraceTree(w io.Writer, roots []*TraceNode) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range roots {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -157,16 +158,17 @@ func BenchmarkEmissionsPoll(b *testing.B) {
 }
 
 // benchIngestObs drives the standard ingest workload against a server in
-// one observability mode. Off→Disabled prices the pre-existing metrics
-// layer (registry wired, timers and histograms live, no tracer — the
-// production default). Disabled→Enabled is the number this PR pins: with no
-// tracer attached, tracing must cost only the nil check inside the already
-// -loaded obs state, so Disabled stays where it was before spans existed,
-// and Enabled prices full span bookkeeping with tail-based retention.
+// one observability mode. Off→Disabled prices the metrics layer (registry
+// wired, the per-batch clock pair and histograms live, no tracer). With a
+// tracer wired each call runs under its own root span, as an HTTP request
+// does, so Disabled→Enabled prices the span bookkeeping with tail-based
+// retention; without one the root is nil and tracing costs only the nil
+// checks.
 func benchIngestObs(b *testing.B, reg *obs.Registry) {
 	world := synth.NewWorld(synth.WorldConfig{Seed: 1})
 	tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 600, RatePerSec: 4, Seed: 2})
 	s := newServer(b, Config{Obs: reg})
+	tracer := reg.Tracer()
 	rng := newRand(3)
 	for i := 0; i < 16; i++ {
 		topicIdx := world.SampleLabelSet(rng, 3)
@@ -183,7 +185,10 @@ func benchIngestObs(b *testing.B, reg *obs.Registry) {
 	for i := 0; i < b.N; i++ {
 		tw := tweets[i%len(tweets)]
 		wrap := float64(i/len(tweets)) * 600
-		_ = ingestPost(s, Post{ID: int64(i), Time: tw.Time + wrap, Text: tw.Text})
+		root := tracer.StartTrace("bench.ingest")
+		ctx := obs.ContextWithSpan(context.Background(), root)
+		_, _, _ = s.IngestBatch(ctx, []Post{{ID: int64(i), Time: tw.Time + wrap, Text: tw.Text}}, "")
+		root.End()
 	}
 }
 

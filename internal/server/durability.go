@@ -388,16 +388,40 @@ func (s *Server) IngestBatch(ctx context.Context, batch []Post, key string) (Ing
 
 // applyBatch feeds the batch post-by-post through the regular ingest
 // pipeline, stopping at the first failure; the accepted prefix stays
-// applied (the deadline/ordering contract of the HTTP API).
+// applied (the deadline/ordering contract of the HTTP API). Instrumentation
+// is per batch: one ingest.batch span (only under a traced ctx, so WAL
+// replay and direct calls open none) and one clock pair.
 func (s *Server) applyBatch(ctx context.Context, batch []Post) (int, error) {
-	accepted := 0
-	for i := range batch {
-		if err := s.ingestOne(ctx, batch[i]); err != nil {
-			return accepted, err
+	o := s.obs
+	var start time.Time
+	if o != nil {
+		start = time.Now()
+	}
+	span := obs.FromContext(ctx).Child("ingest.batch")
+	trace := span.TraceID()
+	var err error
+	accepted, dropped, cands := 0, 0, 0
+	for _, p := range batch {
+		n, dup, perr := s.ingestOne(ctx, p, trace)
+		if err = perr; err != nil {
+			break
 		}
 		accepted++
+		cands += n
+		if dup {
+			dropped++
+		}
 	}
-	return accepted, nil
+	if o != nil {
+		o.ingestBatch.ObserveTraced(time.Since(start).Seconds(), trace)
+	}
+	span.SetInt("posts", int64(len(batch)))
+	span.SetInt("accepted", int64(accepted))
+	span.SetInt("dropped", int64(dropped))
+	span.SetInt("routing_candidates", int64(cands))
+	span.SetError(err)
+	span.End()
+	return accepted, err
 }
 
 // appendBatch journals one ingest batch record, buffered: the commit (and

@@ -12,9 +12,7 @@ import (
 // alongside.
 type serverObs struct {
 	tracer        *obs.Tracer    // request tracer; nil when the registry has none
-	ingestFanout  *obs.Histogram // one Ingest: admission + fan-out to all subscriptions
-	tokenizeTime  *obs.Histogram // the once-per-post tokenization shared by every subscription
-	matchTime     *obs.Histogram // one subscription's topic match for one post
+	ingestBatch   *obs.Histogram // one applied ingest batch: admission + fan-out of every post
 	routingCands  *obs.Histogram // candidate subscriptions per routed post (fan-out size)
 	pollTime      *obs.Histogram // one Emissions poll
 	subs          *obs.Gauge
@@ -42,9 +40,7 @@ func newServerObs(s *Server, r *obs.Registry) *serverObs {
 	r.RegisterCounter("mqdp_server_wal_snapshots_total", "state snapshots written by the durability layer", &s.walSnapshots)
 	return &serverObs{
 		tracer:        r.Tracer(),
-		ingestFanout:  r.Histogram("mqdp_server_ingest_fanout_seconds", "wall time fanning one post out to every subscription", obs.TimeBuckets),
-		tokenizeTime:  r.Histogram("mqdp_server_tokenize_seconds", "wall time of the once-per-post ingest tokenization", obs.TimeBuckets),
-		matchTime:     r.Histogram("mqdp_server_match_seconds", "wall time of one subscription's topic match", obs.TimeBuckets),
+		ingestBatch:   r.Histogram("mqdp_server_ingest_batch_seconds", "wall time applying one ingest batch: admission and fan-out of every post", obs.TimeBuckets),
 		routingCands:  r.Histogram("mqdp_server_routing_candidates", "candidate subscriptions fed per routed post after the inverted-index merge", obs.ExpBuckets(1, 4, 10)),
 		pollTime:      r.Histogram("mqdp_server_emission_poll_seconds", "wall time of one emission poll", obs.TimeBuckets),
 		subs:          r.Gauge("mqdp_server_subscriptions", "registered subscriptions"),

@@ -130,13 +130,13 @@ func TestPrometheusEndpointE2E(t *testing.T) {
 		"mqdp_stream_decision_delay_seconds": "histogram",
 		"mqdp_server_ingested_total":         "counter",
 		"mqdp_server_subscriptions":          "gauge",
-		"mqdp_server_match_seconds":          "histogram",
+		"mqdp_server_ingest_batch_seconds":   "histogram",
 	} {
 		if got := ea.types[name]; got != kind {
 			t.Errorf("metric %s: TYPE = %q, want %q", name, got, kind)
 		}
 	}
-	for _, name := range []string{"mqdp_server_match_seconds_sum", "mqdp_server_match_seconds_count"} {
+	for _, name := range []string{"mqdp_server_ingest_batch_seconds_sum", "mqdp_server_ingest_batch_seconds_count"} {
 		if _, ok := ea.samples[name]; !ok {
 			t.Errorf("missing sample %s", name)
 		}

@@ -16,6 +16,11 @@
 // serialized by a separate mutex, which also guarantees every
 // subscription sees posts in timestamp order: per-subscription emission
 // sequences are identical on either path.
+//
+// Instrumentation is per ingest batch, not per post or per candidate:
+// applyBatch opens one ingest.batch span under a traced request and reads
+// the clock twice, and the batch's trace ID rides the fan-out into every
+// emission it produces.
 package server
 
 import (
@@ -538,40 +543,23 @@ func (s *Server) unsubscribe(id int64) error {
 
 // ingestOne is the WAL-free admission + fan-out core shared by the live
 // path (which journals first) and WAL replay (whose records already exist).
-func (s *Server) ingestOne(ctx context.Context, p Post) error {
+// It returns the post's routed candidate count and whether the deduper
+// dropped it; trace is the ingest request's, carried into the emissions.
+func (s *Server) ingestOne(ctx context.Context, p Post, trace obs.TraceID) (int, bool, error) {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	if err := ctx.Err(); err != nil {
-		return err
+		return 0, false, err
 	}
 	if s.closed.Load() {
-		return ErrClosed
+		return 0, false, ErrClosed
 	}
 	if s.started && p.Time < s.lastTime {
-		return fmt.Errorf("%w: %v after %v", ErrOutOfOrder, p.Time, s.lastTime)
+		return 0, false, fmt.Errorf("%w: %v after %v", ErrOutOfOrder, p.Time, s.lastTime)
 	}
 	s.started = true
 	s.lastTime = p.Time
 	s.ingested.Inc()
-	o := s.obs
-	// Per-post span, a child of the request span when the caller carries
-	// one (the HTTP path) and a fresh root otherwise (direct API use with a
-	// tracer wired). Its trace ID follows the post through fan-out into the
-	// emissions it produces.
-	var span *obs.ActiveSpan
-	if o != nil && o.tracer != nil {
-		if parent := obs.FromContext(ctx); parent != nil {
-			span = parent.Child("ingest.post")
-		} else {
-			span = o.tracer.StartTrace("ingest.post")
-		}
-		span.SetInt("post_id", p.ID)
-		defer span.End()
-	}
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-	}
 	// Tokenize once per post: the deduper fingerprints these words, and
 	// every candidate matches against their symbols (read-only during the
 	// fan-out).
@@ -582,13 +570,9 @@ func (s *Server) ingestOne(ctx context.Context, p Post) error {
 	if cap(s.wordBuf) > keepIngestScratch {
 		s.wordBuf = nil
 	}
-	if o != nil {
-		o.tokenizeTime.ObserveSince(start)
-	}
 	if s.dedup != nil && !s.dedup.OfferWords(words) {
 		s.dropped.Inc()
-		span.Set("dropped", "duplicate")
-		return nil
+		return 0, true, nil
 	}
 	// Inverted routing: resolve the post's tokens to symbols (unknown
 	// tokens are nobody's keyword and drop out here), k-way-merge the
@@ -606,31 +590,21 @@ func (s *Server) ingestOne(ctx context.Context, p Post) error {
 	if skipped := s.subCount.Load() - int64(len(cands)); skipped > 0 {
 		s.routingSkipped.Add(skipped)
 	}
-	span.SetInt("routing_candidates", int64(len(cands)))
-	if o != nil {
+	if o := s.obs; o != nil {
 		o.routingCands.Observe(float64(len(cands)))
 	}
-	err := s.fanout(cands, p, syms, span)
-	if o != nil {
-		if span != nil {
-			o.ingestFanout.ObserveTraced(time.Since(start).Seconds(), span.TraceID())
-		} else {
-			o.ingestFanout.ObserveSince(start)
-		}
-	}
-	span.SetError(err)
-	return err
+	return len(cands), false, s.fanout(cands, p, syms, trace)
 }
 
 // fanout feeds p to every candidate and returns the lowest-index failure.
 // Every feed runs on either path, so both report the same error.
-func (s *Server) fanout(cands []route.Entry[*subscription], p Post, syms []uint32, span *obs.ActiveSpan) error {
+func (s *Server) fanout(cands []route.Entry[*subscription], p Post, syms []uint32, trace obs.TraceID) error {
 	if len(cands) >= poolFanoutMin {
-		return parallel.FirstErr(0, len(cands), func(i int) error { return cands[i].V.feed(p, syms, s, span) })
+		return parallel.FirstErr(0, len(cands), func(i int) error { return cands[i].V.feed(p, syms, s, trace) })
 	}
 	var first error
 	for _, c := range cands {
-		if err := c.V.feed(p, syms, s, span); first == nil {
+		if err := c.V.feed(p, syms, s, trace); first == nil {
 			first = err
 		}
 	}
@@ -649,11 +623,10 @@ const keepIngestScratch = 1 << 12
 // per-subscription pipeline (matcher, processor, delivery — or a scripted
 // chaos panic from cfg.Faults) quarantines this subscription and returns
 // nil: one poisoned profile must not fail the ingest or kill the process.
-func (sub *subscription) feed(p Post, syms []uint32, s *Server, parent *obs.ActiveSpan) (err error) {
+func (sub *subscription) feed(p Post, syms []uint32, s *Server, trace obs.TraceID) (err error) {
 	if sub.quarantined.Load() {
 		return nil
 	}
-	o := s.obs
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	defer func() {
@@ -662,19 +635,12 @@ func (sub *subscription) feed(p Post, syms []uint32, s *Server, parent *obs.Acti
 			err = nil
 		}
 	}()
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-	}
 	// Match into the reused per-subscription scratch: the no-match path
 	// allocates nothing, and a match only pays for the owned copy handed
 	// to the processor below.
 	labels := sub.matcher.MatchSymbolsInto(sub.labelBuf, syms)
 	if labels != nil {
 		sub.labelBuf = labels[:0]
-	}
-	if o != nil {
-		o.matchTime.ObserveSince(start)
 	}
 	if len(labels) == 0 {
 		return nil
@@ -683,7 +649,7 @@ func (sub *subscription) feed(p Post, syms []uint32, s *Server, parent *obs.Acti
 	// hand it an owned copy rather than the scratch.
 	labels = append(make([]core.Label, 0, len(labels)), labels...)
 	sub.matched.Inc()
-	o.onMatch()
+	s.obs.onMatch()
 	if inj := s.cfg.Faults; inj != nil {
 		if err := inj.Fire(fmt.Sprintf("sub%d.process", sub.id)); err != nil {
 			return fmt.Errorf("server: subscription %d: %w", sub.id, err)
@@ -691,29 +657,11 @@ func (sub *subscription) feed(p Post, syms []uint32, s *Server, parent *obs.Acti
 	}
 	sub.texts[p.ID] = p
 	sub.pending = append(sub.pending, pendingText{id: p.ID, time: p.Time})
-	// The stream-processor decision span: only matched subscriptions reach
-	// here, so an untraced non-matching fan-out stays span-free.
-	procSpan := parent.Child("sub.process")
-	if procSpan != nil {
-		procSpan.SetInt("subscription", sub.id)
-		procSpan.Set("algorithm", sub.proc.Name())
-		procSpan.SetInt("labels", int64(len(labels)))
-	}
 	es, err := sub.proc.Process(mqdp.Post{ID: p.ID, Value: p.Time, Labels: labels})
 	if err != nil {
-		procSpan.SetError(err)
-		procSpan.End()
 		return fmt.Errorf("server: subscription %d: %w", sub.id, err)
 	}
-	procSpan.SetInt("decisions", int64(len(es)))
-	procSpan.End()
-	var delSpan *obs.ActiveSpan
-	if parent != nil && len(es) > 0 {
-		delSpan = parent.Child("sub.deliver")
-		delSpan.SetInt("subscription", sub.id)
-	}
-	sub.deliver(es, o, parent.TraceID())
-	delSpan.End()
+	sub.deliver(es, s.obs, trace)
 	sub.gc(p.Time)
 	// Slide the top-k window to this post's time; waiters only wake when
 	// the visible view actually changed (deliver wakes them for appends).

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -59,13 +60,17 @@ func waitForTrace(t *testing.T, tracer *obs.Tracer, id obs.TraceID, want ...stri
 	}
 }
 
-// TestTraceEndToEnd is the acceptance path: one post ingested under a
+// ingestSpans is the whole server-side trace of one HTTP ingest, whatever
+// its post count and fan-out: instrumentation is per batch, not per post
+// or per candidate.
+var ingestSpans = []string{"http.ingest", "server.admit", "ingest.decode", "ingest.batch"}
+
+// TestTraceEndToEnd is the acceptance path: one ingest batch sent under a
 // client-side span is followable end to end — the server-side trace (same
-// trace ID) covers the HTTP request, admission, decode, the per-post fan-out
-// and the per-subscription process/deliver steps; /debug/traces serves the
-// tree in both formats; the fan-out histogram exposes an exemplar linking to
-// a retrievable trace; and the SSE stream hands back the originating trace
-// ID on the resulting emission.
+// trace ID) covers the HTTP request, admission, decode and the applied
+// batch; /debug/traces serves the tree in both formats; the batch histogram
+// exposes an exemplar linking to that trace; and the SSE stream hands back
+// the originating trace ID on the resulting emission.
 func TestTraceEndToEnd(t *testing.T) {
 	ts, s, tracer := newTracedServer(t)
 
@@ -86,8 +91,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	root.End()
 	trace := root.TraceID()
 
-	spans := waitForTrace(t, tracer, trace,
-		"http.ingest", "server.admit", "ingest.decode", "ingest.post", "sub.process", "sub.deliver")
+	spans := waitForTrace(t, tracer, trace, ingestSpans...)
 	var httpSpan obs.Span
 	for _, sp := range spans {
 		if sp.Trace != trace {
@@ -137,8 +141,8 @@ func TestTraceEndToEnd(t *testing.T) {
 			if sum.Root != "http.ingest" {
 				t.Errorf("trace summary root = %q, want http.ingest", sum.Root)
 			}
-			if sum.Spans < 6 {
-				t.Errorf("trace summary spans = %d, want >= 6", sum.Spans)
+			if sum.Spans != len(ingestSpans) {
+				t.Errorf("trace summary spans = %d, want %d", sum.Spans, len(ingestSpans))
 			}
 		}
 	}
@@ -167,21 +171,24 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if tree.Trace != trace.String() || tree.Spans < 6 || len(tree.Roots) == 0 {
+	if tree.Trace != trace.String() || tree.Spans != len(ingestSpans) || len(tree.Roots) == 0 {
 		t.Fatalf("trace tree = %+v", tree)
 	}
 	text := getBody(t, ts.URL+"/debug/traces/"+trace.String()+"?format=text")
-	for _, name := range []string{"http.ingest", "ingest.post", "sub.deliver"} {
+	for _, name := range ingestSpans {
 		if !strings.Contains(text, name) {
 			t.Errorf("text tree missing span %q:\n%s", name, text)
 		}
 	}
 
-	// The fan-out histogram carries an exemplar whose trace is retrievable.
+	// The batch histogram's exemplar is the ingest trace, and retrievable.
 	expo := getBody(t, ts.URL+"/metrics/prometheus")
-	m := regexp.MustCompile(`# \{trace_id="([0-9a-f]{32})"\}`).FindStringSubmatch(expo)
+	m := regexp.MustCompile(`mqdp_server_ingest_batch_seconds_bucket\{le="\+Inf"\} \d+ # \{trace_id="([0-9a-f]{32})"\}`).FindStringSubmatch(expo)
 	if m == nil {
-		t.Fatal("no exemplar in /metrics/prometheus exposition")
+		t.Fatal("no ingest batch exemplar in /metrics/prometheus exposition")
+	}
+	if m[1] != trace.String() {
+		t.Errorf("ingest batch exemplar trace = %s, want the ingest trace %s", m[1], trace)
 	}
 	resp, err = http.Get(ts.URL + "/debug/traces/" + m[1])
 	if err != nil {
@@ -214,6 +221,73 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	if !sawEmission {
 		t.Fatal("stream delivered no emission events")
+	}
+}
+
+// TestTraceSpanBudgetPerBatch pins the span budget of a traced ingest: a
+// 64-post batch whose every post routes to 40 matching, emitting
+// subscriptions (more than the default poolFanoutMin) records exactly the
+// spans of a 1-post batch — ingestSpans, one each — on the pooled
+// (threshold 0) and the inline (threshold above the subscription count)
+// fan-out.
+func TestTraceSpanBudgetPerBatch(t *testing.T) {
+	const subs, wide = 40, 64
+	for _, poolMin := range []int{0, subs + 1} {
+		t.Run(fmt.Sprintf("threshold=%d", poolMin), func(t *testing.T) {
+			old := poolFanoutMin
+			poolFanoutMin = poolMin
+			defer func() { poolFanoutMin = old }()
+			ts, s, tracer := newTracedServer(t)
+			for i := 0; i < subs; i++ {
+				if _, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl := NewClient(ts.URL)
+			ct := obs.NewTracer(16)
+			next := 0
+			ingest := func(n int) []obs.Span {
+				t.Helper()
+				batch := make([]Post, n)
+				for i := range batch {
+					next++
+					batch[i] = Post{ID: int64(next), Time: float64(next), Text: fmt.Sprintf("obama update %d", next)}
+				}
+				root := ct.StartTrace("client.ingest")
+				if _, err := cl.Ingest(obs.ContextWithSpan(context.Background(), root), batch...); err != nil {
+					t.Fatal(err)
+				}
+				root.End()
+				return waitForTrace(t, tracer, root.TraceID(), ingestSpans...)
+			}
+			for _, n := range []int{1, wide} {
+				counts := map[string]int{}
+				attrs := map[string]string{}
+				for _, sp := range ingest(n) {
+					counts[sp.Name]++
+					if sp.Name == "ingest.batch" {
+						for _, a := range sp.Attrs {
+							attrs[a.Key] = a.Val
+						}
+					}
+				}
+				want := map[string]int{}
+				for _, name := range ingestSpans {
+					want[name] = 1
+				}
+				if !reflect.DeepEqual(counts, want) {
+					t.Errorf("%d-post batch recorded spans %v, want %v", n, counts, want)
+				}
+				if attrs["posts"] != fmt.Sprint(n) || attrs["accepted"] != fmt.Sprint(n) ||
+					attrs["dropped"] != "0" || attrs["routing_candidates"] != fmt.Sprint(n*subs) {
+					t.Errorf("%d-post ingest.batch attrs = %v, want posts=accepted=%d dropped=0 routing_candidates=%d", n, attrs, n, n*subs)
+				}
+			}
+			// The spans stayed flat while every subscription did the work.
+			if m := s.Metrics(); m.EmittedTotal != int64(subs*(1+wide)) {
+				t.Errorf("emitted %d, want %d: the fan-out did not reach every subscription", m.EmittedTotal, subs*(1+wide))
+			}
+		})
 	}
 }
 
