@@ -29,7 +29,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Fault-schedule end-to-end suite under the race detector: scripted drops,
-# delays, 5xx, processor panics and admission sheds driven through
+# delays, 5xx and 429s, processor panics and cut batches driven through
 # client → HTTP → server → stream, plus the same-key concurrent-retry
 # exactly-once check. Schedules are seeded in-test, so the runs are
 # deterministic.
@@ -73,7 +73,7 @@ bench-ab:
 	bash scripts/bench-ab.sh $(REF) $(WORKLOADS)
 
 # End-to-end trace propagation under the race detector: one post followed
-# client span → HTTP → admission → fan-out → emission → SSE frame, plus
+# client span → HTTP → decode → batch apply → emission → SSE frame, plus
 # traceparent survival across retries and stream reconnects.
 trace-smoke:
 	$(GO) test -race -count=1 -run 'TestTrace' ./internal/server
@@ -104,13 +104,15 @@ fuzz-smoke:
 
 # vet fails the build on any vet finding, any unformatted file, a leaf
 # package (solvers, stream processors, index) that imports internal/obs
-# (instruments belong to the process that owns the registry), or any
-# encoding/gob importer besides internal/server, whose snapshots are the
-# one gob-encoded state.
+# (instruments belong to the process that owns the registry), an
+# mqdp-server that links internal/index (the server routes posts, it never
+# queries an index), or any encoding/gob importer besides internal/server,
+# whose snapshots are the one gob-encoded state.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@if $(GO) list -deps ./internal/core ./internal/stream ./internal/index | grep -qx mqdp/internal/obs; then echo "internal/core, internal/stream or internal/index depends on mqdp/internal/obs"; exit 1; fi
+	@if $(GO) list -deps ./cmd/mqdp-server | grep -qx mqdp/internal/index; then echo "cmd/mqdp-server depends on mqdp/internal/index"; exit 1; fi
 	@gob=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | grep -w encoding/gob | cut -d' ' -f1); if [ "$$gob" != mqdp/internal/server ]; then echo "encoding/gob importers:" $$gob "(want only mqdp/internal/server)"; exit 1; fi
 
 lint: vet

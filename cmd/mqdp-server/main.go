@@ -33,22 +33,10 @@
 // as mqdp_slo_*_total, and burn rates appear under /metrics even with
 // -no-obs.
 //
-// Push delivery: -max-streams caps concurrently served push waiters —
-// SSE streams plus blocked long-polls — refusing the excess with 503 +
-// Retry-After.
-//
 // Ingest fan-out: posts route through an inverted keyword → subscription
 // index so only subscriptions sharing a keyword with the post are fed
 // (see docs/ARCHITECTURE.md, "Subscription routing"); a post with many
 // such candidates is fed on a GOMAXPROCS worker pool, the rest inline.
-//
-// Overload protection (all off by default): -max-inflight caps concurrent
-// ingest requests, -ingest-rate/-ingest-burst bound the ingest request
-// rate with a token bucket, and -shed-policy picks what a request over the
-// in-flight cap does — "shed" rejects it with 429 + Retry-After, "block"
-// queues it briefly. -ingest-deadline bounds the server-side wall time of
-// one ingest request; a batch cut mid-way reports the applied prefix with
-// 503 so honoring clients resume instead of resending.
 //
 // Durability (off by default; see docs/ARCHITECTURE.md, "Durability and
 // recovery"): -data-dir names a directory for the write-ahead log and
@@ -108,12 +96,6 @@ func main() {
 	dedupWindow := flag.Int("dedup-window", 8192, "recent posts remembered for deduplication (0 disables)")
 	debugAddr := flag.String("debug-addr", "", "listen address for the debug server (pprof, expvar); empty disables")
 	noObs := flag.Bool("no-obs", false, "disable the metrics registry (/metrics/prometheus returns 503)")
-	maxInflight := flag.Int("max-inflight", 0, "max concurrent ingest requests (0 = unlimited)")
-	ingestRate := flag.Float64("ingest-rate", 0, "ingest requests admitted per second (0 = unlimited)")
-	ingestBurst := flag.Int("ingest-burst", 1, "token-bucket burst for -ingest-rate")
-	ingestDeadline := flag.Duration("ingest-deadline", 0, "server-side wall-time budget per ingest request (0 = none)")
-	shedPolicy := flag.String("shed-policy", "shed", `over-capacity ingest behavior: "shed" (429 + Retry-After) or "block"`)
-	maxStreams := flag.Int("max-streams", 0, "max concurrently served push waiters, SSE + blocked long-polls (0 = unlimited)")
 	faultSchedule := flag.String("fault-schedule", "", "deterministic fault-injection schedule for chaos drills (see internal/faultinject)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic rules in -fault-schedule")
 	logFormat := flag.String("log-format", "text", `log output format: "text" or "json"`)
@@ -147,11 +129,6 @@ func main() {
 	logger := slog.New(handler)
 	slog.SetDefault(logger)
 
-	policy := server.ShedPolicy(*shedPolicy)
-	if policy != server.ShedPolicyShed && policy != server.ShedPolicyBlock {
-		logger.Error("bad -shed-policy", "value", *shedPolicy, "want", string(server.ShedPolicyShed)+"|"+string(server.ShedPolicyBlock))
-		os.Exit(2)
-	}
 	if *sloTarget <= 0 || *sloTarget >= 1 {
 		logger.Error("bad -slo-target", "value", *sloTarget, "want", "in (0, 1)")
 		os.Exit(2)
@@ -162,15 +139,7 @@ func main() {
 	cfg := server.Config{
 		DupDistance: *dedupDist,
 		DupWindow:   *dedupWindow,
-		MaxStreams:  *maxStreams,
-		Admission: server.AdmissionConfig{
-			MaxInflight: *maxInflight,
-			Rate:        *ingestRate,
-			Burst:       *ingestBurst,
-			Policy:      policy,
-		},
-		IngestDeadline: *ingestDeadline,
-		Logger:         logger,
+		Logger:      logger,
 	}
 	if *faultSchedule != "" {
 		inj, err := faultinject.ParseSchedule(*faultSchedule, *faultSeed)

@@ -79,7 +79,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "\nindexed %d tweets (%d terms)\n", ix.Len(), ix.Terms())
 
 	// 4. Retrieve matching posts, drop near-duplicates, diversify.
-	matched := matcher.FromIndex(ix, match.ByTime, 0, 7200)
+	matched := ix.Match(matcher, match.ByTime, 0, 7200)
 	dedup := simhash.NewDeduper(12, 4096)
 	var posts []mqdp.Post
 	for _, p := range matched {

@@ -51,7 +51,7 @@ func TestFullPipeline(t *testing.T) {
 	}
 
 	// Match + dedup.
-	matched := matcher.FromIndex(ix, match.ByTime, 0, 900)
+	matched := ix.Match(matcher, match.ByTime, 0, 900)
 	if len(matched) == 0 {
 		t.Fatal("no posts matched the LDA topics")
 	}
@@ -124,7 +124,7 @@ func TestSentimentDimensionPipeline(t *testing.T) {
 	}
 	var posts []core.Post
 	for _, tw := range tweets {
-		if p, ok := matcher.PostFromDoc(index.Doc{ID: tw.ID, Time: tw.Time, Text: tw.Text}, match.BySentiment); ok {
+		if p, ok := matcher.PostFromDoc(tw.ID, tw.Time, tw.Text, match.BySentiment); ok {
 			posts = append(posts, p)
 		}
 	}

@@ -19,6 +19,8 @@ import (
 	"sort"
 	"sync"
 
+	"mqdp/internal/core"
+	"mqdp/internal/match"
 	"mqdp/internal/textutil"
 )
 
@@ -117,4 +119,23 @@ func (ix *Index) AnyQuery(terms []string, lo, hi float64) []int32 {
 	}
 	slices.Sort(all)
 	return slices.Compact(all)
+}
+
+// Match retrieves every document in [lo, hi] that matches at least one of
+// m's topics (one boolean-OR query over m's keywords, the paper's "search
+// query against an inverted index" input path) and projects the matches
+// onto dim. Each retrieved document is tokenized exactly once, into a
+// reused buffer.
+func (ix *Index) Match(m *match.Matcher, dim match.Dimension, lo, hi float64) []core.Post {
+	positions := ix.AnyQuery(m.Keywords(), lo, hi)
+	posts := make([]core.Post, 0, len(positions))
+	var buf []textutil.Token
+	for _, pos := range positions {
+		doc := ix.Doc(pos)
+		buf = textutil.AppendTokens(buf[:0], doc.Text)
+		if p, ok := m.PostFromTokens(doc.ID, doc.Time, doc.Text, buf, dim); ok {
+			posts = append(posts, p)
+		}
+	}
+	return posts
 }

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"mqdp/internal/core"
-	"mqdp/internal/index"
 	"mqdp/internal/lda"
 	"mqdp/internal/route"
 	"mqdp/internal/sentiment"
@@ -89,6 +88,17 @@ func (m *Matcher) NumTopics() int { return len(m.topics) }
 // Topic returns the topic behind a label.
 func (m *Matcher) Topic(a core.Label) Topic { return m.topics[a] }
 
+// Keywords returns the matcher's distinct keywords, sorted: the terms of
+// the boolean-OR query that retrieves every post some topic matches.
+func (m *Matcher) Keywords() []string {
+	words := make([]string, 0, len(m.byWord))
+	for w := range m.byWord {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	return words
+}
+
 // Match tokenizes text and returns the labels of every topic with at least
 // one keyword present, sorted and deduplicated.
 func (m *Matcher) Match(text string) []core.Label {
@@ -140,11 +150,7 @@ func (m *Matcher) MatchTokensInto(dst []core.Label, tokens []textutil.Token) []c
 // ascending — exactly the posting keys a routing index needs. Call once,
 // before the matcher is shared across goroutines.
 func (m *Matcher) CompileSymbols(t *route.Table) []uint32 {
-	words := make([]string, 0, len(m.byWord))
-	for w := range m.byWord {
-		words = append(words, w)
-	}
-	sort.Strings(words) // deterministic symbol assignment order
+	words := m.Keywords() // sorted: deterministic symbol assignment order
 	syms := t.InternAll(make([]uint32, 0, len(words)), words)
 	m.bySym = make(map[uint32][]weightedLabel, len(words))
 	for i, w := range words {
@@ -239,49 +245,27 @@ func (m *Matcher) MatchThreshold(text string, theta float64) []core.Label {
 	return out
 }
 
-// PostFromDoc projects doc onto dim, returning false when no topic matches
-// (such posts are irrelevant to every query and never enter MQDP).
-func (m *Matcher) PostFromDoc(doc index.Doc, dim Dimension) (core.Post, bool) {
+// PostFromDoc projects one document — its id, publication time and text —
+// onto dim, returning false when no topic matches (such posts are
+// irrelevant to every query and never enter MQDP).
+func (m *Matcher) PostFromDoc(id int64, time float64, text string, dim Dimension) (core.Post, bool) {
 	var buf [32]textutil.Token
-	return m.PostFromTokens(doc, textutil.AppendTokens(buf[:0], doc.Text), dim)
+	return m.PostFromTokens(id, time, text, textutil.AppendTokens(buf[:0], text), dim)
 }
 
-// PostFromTokens is PostFromDoc over a pre-computed tokenization of
-// doc.Text: one tokenizer pass feeds both the topic match and, on the
-// sentiment dimension, the polarity score.
-func (m *Matcher) PostFromTokens(doc index.Doc, tokens []textutil.Token, dim Dimension) (core.Post, bool) {
+// PostFromTokens is PostFromDoc over a pre-computed tokenization of text:
+// one tokenizer pass feeds both the topic match and, on the sentiment
+// dimension, the polarity score.
+func (m *Matcher) PostFromTokens(id int64, time float64, text string, tokens []textutil.Token, dim Dimension) (core.Post, bool) {
 	labels := m.MatchTokens(tokens)
 	if len(labels) == 0 {
 		return core.Post{}, false
 	}
-	value := doc.Time
+	value := time
 	if dim == BySentiment {
-		value = sentiment.ScoreTokens(doc.Text, tokens)
+		value = sentiment.ScoreTokens(text, tokens)
 	}
-	return core.Post{ID: doc.ID, Value: value, Labels: labels}, true
-}
-
-// FromIndex retrieves every document in [lo, hi] matching at least one topic
-// from ix (via boolean-OR keyword queries, the paper's "search query against
-// an inverted index" input path) and projects the matches onto dim. Each
-// retrieved document is tokenized exactly once, into a reused buffer.
-func (m *Matcher) FromIndex(ix *index.Index, dim Dimension, lo, hi float64) []core.Post {
-	var terms []string
-	for w := range m.byWord {
-		terms = append(terms, w)
-	}
-	sort.Strings(terms) // deterministic query order
-	positions := ix.AnyQuery(terms, lo, hi)
-	posts := make([]core.Post, 0, len(positions))
-	var buf []textutil.Token
-	for _, pos := range positions {
-		doc := ix.Doc(pos)
-		buf = textutil.AppendTokens(buf[:0], doc.Text)
-		if p, ok := m.PostFromTokens(doc, buf, dim); ok {
-			posts = append(posts, p)
-		}
-	}
-	return posts
+	return core.Post{ID: id, Value: value, Labels: labels}, true
 }
 
 // FromLDA converts trained LDA topics into matcher queries: topic k becomes

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mqdp/internal/core"
-	"mqdp/internal/index"
 	"mqdp/internal/lda"
 )
 
@@ -66,8 +65,8 @@ func TestPostFromDocDimensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := index.Doc{ID: 9, Time: 123, Text: "great win for the team and a strong economy"}
-	p, ok := m.PostFromDoc(doc, ByTime)
+	const text = "great win for the team and a strong economy"
+	p, ok := m.PostFromDoc(9, 123, text, ByTime)
 	if !ok {
 		t.Fatal("matching doc rejected")
 	}
@@ -77,75 +76,15 @@ func TestPostFromDocDimensions(t *testing.T) {
 	if !reflect.DeepEqual(p.Labels, []core.Label{1, 2}) {
 		t.Errorf("labels = %v, want [1 2]", p.Labels)
 	}
-	ps, ok := m.PostFromDoc(doc, BySentiment)
+	ps, ok := m.PostFromDoc(9, 123, text, BySentiment)
 	if !ok {
 		t.Fatal("matching doc rejected for sentiment")
 	}
 	if ps.Value <= 0 {
-		t.Errorf("sentiment value = %v, want positive for %q", ps.Value, doc.Text)
+		t.Errorf("sentiment value = %v, want positive for %q", ps.Value, text)
 	}
-	if _, ok := m.PostFromDoc(index.Doc{ID: 1, Time: 0, Text: "irrelevant"}, ByTime); ok {
+	if _, ok := m.PostFromDoc(1, 0, "irrelevant", ByTime); ok {
 		t.Error("non-matching doc accepted")
-	}
-}
-
-func TestFromIndex(t *testing.T) {
-	m, err := NewMatcher(testTopics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := index.New()
-	docs := []index.Doc{
-		{ID: 1, Time: 10, Text: "obama speech tonight"},
-		{ID: 2, Time: 20, Text: "cooking recipes and tips"},
-		{ID: 3, Time: 30, Text: "market rally lifts economy"},
-		{ID: 4, Time: 40, Text: "team wins the game"},
-	}
-	for _, d := range docs {
-		if err := ix.Add(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	posts := m.FromIndex(ix, ByTime, 0, 100)
-	if len(posts) != 3 {
-		t.Fatalf("FromIndex = %d posts, want 3", len(posts))
-	}
-	wantIDs := []int64{1, 3, 4}
-	for i, p := range posts {
-		if p.ID != wantIDs[i] {
-			t.Errorf("post %d ID = %d, want %d", i, p.ID, wantIDs[i])
-		}
-	}
-	// Time-windowed retrieval.
-	posts = m.FromIndex(ix, ByTime, 25, 35)
-	if len(posts) != 1 || posts[0].ID != 3 {
-		t.Errorf("windowed FromIndex = %+v, want just doc 3", posts)
-	}
-}
-
-func TestMatchedPostsFormValidInstance(t *testing.T) {
-	m, err := NewMatcher(testTopics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := index.New()
-	texts := []string{
-		"obama press conference", "jobs numbers beat forecast", "game night",
-		"president meets economy advisors", "team trade rumors",
-	}
-	for i, txt := range texts {
-		if err := ix.Add(index.Doc{ID: int64(i), Time: float64(i * 10), Text: txt}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	posts := m.FromIndex(ix, ByTime, 0, 1000)
-	in, err := core.NewInstance(posts, m.NumTopics())
-	if err != nil {
-		t.Fatalf("matched posts rejected by core: %v", err)
-	}
-	cover := in.Scan(core.FixedLambda(15))
-	if err := in.VerifyCover(core.FixedLambda(15), cover.Selected); err != nil {
-		t.Errorf("pipeline cover invalid: %v", err)
 	}
 }
 

@@ -113,7 +113,7 @@ func sortNodes(ns []*TraceNode) {
 // WriteTraceTree renders trace trees as indented text, one span per line:
 //
 //	http.ingest 1.21ms span=12 status=200
-//	  server.admit 8µs
+//	  ingest.decode 8µs
 //	  ingest.batch 1.1ms posts=64
 func WriteTraceTree(w io.Writer, roots []*TraceNode) error {
 	bw := bufio.NewWriter(w)

@@ -1,13 +1,9 @@
-// Package resilience is the repo's stdlib-only fault-tolerance toolkit:
-// exponential backoff with decorrelated jitter, a token-bucket rate
-// limiter, an in-flight admission semaphore and a context-aware Sleep.
-// Backoff takes an RNG seed and TokenBucket an injectable clock, so their
-// own tests replay exactly.
+// Package resilience is the repo's stdlib-only retry toolkit: exponential
+// backoff with decorrelated jitter and a context-aware Sleep. Backoff
+// takes an RNG seed, so its own tests replay exactly.
 //
-// The pieces are deliberately decoupled: the pub/sub server composes
-// TokenBucket + Inflight into its admission controller, while the HTTP
-// client drives its RetryPolicy with Backoff and Sleep. Nothing here
-// imports anything above the standard library.
+// The HTTP client drives its RetryPolicy with Backoff and Sleep. Nothing
+// here imports anything above the standard library.
 package resilience
 
 import (

@@ -3,7 +3,6 @@ package resilience
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -57,107 +56,5 @@ func TestSleepCancel(t *testing.T) {
 	}
 	if err := Sleep(context.Background(), 0); err != nil {
 		t.Errorf("Sleep(0) = %v", err)
-	}
-}
-
-// fakeClock is a settable time source for the bucket tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func TestTokenBucket(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	tb := NewTokenBucket(10, 3) // 10 tokens/s, burst 3
-	tb.SetClock(clk.now)
-	for i := 0; i < 3; i++ {
-		if !tb.Allow(1) {
-			t.Fatalf("burst request %d refused", i)
-		}
-	}
-	if tb.Allow(1) {
-		t.Fatal("empty bucket allowed")
-	}
-	if ra := tb.RetryAfter(); ra <= 0 || ra > 100*time.Millisecond {
-		t.Fatalf("RetryAfter = %v, want (0, 100ms]", ra)
-	}
-	clk.advance(100 * time.Millisecond) // one token refills
-	if !tb.Allow(1) {
-		t.Fatal("refilled token refused")
-	}
-	if tb.Allow(1) {
-		t.Fatal("second token allowed after a single refill")
-	}
-	// Refill clamps at burst.
-	clk.advance(time.Hour)
-	for i := 0; i < 3; i++ {
-		if !tb.Allow(1) {
-			t.Fatalf("post-idle request %d refused", i)
-		}
-	}
-	if tb.Allow(1) {
-		t.Fatal("burst cap not enforced after idle")
-	}
-}
-
-func TestTokenBucketZeroRateNeverRefills(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	tb := NewTokenBucket(0, 2)
-	tb.SetClock(clk.now)
-	if !tb.Allow(1) || !tb.Allow(1) {
-		t.Fatal("initial burst refused")
-	}
-	clk.advance(time.Hour)
-	if tb.Allow(1) {
-		t.Fatal("zero-rate bucket refilled")
-	}
-	if ra := tb.RetryAfter(); ra != time.Hour {
-		t.Errorf("zero-rate RetryAfter = %v, want 1h sentinel", ra)
-	}
-}
-
-func TestInflight(t *testing.T) {
-	f := NewInflight(2)
-	if f.Cap() != 2 {
-		t.Fatalf("Cap = %d", f.Cap())
-	}
-	if !f.TryAcquire() || !f.TryAcquire() {
-		t.Fatal("capacity refused")
-	}
-	if f.TryAcquire() {
-		t.Fatal("over-capacity admitted")
-	}
-	if f.InUse() != 2 {
-		t.Fatalf("InUse = %d", f.InUse())
-	}
-	// Acquire blocks until a slot frees.
-	done := make(chan error, 1)
-	go func() { done <- f.Acquire(context.Background()) }()
-	select {
-	case <-done:
-		t.Fatal("Acquire returned with no free slot")
-	case <-time.After(20 * time.Millisecond):
-	}
-	f.Release()
-	if err := <-done; err != nil {
-		t.Fatalf("Acquire after release = %v", err)
-	}
-	// Acquire honors context cancellation.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := f.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked Acquire = %v, want deadline exceeded", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"mqdp/internal/obs"
 	"mqdp/internal/synth"
 	"mqdp/internal/wal"
+	"mqdp/internal/wire"
 )
 
 // chaosSubscribe registers the chaos fleet: six mixed-profile
@@ -54,8 +56,7 @@ func chaosSubscribe(t *testing.T, world *synth.World, sub func(SubscriptionConfi
 //     fault-free run over the same stream;
 //   - the client's retries (attempts the transport saw beyond one per
 //     logical call) and the quarantine counters reconcile with the
-//     injector's own record of what it injected (TestChaosForcedShed does
-//     the same for the shed counters).
+//     injector's own record of what it injected.
 func TestChaosE2E(t *testing.T) {
 	world := synth.NewWorld(synth.WorldConfig{Seed: 21})
 	tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 600, RatePerSec: 2, DupRatio: 0, Seed: 22})
@@ -181,9 +182,6 @@ func TestChaosE2E(t *testing.T) {
 	if m.Quarantines != 1 {
 		t.Errorf("Metrics.Quarantines = %d, want 1", m.Quarantines)
 	}
-	if m.Sheds != 0 {
-		t.Errorf("Metrics.Sheds = %d with no admission control configured", m.Sheds)
-	}
 
 	// The same story in the Prometheus exposition.
 	resp, err := http.Get(ts.URL + "/metrics/prometheus")
@@ -202,44 +200,48 @@ func TestChaosE2E(t *testing.T) {
 	}
 }
 
-// TestChaosForcedShed: a near-empty token bucket admits one request and
-// sheds every attempt of the next, so the retrying client observes 429s
-// and gives up; the attempts its transport sent, the server's shed
-// counter and the Prometheus exposition all tell the same story.
+// TestChaosForcedShed: a rate limiter in front of the server answers 429
+// + Retry-After: 0 (scripted in the client transport). The retrying client
+// retries even a non-idempotent Subscribe, honours Retry-After over its
+// backoff, and gives up after MaxAttempts; no shed attempt reaches the
+// server.
 func TestChaosForcedShed(t *testing.T) {
-	reg := obs.NewRegistry()
-	ts, core := newTestServerWith(t, Config{Obs: reg, Admission: AdmissionConfig{Rate: 2, Burst: 1}})
-	clInj, err := faultinject.ParseSchedule("", 0) // counts attempts, injects nothing
+	ts, core := newTestServer(t)
+	clInj, err := faultinject.ParseSchedule("POST /subscriptions@1=status:429; POST /ingest@2+=status:429", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const maxAttempts = 6
 	cl := NewClient(ts.URL)
 	cl.HTTPClient = &http.Client{Transport: faultinject.NewTransport(nil, clInj), Timeout: 5 * time.Second}
-	cl.Retry = &RetryPolicy{MaxAttempts: 6, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond}
-	if _, err := cl.Ingest(context.Background(), Post{ID: 1, Time: 1, Text: "takes the only token"}); err != nil {
-		t.Fatalf("ingest with a full bucket: %v", err)
+	// A backoff this long would blow the elapsed bound below: only
+	// Retry-After: 0 keeps the retries immediate.
+	cl.Retry = &RetryPolicy{MaxAttempts: maxAttempts, BackoffBase: 10 * time.Second, BackoffCap: 10 * time.Second}
+	start := time.Now()
+	if _, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"}); err != nil {
+		t.Fatalf("subscribe after one 429: %v", err)
 	}
-	_, err = cl.Ingest(context.Background(), Post{ID: 2, Time: 2, Text: "shed on every attempt"})
+	if got := clInj.Calls("POST /subscriptions"); got != 2 {
+		t.Errorf("subscribe attempts = %d, want 2 (the 429 retried)", got)
+	}
+	if _, err := cl.Ingest(context.Background(), Post{ID: 1, Time: 1, Text: "obama passes the limiter"}); err != nil {
+		t.Fatalf("first ingest: %v", err)
+	}
+	_, err = cl.Ingest(context.Background(), Post{ID: 2, Time: 2, Text: "senate shed on every attempt"})
 	if StatusCode(err) != http.StatusTooManyRequests {
-		t.Fatalf("ingest with empty bucket: want 429, got %v", err)
+		t.Fatalf("ingest behind a saturated limiter: want 429, got %v", err)
 	}
-	// Every attempt after the first call's one was shed.
-	shed := clInj.Calls("POST /ingest") - 1
-	if shed < 2 {
-		t.Errorf("client sent %d shed attempts, want the 429 retried", shed)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("retries took %v: Retry-After: 0 not honoured over the backoff", elapsed)
 	}
-	m := core.Metrics()
-	if m.Sheds != shed {
-		t.Errorf("Metrics.Sheds = %d, client saw %d 429s", m.Sheds, shed)
+	if shed := clInj.Calls("POST /ingest") - 1; shed != maxAttempts {
+		t.Errorf("client sent %d shed attempts, want %d (MaxAttempts)", shed, maxAttempts)
 	}
-	resp, err := http.Get(ts.URL + "/metrics/prometheus")
-	if err != nil {
-		t.Fatal(err)
+	if got, want := clInj.Counts()["status"], int64(maxAttempts+1); got != want {
+		t.Errorf("injected 429s = %d, want %d", got, want)
 	}
-	defer resp.Body.Close()
-	text := readAll(t, resp)
-	if line := fmt.Sprintf("mqdp_server_sheds_total %d", shed); !strings.Contains(text, line) {
-		t.Errorf("prometheus exposition missing %q", line)
+	if got := core.Stats().Ingested; got != 1 {
+		t.Errorf("server ingested %d posts, want 1 (a shed attempt reached it)", got)
 	}
 }
 
@@ -382,138 +384,99 @@ func TestIdempotentConcurrentSameKey(t *testing.T) {
 	}
 }
 
-// TestChaosIngestDeadline exercises the server-side ingest deadline: a
-// batch stalled mid-way (injected processing latency beyond the budget) is
-// cut between posts, the applied prefix is reported with 503 + Retry-After,
-// and a retrying client resumes at the offset — exactly once overall.
+// TestChaosIngestDeadline pins the cut-batch contract in its two halves.
+// In process, a batch whose context ends mid-way (injected processing
+// latency beyond the deadline) is cut between posts and reports the
+// applied prefix with 503. Over HTTP, a retrying client that gets such an
+// answer resumes at posts[accepted] under a fresh idempotency key:
+// exactly once overall.
 func TestChaosIngestDeadline(t *testing.T) {
 	posts := make([]Post, 6)
 	for i := range posts {
 		posts[i] = Post{ID: int64(i + 1), Time: float64(i + 1), Text: fmt.Sprintf("senate update %d", i+1)}
 	}
-	setup := func(t *testing.T) (*httptest.Server, *Server) {
+
+	t.Run("manual resume", func(t *testing.T) {
 		inj, err := faultinject.ParseSchedule("sub1.process@3=delay:120ms", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts, core := newTestServerWith(t, Config{IngestDeadline: 40 * time.Millisecond, Faults: inj})
-		if _, err := core.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 0, Tau: 0, Algorithm: "instant"}); err != nil {
+		s := newServer(t, Config{Faults: inj})
+		if _, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"}); err != nil {
 			t.Fatal(err)
 		}
-		return ts, core
-	}
-
-	t.Run("manual resume", func(t *testing.T) {
-		ts, core := setup(t)
-		cl := NewClient(ts.URL) // no retry policy: the caller sees the cut
-		n, err := cl.Ingest(context.Background(), posts...)
-		if n != 3 {
-			t.Fatalf("accepted = %d, want 3 (deadline cuts after the stalled post)", n)
-		}
-		var ae *APIError
-		if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
-			t.Fatalf("want 503 APIError, got %v", err)
-		}
-		if ra, ok := ae.RetryAfter(); !ok || ra != 0 {
-			t.Fatalf("want Retry-After 0 on a deadline cut, got (%v, %v)", ra, ok)
+		ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+		defer cancel()
+		res, status, err := s.IngestBatch(ctx, posts, "")
+		if res.Accepted != 3 || status != http.StatusServiceUnavailable || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("cut batch = (%+v, %d, %v), want 3 accepted, 503, deadline exceeded", res, status, err)
 		}
 		// Resume at the accepted offset, per the documented contract.
-		n, err = cl.Ingest(context.Background(), posts[3:]...)
-		if err != nil || n != 3 {
-			t.Fatalf("resume = (%d, %v), want (3, nil)", n, err)
+		res, status, err = s.IngestBatch(context.Background(), posts[res.Accepted:], "")
+		if err != nil || status != http.StatusOK || res.Accepted != 3 {
+			t.Fatalf("resume = (%+v, %d, %v), want 3 accepted, 200", res, status, err)
 		}
-		if got := core.Stats().Ingested; got != int64(len(posts)) {
+		if got := s.Stats().Ingested; got != int64(len(posts)) {
 			t.Fatalf("ingested %d, want %d", got, len(posts))
 		}
 	})
 
 	t.Run("automatic resume", func(t *testing.T) {
-		ts, core := setup(t)
-		clInj, err := faultinject.ParseSchedule("", 0) // counts attempts, injects nothing
-		if err != nil {
-			t.Fatal(err)
+		// One handler per failure mode: the first POST is cut after three
+		// posts, every later one accepts whatever it is sent.
+		type attempt struct {
+			key string
+			ids []int64
 		}
+		var (
+			mu  sync.Mutex
+			got []attempt
+		)
+		cut := func(w http.ResponseWriter, _ []Post) {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprint(w, `{"accepted":3,"error":"context deadline exceeded"}`)
+		}
+		accept := func(w http.ResponseWriter, batch []Post) {
+			writeJSON(w, IngestResult{Accepted: len(batch)})
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			batch, free, err := decodeIngestBody(r.Body, wire.IsBinary(r.Header.Get("Content-Type")))
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			defer free()
+			a := attempt{key: r.Header.Get("Idempotency-Key")}
+			for _, p := range batch {
+				a.ids = append(a.ids, p.ID)
+			}
+			mu.Lock()
+			got = append(got, a)
+			first := len(got) == 1
+			mu.Unlock()
+			if first {
+				cut(w, batch)
+				return
+			}
+			accept(w, batch)
+		}))
+		defer ts.Close()
 		cl := NewClient(ts.URL)
-		cl.HTTPClient = &http.Client{Transport: faultinject.NewTransport(nil, clInj), Timeout: 5 * time.Second}
 		cl.Retry = &RetryPolicy{MaxAttempts: 4, BackoffBase: time.Millisecond}
 		n, err := cl.Ingest(context.Background(), posts...)
 		if err != nil || n != len(posts) {
 			t.Fatalf("Ingest = (%d, %v), want (%d, nil)", n, err, len(posts))
 		}
-		if got := core.Stats().Ingested; got != int64(len(posts)) {
-			t.Fatalf("ingested %d, want %d (prefix re-applied?)", got, len(posts))
+		mu.Lock()
+		defer mu.Unlock()
+		if len(got) != 2 {
+			t.Fatalf("stub saw %d attempts, want 2", len(got))
 		}
-		if got := clInj.Calls("POST /ingest") - 1; got != 1 {
-			t.Errorf("retries = %d, want 1", got)
+		if fmt.Sprint(got[0].ids) != "[1 2 3 4 5 6]" || fmt.Sprint(got[1].ids) != "[4 5 6]" {
+			t.Errorf("attempt post ids = %v then %v, want the whole batch then posts[3:]", got[0].ids, got[1].ids)
 		}
-	})
-}
-
-// TestChaosAdmissionPolicies pins the two saturation behaviors: block
-// queues a request until the in-flight slot frees; shed rejects it with
-// 429 + Retry-After and counts the shed.
-func TestChaosAdmissionPolicies(t *testing.T) {
-	// setup serves one server per admission policy. Its first matched post
-	// stalls 250ms inside the pipeline, holding its request's in-flight
-	// slot; slow posts it and returns a channel closed when it is answered.
-	setup := func(t *testing.T, adm AdmissionConfig) (core *Server, ingest func(Post) *http.Response, slow func() <-chan struct{}) {
-		inj, err := faultinject.ParseSchedule("sub1.process@1=delay:250ms", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts, core := newTestServerWith(t, Config{Admission: adm, Faults: inj})
-		if _, err := core.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 0, Tau: 0, Algorithm: "instant"}); err != nil {
-			t.Fatal(err)
-		}
-		ingest = func(p Post) *http.Response {
-			t.Helper()
-			return postJSON(t, ts.URL+"/ingest", p)
-		}
-		slow = func() <-chan struct{} {
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				resp := ingest(Post{ID: 1, Time: 1, Text: "obama night special"})
-				resp.Body.Close()
-			}()
-			time.Sleep(50 * time.Millisecond) // let the slow request take the slot
-			return done
-		}
-		return core, ingest, slow
-	}
-
-	t.Run("block waits for the slot", func(t *testing.T) {
-		core, ingest, slow := setup(t, AdmissionConfig{MaxInflight: 1, Policy: ShedPolicyBlock})
-		done := slow()
-		start := time.Now()
-		resp := ingest(Post{ID: 2, Time: 2, Text: "senate campaign diary"})
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("blocked request status %d, want 200", resp.StatusCode)
-		}
-		if waited := time.Since(start); waited < 100*time.Millisecond {
-			t.Errorf("blocked request returned after %v; expected to queue behind the slow one", waited)
-		}
-		<-done
-		if m := core.Metrics(); m.Sheds != 0 {
-			t.Errorf("block policy shed %d requests", m.Sheds)
-		}
-	})
-
-	t.Run("shed rejects with retry-after", func(t *testing.T) {
-		core, ingest, slow := setup(t, AdmissionConfig{MaxInflight: 1, Policy: ShedPolicyShed})
-		done := slow()
-		resp := ingest(Post{ID: 2, Time: 2, Text: "senate poll numbers move"})
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("saturated shed status %d, want 429", resp.StatusCode)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Error("429 without a Retry-After header")
-		}
-		<-done
-		if m := core.Metrics(); m.Sheds != 1 {
-			t.Errorf("Metrics.Sheds = %d, want 1", m.Sheds)
+		if got[0].key == "" || got[1].key == "" || got[0].key == got[1].key {
+			t.Errorf("idempotency keys %q then %q, want a fresh key for the resumed suffix", got[0].key, got[1].key)
 		}
 	})
 }

@@ -206,8 +206,9 @@ func (c *Client) doHTTP(ctx context.Context, method, path string, body []byte, c
 	return sink(resp)
 }
 
-// retryable classifies an error for the retry loop. A 429 shed means
-// the server did not process the request, so any call may retry it.
+// retryable classifies an error for the retry loop. A 429 (Too Many
+// Requests, from a rate limiter in front of the server) means the request
+// was not processed, so any call may retry it.
 // Ambiguous outcomes — transport errors and retryable 5xx — are only
 // retried for idempotent calls.
 func retryable(idempotent bool, err error) bool {
@@ -281,7 +282,7 @@ func (c *Client) callAttempt(ctx context.Context, idempotent bool, attempt func(
 }
 
 // Subscribe registers a profile and returns its id. Subscribing is not
-// idempotent, so only sheds (429, provably unprocessed) are retried.
+// idempotent, so only 429s (provably unprocessed) are retried.
 func (c *Client) Subscribe(ctx context.Context, cfg SubscriptionConfig) (int64, error) {
 	var created map[string]int64
 	if err := c.call(ctx, http.MethodPost, "/subscriptions", cfg, &created, false); err != nil {
@@ -303,8 +304,8 @@ func (c *Client) Unsubscribe(ctx context.Context, id int64) error {
 // With a RetryPolicy the resume is automatic and exactly-once: each
 // attempt carries an idempotency key, so a retry whose predecessor's
 // response was lost replays the recorded outcome instead of re-applying
-// the batch, and a batch cut by the server's ingest deadline resumes at
-// the accepted offset.
+// the batch, and a retryable answer that reports an accepted prefix
+// (a 503 with {"accepted": N}) resumes at posts[N] under a fresh key.
 func (c *Client) Ingest(ctx context.Context, posts ...Post) (accepted int, err error) {
 	rp := c.Retry
 	if rp == nil {

@@ -49,10 +49,10 @@ import (
 // record pins what the client sent, the ack pins what the server
 // answered (the accepted prefix length and the recorded outcome). Replay
 // applies exactly the acked prefix and restores the outcome verbatim, so
-// a batch the live run cut mid-way (request deadline) recovers to the
-// same state and idempotency answer the client observed — never a
-// deadline-free recomputation that quietly applies more than the client
-// was told. A batch record with no ack in the log means the crash landed
+// a batch the live run cut mid-way (its request context ended) recovers
+// to the same state and idempotency answer the client observed — never
+// an uncut recomputation that quietly applies more than the client was
+// told. A batch record with no ack in the log means the crash landed
 // between append and response: the client never heard an outcome, so
 // replay applies the batch in full and records the recomputed outcome,
 // exactly what the interrupted live call would have produced. One Commit
@@ -388,7 +388,7 @@ func (s *Server) IngestBatch(ctx context.Context, batch []Post, key string) (Ing
 
 // applyBatch feeds the batch post-by-post through the regular ingest
 // pipeline, stopping at the first failure; the accepted prefix stays
-// applied (the deadline/ordering contract of the HTTP API). Instrumentation
+// applied (the cut/ordering contract of the HTTP API). Instrumentation
 // is per batch: one ingest.batch span (only under a traced ctx, so WAL
 // replay and direct calls open none) and one clock pair.
 func (s *Server) applyBatch(ctx context.Context, batch []Post) (int, error) {
@@ -630,7 +630,7 @@ func (s *Server) applyWALRecord(d *durState, rec wal.Record) error {
 			accepted = len(pb.posts)
 		}
 		// Apply exactly the prefix the live run accepted and restore the
-		// outcome the client was told, verbatim — never a deadline-free
+		// outcome the client was told, verbatim — never an uncut
 		// recomputation that could accept more than the response reported.
 		d.replayedBatches++
 		n, _ := s.applyBatch(context.Background(), pb.posts[:accepted])
@@ -684,7 +684,7 @@ func (s *Server) applyWALRecord(d *durState, rec wal.Record) error {
 // finishPendingBatch applies a journaled batch whose ack never reached
 // the log — the crash (or a pre-ack-format writer) cut between apply and
 // response, so no client ever heard an outcome. The batch applies in
-// full, deadline-free, and the recomputed outcome is recorded exactly as
+// full, uncut, and the recomputed outcome is recorded exactly as
 // the interrupted live call would have recorded it.
 func (s *Server) finishPendingBatch(d *durState) {
 	pb := d.pending
@@ -794,7 +794,6 @@ type walSnap struct {
 	Dedup          *simhash.DeduperState
 	Ingested       int64
 	Dropped        int64
-	Shed           int64
 	Quarantines    int64
 	Gaps           int64
 	Pushed         int64
@@ -817,7 +816,6 @@ func (s *Server) encodeSnapshot() ([]byte, error) {
 		Closed:         s.closed.Load(),
 		Ingested:       s.ingested.Value(),
 		Dropped:        s.dropped.Value(),
-		Shed:           s.shed.Value(),
 		Quarantines:    s.quarantines.Value(),
 		Gaps:           s.gaps.Value(),
 		Pushed:         s.pushed.Value(),
@@ -901,7 +899,6 @@ func (s *Server) restoreSnapshot(payload []byte) error {
 	}
 	s.ingested.Add(snap.Ingested)
 	s.dropped.Add(snap.Dropped)
-	s.shed.Add(snap.Shed)
 	s.quarantines.Add(snap.Quarantines)
 	s.gaps.Add(snap.Gaps)
 	s.pushed.Add(snap.Pushed)

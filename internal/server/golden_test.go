@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -72,5 +74,48 @@ func TestMetricsJSONGolden(t *testing.T) {
 	}
 	if !bytes.Equal(body, want) {
 		t.Errorf("GET /metrics drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", path, body, want)
+	}
+}
+
+// TestDocsNameOnlyExistingMetrics: every full metric name README.md and
+// docs/ARCHITECTURE.md mention is one the server exports, per
+// testdata/prometheus_names.golden, so a deleted or renamed instrument
+// cannot linger in the docs. A histogram's _bucket, _sum and _count series
+// count as its name. Template prefixes (mqdp_slo_<name>_…) end in "_" and
+// are skipped; "..._" abbreviations carry no mqdp_ prefix.
+func TestDocsNameOnlyExistingMetrics(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "prometheus_names.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		name, kind, _ := strings.Cut(line, " ")
+		kinds[name] = kind
+	}
+	exists := func(name string) bool {
+		if _, ok := kinds[name]; ok {
+			return true
+		}
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok && kinds[base] == "histogram" {
+				return true
+			}
+		}
+		return false
+	}
+	metricName := regexp.MustCompile(`\bmqdp_[a-z0-9_]+`)
+	for _, doc := range []string{"README.md", "docs/ARCHITECTURE.md"} {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, name := range metricName.FindAllString(line, -1) {
+				if !strings.HasSuffix(name, "_") && !exists(name) {
+					t.Errorf("%s:%d names %s, which the server does not export", doc, i+1, name)
+				}
+			}
+		}
 	}
 }

@@ -29,13 +29,12 @@ import (
 //	                                      (or one binary emissions frame when the
 //	                                      request Accepts application/x-mqdp-frame).
 //	                                      wait= long-polls up to DUR (capped at
-//	                                      60s) for new emissions, counted
-//	                                      against the stream cap. A stale after
-//	                                      cursor — older
-//	                                      than the retained buffer — returns the
-//	                                      kept tail with X-Gap-From/X-First-Seq
-//	                                      headers naming the lost range instead
-//	                                      of silently splicing; a flushed,
+//	                                      60s) for new emissions. A stale after
+//	                                      cursor — older than the retained
+//	                                      buffer — returns the kept tail with
+//	                                      X-Gap-From/X-First-Seq headers naming
+//	                                      the lost range instead of silently
+//	                                      splicing; a flushed,
 //	                                      unsubscribed or quarantined stream
 //	                                      answers 409 + X-Stream-End: reason.
 //	GET    /subscriptions/{id}/topk       → TopKSnapshot: the continuously
@@ -45,8 +44,7 @@ import (
 //	GET    /subscriptions/{id}/stream     Server-Sent Events push: emission,
 //	                                      topk, gap and end events. Resumes from
 //	                                      ?after=SEQ (400 unless an integer ≥ 0)
-//	                                      or Last-Event-ID. 503 +
-//	                                      Retry-After over the MaxStreams cap.
+//	                                      or Last-Event-ID.
 //	GET    /subscriptions/{id}/stats      → SubscriptionStats
 //	POST   /ingest                        Post or [Post] → {"accepted": N} (on a
 //	                                      mid-batch error: {"accepted": N, "error": ...}
@@ -55,13 +53,11 @@ import (
 //	                                      stream-post frame (Content-Type
 //	                                      application/x-mqdp-frame, see
 //	                                      internal/wire); responses stay JSON.
-//	                                      Bodies over 64 MiB get 413.
-//	                                      When the admission controller sheds, the
-//	                                      reply is 429 with a Retry-After header and
-//	                                      the batch is untouched; when the ingest
-//	                                      deadline cuts a batch, 503 + Retry-After: 0
-//	                                      with the applied prefix count. An
-//	                                      Idempotency-Key header makes the call
+//	                                      Bodies over 64 MiB get 413. A client
+//	                                      that disconnects mid-batch cuts it
+//	                                      between posts (503 with the applied
+//	                                      prefix count). An Idempotency-Key
+//	                                      header makes the call
 //	                                      replayable: a retry with the same key
 //	                                      returns the recorded outcome (marked
 //	                                      Idempotent-Replay: true) without
@@ -135,17 +131,12 @@ func Handler(s *Server) http.Handler {
 			var es []Emission
 			if wait := parseWait(q.Get("wait")); wait > 0 {
 				// Long-poll: park on the subscription's hub instead of
-				// returning empty, under the same stream cap as SSE.
-				release, ok := s.acquireStream()
-				if !ok {
-					w.Header().Set("Retry-After", "1")
-					http.Error(w, "too many push streams", http.StatusServiceUnavailable)
-					return
-				}
+				// returning empty, counted as a push waiter like SSE.
+				s.addStreams(1)
 				ctx, cancel := context.WithTimeout(r.Context(), wait)
 				es, err = s.WaitEmissions(ctx, id, after, int(limit))
 				cancel()
-				release()
+				s.addStreams(-1)
 				if errors.Is(err, context.DeadlineExceeded) {
 					es, err = nil, nil // nothing arrived in time: empty poll
 				}
@@ -234,26 +225,6 @@ func Handler(s *Server) http.Handler {
 		}
 		// Negotiation: binary-framed bodies are opt-in via Content-Type.
 		binary := wire.IsBinary(r.Header.Get("Content-Type"))
-		// Admission: shed (429 + Retry-After) or block per policy before
-		// any decoding work is spent on the request. The span covers the
-		// wait so backpressure stalls are visible in the trace.
-		_, admitSpan := obs.StartSpan(r.Context(), "server.admit")
-		release, retryAfter, ok := s.admit(r.Context())
-		if !ok {
-			admitSpan.Set("shed", "true")
-			admitSpan.End()
-			w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
-			http.Error(w, "server overloaded, retry later", http.StatusTooManyRequests)
-			return
-		}
-		admitSpan.End()
-		defer release()
-		ctx := r.Context()
-		if d := s.cfg.IngestDeadline; d > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
-		}
 		// Both decode paths hand the batch back through pooled scratch:
 		// binary frames decode with O(1) heap allocations per post, and
 		// the JSON fallback reuses its body buffer and post slice.
@@ -277,8 +248,8 @@ func Handler(s *Server) http.Handler {
 		// The whole batch goes through IngestBatch: with durability enabled
 		// it becomes one atomic WAL record (keyed by the idempotency key)
 		// committed before any post is applied, and the recorded outcome
-		// lands in the replay cache under the same critical section. The
-		// deadline still cuts between posts, never inside one, and the
+		// lands in the replay cache under the same critical section. A
+		// client disconnect cuts between posts, never inside one, and the
 		// response reports the applied prefix so clients resume at the
 		// failed item instead of double-ingesting.
 		//
@@ -288,7 +259,7 @@ func Handler(s *Server) http.Handler {
 		// JSON retry of a binary-framed original (or vice versa) returns
 		// the same recorded result.
 		key := r.Header.Get("Idempotency-Key")
-		res, status, ingestErr := s.IngestBatch(ctx, batch, key)
+		res, status, ingestErr := s.IngestBatch(r.Context(), batch, key)
 		if res.Replayed {
 			if sp := obs.FromContext(r.Context()); sp != nil {
 				sp.Set("idem_replay", "true")
@@ -299,9 +270,6 @@ func Handler(s *Server) http.Handler {
 			// The WAL is broken; retrying immediately cannot help. Point
 			// clients at a pause while the operator intervenes.
 			w.Header().Set("Retry-After", "1")
-		} else if status == http.StatusServiceUnavailable {
-			// Deadline cut: the remainder is retryable right away.
-			w.Header().Set("Retry-After", "0")
 		}
 		writeIngestResult(w, status, res)
 	})
@@ -571,16 +539,6 @@ func writeIngestResult(w http.ResponseWriter, status int, res IngestResult) {
 	_ = json.NewEncoder(w).Encode(res)
 }
 
-// retryAfterSeconds renders a Retry-After header value: whole seconds,
-// with sub-second hints rounded down to "0" (retry immediately) so shed
-// clients don't serialize on 1-second sleeps.
-func retryAfterSeconds(d time.Duration) string {
-	if d <= 0 {
-		return "0"
-	}
-	return strconv.Itoa(int(d / time.Second))
-}
-
 func httpError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrReadOnly) {
 		w.Header().Set("Retry-After", "1")
@@ -595,8 +553,8 @@ func statusFor(err error) int {
 	case errors.Is(err, ErrOutOfOrder), errors.Is(err, ErrClosed):
 		return http.StatusConflict
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		// The request ran out of its deadline budget; the accepted prefix
-		// is applied and the remainder is safe to retry.
+		// The request's context ended mid-batch; the accepted prefix is
+		// applied and the remainder is safe to retry.
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrReadOnly):
 		// Durability degraded: nothing was applied; retry elsewhere/later.

@@ -29,9 +29,8 @@ type serverObs struct {
 
 // newServerObs wires s's instruments into r.
 func newServerObs(s *Server, r *obs.Registry) *serverObs {
-	r.RegisterCounter("mqdp_server_ingested_total", "posts accepted by ingest admission", &s.ingested)
+	r.RegisterCounter("mqdp_server_ingested_total", "posts accepted by ingest", &s.ingested)
 	r.RegisterCounter("mqdp_server_dropped_duplicates_total", "posts dropped as near-duplicates before fan-out", &s.dropped)
-	r.RegisterCounter("mqdp_server_sheds_total", "ingest requests shed by the admission controller (429)", &s.shed)
 	r.RegisterCounter("mqdp_server_quarantines_total", "subscriptions isolated after a pipeline panic", &s.quarantines)
 	r.RegisterCounter("mqdp_server_pushed_total", "emissions delivered over push streams", &s.pushed)
 	r.RegisterCounter("mqdp_server_gaps_total", "emission gaps reported to clients (stale cursors across poll, long-poll and SSE)", &s.gaps)

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"context"
-	"sync"
-)
+import "context"
 
 // Push delivery. Each subscription carries a tiny broadcast hub: a single
 // channel that change sources (deliver, top-k slides, quarantine, flush,
@@ -116,23 +113,11 @@ func (sub *subscription) topkSnapshotLocked() TopKSnapshot {
 // ActiveStreams reports the currently served push waiters.
 func (s *Server) ActiveStreams() int64 { return s.streams.Load() }
 
-// acquireStream claims a push-waiter slot; release is idempotent.
-func (s *Server) acquireStream() (release func(), ok bool) {
-	max := int64(s.cfg.MaxStreams)
-	if n := s.streams.Add(1); max > 0 && n > max {
-		s.streams.Add(-1)
-		return nil, false
-	}
+// addStreams moves the push-waiter count by delta (+1 when an SSE stream
+// or long-poll parks, -1 when it leaves) and republishes the gauge.
+func (s *Server) addStreams(delta int64) {
+	s.streams.Add(delta)
 	if o := s.obs; o != nil {
 		o.activeStreams.Set(float64(s.streams.Load()))
 	}
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.streams.Add(-1)
-			if o := s.obs; o != nil {
-				o.activeStreams.Set(float64(s.streams.Load()))
-			}
-		})
-	}, true
 }

@@ -634,39 +634,6 @@ func TestStreamNegativeLastEventID(t *testing.T) {
 	}
 }
 
-// TestMaxStreamsCap pins the overload behavior: streams beyond the cap
-// are refused with 503 + Retry-After, and slots free on disconnect.
-func TestMaxStreamsCap(t *testing.T) {
-	ts, core := newTestServerWith(t, Config{MaxStreams: 1})
-	cl := NewClient(ts.URL)
-	id, err := cl.Subscribe(context.Background(), SubscriptionConfig{Topics: politicsTopics()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	first := make(chan error, 1)
-	go func() {
-		first <- cl.Stream(ctx, id, 0, func(StreamEvent) error { return nil })
-	}()
-	waitFor(t, func() bool { return core.ActiveStreams() == 1 })
-
-	resp, err := http.Get(fmt.Sprintf("%s/subscriptions/%d/stream", ts.URL, id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("over-cap stream got status %d (Retry-After %q), want 503 with Retry-After",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	cancel()
-	if err := <-first; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled stream returned %v", err)
-	}
-	waitFor(t, func() bool { return core.ActiveStreams() == 0 })
-}
-
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -243,19 +243,16 @@ type Server struct {
 	dropped  obs.Counter
 
 	// cfg is the configuration New was given, read-only from then on. What
-	// New derives from it sits below: the admission controller (nil =
-	// unlimited), the registry-wired service instruments (nil = no
-	// registry) and the durability runtime (nil = in-memory only).
-	cfg       Config
-	admission *admission
-	obs       *serverObs
-	dur       *durState
+	// New derives from it sits below: the registry-wired service
+	// instruments (nil = no registry) and the durability runtime (nil =
+	// in-memory only).
+	cfg Config
+	obs *serverObs
+	dur *durState
 
 	// Fault-tolerance layer: idem replays ingest outcomes to retrying
-	// clients, and shed/quarantines count the load-shedding and
-	// panic-isolation decisions.
+	// clients, and quarantines counts the panic-isolation decisions.
 	idem        idemCache
-	shed        obs.Counter
 	quarantines obs.Counter
 
 	// Push delivery: streams counts the active push waiters (SSE streams
@@ -275,24 +272,13 @@ type Server struct {
 // Config is everything a Server can be told. New reads it once; a running
 // server is never reconfigured — to change a value, restart (with
 // Durability.Dir set the restart resumes from the recovered state). The
-// zero value is a working in-memory server: no deduplication, no limits,
-// no instrumentation.
+// zero value is a working in-memory server: no deduplication, no
+// instrumentation.
 type Config struct {
 	// DupDistance and DupWindow drop near-duplicates within that SimHash
 	// hamming distance over a window of that many recent posts before
 	// matching. DupWindow ≤ 0 disables deduplication.
 	DupDistance, DupWindow int
-	// MaxStreams caps concurrently served push waiters — SSE streams plus
-	// blocked long-polls; 0 means unlimited. Beyond the cap new streams are
-	// refused with 503 + Retry-After rather than queued, so a stampede
-	// degrades to polling instead of piling up goroutines.
-	MaxStreams int
-	// Admission bounds the ingest path; the zero value admits everything.
-	Admission AdmissionConfig
-	// IngestDeadline bounds the server-side wall time of one ingest
-	// request (0 = none). A batch cut off mid-way reports the accepted
-	// prefix with 503 + Retry-After so honoring clients resume, not resend.
-	IngestDeadline time.Duration
 	// Faults is the deterministic chaos hook consulted at the server's
 	// in-process fault points and the WAL's IO failpoints; nil = none.
 	Faults *faultinject.Injector
@@ -319,11 +305,10 @@ type Config struct {
 // every subsequent mutation. Close it when done.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		cfg:       cfg,
-		subs:      make(map[int64]*subscription),
-		symtab:    route.NewTable(),
-		routes:    route.NewIndex[*subscription](),
-		admission: newAdmission(cfg.Admission),
+		cfg:    cfg,
+		subs:   make(map[int64]*subscription),
+		symtab: route.NewTable(),
+		routes: route.NewIndex[*subscription](),
 	}
 	if cfg.DupWindow > 0 {
 		s.dedup = simhash.NewDeduper(cfg.DupDistance, cfg.DupWindow)
@@ -973,7 +958,6 @@ type Metrics struct {
 	MatchedTotal  int64 `json:"matched_total"`
 	EmittedTotal  int64 `json:"emitted_total"`
 	TextMisses    int64 `json:"text_misses"`
-	Sheds         int64 `json:"sheds"`
 	Quarantines   int64 `json:"quarantines"`
 	ActiveStreams int64 `json:"active_streams"`
 	PushedTotal   int64 `json:"pushed_total"`
@@ -998,7 +982,6 @@ func (s *Server) Metrics() Metrics {
 		Ingested:       s.ingested.Value(),
 		DroppedDups:    s.dropped.Value(),
 		Subscriptions:  len(shards),
-		Sheds:          s.shed.Value(),
 		Quarantines:    s.quarantines.Value(),
 		ActiveStreams:  s.streams.Load(),
 		PushedTotal:    s.pushed.Value(),

@@ -60,13 +60,8 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, id int64) {
 		http.Error(w, ErrNoSuchSubscription.Error(), http.StatusNotFound)
 		return
 	}
-	release, ok := s.acquireStream()
-	if !ok {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "too many push streams", http.StatusServiceUnavailable)
-		return
-	}
-	defer release()
+	s.addStreams(1)
+	defer s.addStreams(-1)
 
 	// A malformed or negative Last-Event-ID is ignored: the ?after= cursor
 	// stands.

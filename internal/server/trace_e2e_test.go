@@ -63,11 +63,11 @@ func waitForTrace(t *testing.T, tracer *obs.Tracer, id obs.TraceID, want ...stri
 // ingestSpans is the whole server-side trace of one HTTP ingest, whatever
 // its post count and fan-out: instrumentation is per batch, not per post
 // or per candidate.
-var ingestSpans = []string{"http.ingest", "server.admit", "ingest.decode", "ingest.batch"}
+var ingestSpans = []string{"http.ingest", "ingest.decode", "ingest.batch"}
 
 // TestTraceEndToEnd is the acceptance path: one ingest batch sent under a
 // client-side span is followable end to end — the server-side trace (same
-// trace ID) covers the HTTP request, admission, decode and the applied
+// trace ID) covers the HTTP request, decode and the applied
 // batch; /debug/traces serves the tree in both formats; the batch histogram
 // exposes an exemplar linking to that trace; and the SSE stream hands back
 // the originating trace ID on the resulting emission.

@@ -279,7 +279,7 @@ func recvExported(fn *types.Func) bool {
 }
 
 // qualified names obj as module-relative package path, receiver type and
-// name, e.g. internal/resilience.TokenBucket.SetClock.
+// name, e.g. internal/wal.Log.Err.
 func qualified(obj types.Object) string {
 	name := obj.Name()
 	if fn, ok := obj.(*types.Func); ok {
