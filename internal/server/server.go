@@ -723,12 +723,20 @@ func (sub *subscription) gc(now float64) {
 		sub.pending = append(sub.pending[:0], sub.pending[sub.head:]...)
 		sub.head = 0
 	}
-	if len(sub.emissions) > maxEmissionBuffer {
-		sub.emissions = append([]Emission(nil), sub.emissions[len(sub.emissions)-maxEmissionBuffer:]...)
-		if sub.emTrace != nil {
-			sub.emTrace = append([]obs.TraceID(nil), sub.emTrace[len(sub.emTrace)-maxEmissionBuffer:]...)
-		}
+	sub.emissions = keepLast(sub.emissions, maxEmissionBuffer)
+	sub.emTrace = keepLast(sub.emTrace, maxEmissionBuffer)
+}
+
+// keepLast drops all but the last n elements of s in amortised O(1): the
+// dropped prefix is cleared so it pins nothing and s is resliced past it;
+// the next append beyond capacity moves the survivors to a fresh array.
+func keepLast[E any](s []E, n int) []E {
+	if len(s) <= n {
+		return s
 	}
+	drop := len(s) - n
+	clear(s[:drop])
+	return s[drop:]
 }
 
 // Flush ends the stream, forcing every pending decision out, and latches

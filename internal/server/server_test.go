@@ -10,11 +10,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"mqdp/internal/match"
+	"mqdp/internal/obs"
 )
 
 func politicsTopics() []match.Topic {
@@ -476,5 +478,54 @@ func TestServerDigestMethod(t *testing.T) {
 	}
 	if len(d.Entries) != 1 || d.TopicCounts["obama"] != 1 || d.TopicCounts["senate"] != 1 {
 		t.Errorf("digest = %+v", d)
+	}
+}
+
+// TestEmissionTrimAmortised checks that trimming a full emission buffer
+// costs amortised O(1) per emission: once the buffer (and its trace
+// sidecar) holds maxEmissionBuffer emissions, the bytes allocated per
+// emitting post stay within a small constant of the below-cap cost
+// instead of re-copying the whole buffer on every emission.
+func TestEmissionTrimAmortised(t *testing.T) {
+	old := maxEmissionBuffer
+	maxEmissionBuffer = 1024
+	defer func() { maxEmissionBuffer = old }()
+	s := newServer(t, Config{})
+	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 0, Tau: 0, Algorithm: "instant"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, _ := s.lookup(id)
+	sub.mu.Lock()
+	sub.emTrace = []obs.TraceID{} // keep the sidecar from the first emission
+	sub.mu.Unlock()
+	const n = 6 * 1024
+	posts := make([][]Post, n)
+	for i := range posts {
+		posts[i] = []Post{{ID: int64(i + 1), Time: float64(i), Text: "obama update"}}
+	}
+	bytesPerPost := func(from, to int) float64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, p := range posts[from:to] {
+			if _, _, err := s.IngestBatch(context.Background(), p, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(to-from)
+	}
+	below := bytesPerPost(0, 1024)
+	bytesPerPost(1024, 2048) // cross the cap
+	full := bytesPerPost(2048, n)
+	sub.mu.Lock()
+	first, kept, traces := sub.emissions[0].Seq, len(sub.emissions), len(sub.emTrace)
+	sub.mu.Unlock()
+	if kept != 1024 || traces != 1024 || first != n-1023 {
+		t.Fatalf("retained %d emissions (%d traces) from seq %d, want 1024 from %d", kept, traces, first, n-1023)
+	}
+	if full > 2*below+1024 {
+		t.Errorf("full buffer: %.0f B per emitting post, below cap %.0f B", full, below)
 	}
 }

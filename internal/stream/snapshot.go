@@ -221,11 +221,22 @@ func (t *TopK[T]) State() TopKState[T] {
 	}
 }
 
-// RestoreTopK rebuilds a view from a snapshot.
+// RestoreTopK rebuilds a view from a snapshot, recounting dominators and
+// dropping the items that can never become visible again (a snapshot
+// taken before the view kept only those still restores to the same
+// Items and Version).
 func RestoreTopK[T any](st TopKState[T]) *TopK[T] {
 	v := NewTopK[T](st.K, st.Window)
 	v.now = st.Now
-	v.items = append([]TopKItem[T](nil), st.Items...)
+	for _, it := range st.Items {
+		if len(v.items) == maxTopKCandidates {
+			break
+		}
+		if d := v.dominators(v.items, it.Value); d < v.k {
+			v.items = append(v.items, it)
+			v.doms = append(v.doms, d)
+		}
+	}
 	v.version = st.Version
 	return v
 }
