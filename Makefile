@@ -9,8 +9,9 @@ all: build test
 # The default verification gate: build, tests, static checks, the chaos
 # suite under the race detector, the kill-9 durability drill, the
 # push-delivery soak, the end-to-end trace-propagation smoke, the wire
-# fuzz corpus smoke, the subscription-routing smoke (equivalence property
-# under -race), and the load harness's own vet and tests.
+# fuzz corpus smoke, the subscription-routing smoke (equivalence property,
+# registry write cost and the route package under -race), and the load
+# harness's own vet and tests.
 check: build test vet chaos crash push-soak trace-smoke fuzz-smoke routing-smoke bench-smoke
 
 build:
@@ -56,7 +57,8 @@ push-soak:
 # default pool threshold and with every post inline, quarantine
 # mid-stream) under the race detector.
 routing-smoke:
-	$(GO) test -race -count=1 -run 'TestRoutingEquivalence|TestRoutingSkippedAccounting|TestIngestScratchBounded' ./internal/server
+	$(GO) test -race -count=1 -run 'TestRoutingEquivalence|TestRoutingSkippedAccounting|TestIngestScratchBounded|TestRegistryWriteCost|TestConcurrentIngestSubscribePoll' ./internal/server
+	$(GO) test -race -count=1 ./internal/route
 
 # bench/ is a nested module that `go test ./...` and `make vet` skip, and
 # the only consumer that pins mqdp-server's flags, its listening log line

@@ -174,6 +174,18 @@ func (m *Matcher) MatchSymbolsInto(dst []core.Label, syms []uint32) []core.Label
 	return dedupLabels(labels)
 }
 
+// SymbolLabels returns the labels of every topic carrying the keyword that
+// CompileSymbols interned as sym, sorted ascending (nil when sym is none of
+// this matcher's keywords): the labels a routing posting under sym
+// carries. The slice is fresh, so the caller may keep it.
+func (m *Matcher) SymbolLabels(sym uint32) []core.Label {
+	var labels []core.Label
+	for _, wl := range m.bySym[sym] {
+		labels = append(labels, wl.label)
+	}
+	return labels
+}
+
 // dedupLabels sorts labels and removes duplicates in place; empty in, nil
 // out. Label lists are per-post tiny, so an allocation-free insertion sort
 // replaces sort.Slice (whose closure allocates) and keeps the no-match

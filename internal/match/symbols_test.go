@@ -3,6 +3,7 @@ package match
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mqdp/internal/core"
@@ -22,9 +23,9 @@ func symTopics(n, kwPer int) []Topic {
 }
 
 // TestMatchSymbolsEquivalence drives random word streams through the
-// string matcher and its symbol-compiled form against the same shared
-// table, asserting identical label sets — the routed fan-out's ground
-// truth contract.
+// string matcher, its symbol-compiled form and the union of its
+// per-keyword SymbolLabels against the same shared table, asserting
+// identical label sets — the routed fan-out's ground truth contract.
 func TestMatchSymbolsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tab := route.NewTable()
@@ -60,6 +61,20 @@ func TestMatchSymbolsEquivalence(t *testing.T) {
 			if got != nil {
 				dst = got[:0]
 			}
+			// The routed form: the sorted union of each present keyword's
+			// posting labels is the match.
+			var union []core.Label
+			for _, sym := range symBuf {
+				labels := m.SymbolLabels(sym)
+				if !slices.IsSorted(labels) || len(slices.Compact(slices.Clone(labels))) != len(labels) {
+					t.Fatalf("matcher %d: SymbolLabels(%d) = %v, want sorted and distinct", mi, sym, labels)
+				}
+				union = append(union, labels...)
+			}
+			slices.Sort(union)
+			if union = slices.Compact(union); !slices.Equal(union, want) {
+				t.Fatalf("trial %d matcher %d: posting labels %v vs words %v", trial, mi, union, want)
+			}
 		}
 	}
 }
@@ -85,7 +100,7 @@ func TestCompileSymbolsPostingKeys(t *testing.T) {
 		}
 	}
 	for _, w := range []string{"x", "y", "z"} {
-		if _, ok := tab.Lookup(w); !ok {
+		if got := tab.AppendSyms(nil, []string{w}); len(got) != 1 {
 			t.Errorf("keyword %q not interned", w)
 		}
 	}

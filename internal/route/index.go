@@ -1,9 +1,9 @@
 package route
 
 import (
-	"math"
+	"cmp"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Entry is one posting: a subscriber identified by a dense, monotone ID
@@ -14,55 +14,40 @@ type Entry[V any] struct {
 	V  V
 }
 
-// Index is the copy-on-write inverted routing index: keyword symbol →
-// posting list of subscribers sorted by ID. Writers (Subscribe,
-// Unsubscribe, quarantine) mutate a master map under a mutex and publish
-// an immutable snapshot through an atomic.Pointer; Candidates reads the
-// snapshot with zero locks. Published posting-list slices are never
-// mutated in place — every add or remove copies the affected list.
+// Index is the inverted routing index: keyword symbol → posting list of
+// subscribers sorted by ID. Writers (Subscribe, Unsubscribe, quarantine)
+// insert and delete postings in place under the write lock; Candidates
+// and Postings copy the merged lists into caller scratch under the read
+// lock.
 type Index[V any] struct {
-	mu     sync.Mutex
-	master map[uint32][]Entry[V]
-	snap   atomic.Pointer[map[uint32][]Entry[V]]
+	mu sync.RWMutex
+	m  map[uint32][]Entry[V]
 }
 
 // NewIndex returns an empty routing index.
 func NewIndex[V any]() *Index[V] {
-	ix := &Index[V]{master: make(map[uint32][]Entry[V])}
-	ix.publishLocked()
-	return ix
-}
-
-// publishLocked installs a fresh immutable snapshot of master. Caller
-// holds ix.mu. The map itself is shallow-cloned; the posting slices are
-// shared because they are copy-on-write.
-func (ix *Index[V]) publishLocked() {
-	snap := make(map[uint32][]Entry[V], len(ix.master))
-	for k, v := range ix.master {
-		snap[k] = v
-	}
-	ix.snap.Store(&snap)
+	return &Index[V]{m: make(map[uint32][]Entry[V])}
 }
 
 // Add posts subscriber (id, v) under every symbol in syms (which must be
-// deduplicated; see DedupSyms). Lists stay sorted by ID — IDs are
-// assigned monotonically so the common case is an append.
+// deduplicated; see DedupSyms).
 func (ix *Index[V]) Add(id int64, v V, syms []uint32) {
+	ix.AddFunc(id, syms, func(uint32) V { return v })
+}
+
+// AddFunc posts subscriber id under every symbol in syms (deduplicated),
+// the posting under sym carrying v(sym). All of them land under one write
+// lock, so no reader sees a subscriber under some of its symbols only.
+// Lists stay sorted by ID — IDs are assigned monotonically, so the common
+// case is an append.
+func (ix *Index[V]) AddFunc(id int64, syms []uint32, v func(sym uint32) V) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, sym := range syms {
-		old := ix.master[sym]
-		at := len(old)
-		for at > 0 && old[at-1].ID > id {
-			at--
-		}
-		next := make([]Entry[V], 0, len(old)+1)
-		next = append(next, old[:at]...)
-		next = append(next, Entry[V]{ID: id, V: v})
-		next = append(next, old[at:]...)
-		ix.master[sym] = next
+		l := ix.m[sym]
+		at, _ := slices.BinarySearchFunc(l, id, byID[V])
+		ix.m[sym] = slices.Insert(l, at, Entry[V]{ID: id, V: v(sym)})
 	}
-	ix.publishLocked()
 }
 
 // Remove deletes subscriber id from every symbol in syms. Removing an
@@ -72,85 +57,75 @@ func (ix *Index[V]) Remove(id int64, syms []uint32) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, sym := range syms {
-		old := ix.master[sym]
-		at := -1
-		for i, e := range old {
-			if e.ID == id {
-				at = i
-				break
-			}
+		l := ix.m[sym]
+		at, ok := slices.BinarySearchFunc(l, id, byID[V])
+		switch {
+		case !ok:
+		case len(l) == 1:
+			delete(ix.m, sym)
+		default:
+			ix.m[sym] = slices.Delete(l, at, at+1)
 		}
-		if at < 0 {
-			continue
-		}
-		if len(old) == 1 {
-			delete(ix.master, sym)
-			continue
-		}
-		next := make([]Entry[V], 0, len(old)-1)
-		next = append(next, old[:at]...)
-		next = append(next, old[at+1:]...)
-		ix.master[sym] = next
 	}
-	ix.publishLocked()
 }
+
+func byID[V any](e Entry[V], id int64) int { return cmp.Compare(e.ID, id) }
 
 // mergeLists is the stack budget for the per-post k-way merge; posts with
 // more distinct live symbols spill to a heap allocation.
 const mergeLists = 64
 
 // Candidates appends, in ascending ID order and without duplicates, every
-// subscriber posted under at least one symbol of syms, and returns the
-// extended slice. It reads the current snapshot with zero locks; the
-// caller reuses dst across posts for an allocation-free hot path. The
-// merge is a linear-scan k-way merge over the (sorted) posting lists:
-// O(lists × candidates) comparisons with lists bounded by the post's
-// distinct matched symbols.
+// subscriber posted under at least one symbol of syms (deduplicated), and
+// returns the extended slice. The caller reuses dst across posts for an
+// allocation-free hot path.
 func (ix *Index[V]) Candidates(dst []Entry[V], syms []uint32) []Entry[V] {
-	m := *ix.snap.Load()
+	return ix.merge(dst, syms, false)
+}
+
+// Postings is Candidates keeping every posting: a subscriber posted under
+// several symbols of syms yields one entry per symbol, adjacent to each
+// other and in syms order, each with that symbol's payload.
+func (ix *Index[V]) Postings(dst []Entry[V], syms []uint32) []Entry[V] {
+	return ix.merge(dst, syms, true)
+}
+
+// merge is the linear-scan k-way merge over the (sorted) posting lists of
+// syms: O(lists × subscribers) comparisons, with lists bounded by the
+// post's distinct matched symbols. Each round yields the lowest head ID —
+// from every list holding it when all is set, else from the first — and
+// drops exhausted lists.
+func (ix *Index[V]) merge(dst []Entry[V], syms []uint32, all bool) []Entry[V] {
 	var listsArr [mergeLists][]Entry[V]
 	lists := listsArr[:0]
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	for _, sym := range syms {
-		if l := m[sym]; len(l) > 0 {
+		if l := ix.m[sym]; len(l) > 0 {
 			lists = append(lists, l)
 		}
 	}
-	switch len(lists) {
-	case 0:
-		return dst
-	case 1:
+	if len(lists) == 1 {
 		return append(dst, lists[0]...)
 	}
-	var curArr [mergeLists]int
-	var cur []int
-	if len(lists) <= mergeLists {
-		cur = curArr[:len(lists)]
-		for i := range cur {
-			cur[i] = 0
+	for len(lists) > 0 {
+		id := lists[0][0].ID
+		for _, l := range lists[1:] {
+			id = min(id, l[0].ID)
 		}
-	} else {
-		cur = make([]int, len(lists))
-	}
-	last := int64(math.MinInt64)
-	for {
-		best := -1
-		var bestID int64
-		for i, l := range lists {
-			// Skip everything at or below the last yielded ID: that is both
-			// the duplicate filter and the cursor advance.
-			c := cur[i]
-			for c < len(l) && l[c].ID <= last {
-				c++
+		live, yielded := lists[:0], false
+		for _, l := range lists {
+			if l[0].ID == id {
+				if all || !yielded {
+					dst, yielded = append(dst, l[0]), true
+				}
+				l = l[1:]
 			}
-			cur[i] = c
-			if c < len(l) && (best < 0 || l[c].ID < bestID) {
-				best, bestID = i, l[c].ID
+			if len(l) > 0 {
+				live = append(live, l)
 			}
 		}
-		if best < 0 {
-			return dst
-		}
-		dst = append(dst, lists[best][cur[best]])
-		last = bestID
+		lists = live
 	}
+	return dst
 }

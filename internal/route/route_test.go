@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -10,22 +11,23 @@ import (
 
 func TestTableInternLookup(t *testing.T) {
 	tab := NewTable()
-	a := tab.Intern("obama")
-	b := tab.Intern("senate")
+	syms := tab.InternAll(nil, []string{"obama", "senate"})
+	a, b := syms[0], syms[1]
 	if a == b {
 		t.Fatalf("distinct words share symbol %d", a)
 	}
-	if got := tab.Intern("obama"); got != a {
-		t.Errorf("re-intern = %d, want %d", got, a)
+	if got := tab.InternAll(nil, []string{"obama"}); got[0] != a {
+		t.Errorf("re-intern = %d, want %d", got[0], a)
 	}
-	if sym, ok := tab.Lookup("senate"); !ok || sym != b {
-		t.Errorf("Lookup(senate) = %d,%v want %d,true", sym, ok, b)
+	if got := tab.AppendSyms(nil, []string{"senate"}); len(got) != 1 || got[0] != b {
+		t.Errorf("AppendSyms(senate) = %v, want [%d]", got, b)
 	}
-	if _, ok := tab.Lookup("unknown"); ok {
-		t.Error("Lookup(unknown) hit")
+	if got := tab.AppendSyms(nil, []string{"unknown"}); len(got) != 0 {
+		t.Errorf("AppendSyms(unknown) = %v, want none", got)
 	}
-	if tab.Len() != 2 {
-		t.Errorf("Len = %d, want 2", tab.Len())
+	// Symbols are dense: a third word takes the next ID.
+	if got := tab.InternAll(nil, []string{"vote"}); got[0] != 2 {
+		t.Errorf("third symbol = %d, want 2", got[0])
 	}
 }
 
@@ -46,8 +48,9 @@ func TestTableInternAllBatch(t *testing.T) {
 			t.Errorf("again[%d] = %d, want %d", i, again[i], want[i])
 		}
 	}
-	if tab.Len() != 3 {
-		t.Errorf("Len = %d, want 3", tab.Len())
+	// Three distinct words got the three dense IDs 0..2.
+	if got := DedupSyms(append([]uint32(nil), syms...)); !slices.Equal(got, []uint32{0, 1, 2}) {
+		t.Errorf("distinct symbols = %v, want [0 1 2]", got)
 	}
 }
 
@@ -166,15 +169,19 @@ func TestIndexCandidatesMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestIndexConcurrentReaders hammers lock-free candidate reads against
-// concurrent add/remove churn; run under -race this is the COW contract.
+// TestIndexConcurrentReaders hammers Candidates and Postings reads against
+// concurrent add/remove churn. Under -race it exercises the RWMutex; the
+// posting counts check that a subscriber appears under all of its symbols
+// or none, since AddFunc and Remove each land under one write lock.
 func TestIndexConcurrentReaders(t *testing.T) {
 	ix := NewIndex[int]()
 	tab := NewTable()
-	var syms []uint32
+	var words []string
 	for i := 0; i < 16; i++ {
-		syms = append(syms, tab.Intern(fmt.Sprintf("w%d", i)))
+		words = append(words, fmt.Sprintf("w%d", i))
 	}
+	syms := tab.InternAll(nil, words)
+	symsOf := func(id int64) []uint32 { return syms[:1+id%int64(len(syms))] }
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -197,17 +204,101 @@ func TestIndexConcurrentReaders(t *testing.T) {
 					}
 					last = e.ID
 				}
+				buf = ix.Postings(buf[:0], syms)
+				for i := 0; i < len(buf); {
+					j := i + 1
+					for j < len(buf) && buf[j].ID == buf[i].ID {
+						j++
+					}
+					if want := len(symsOf(buf[i].ID)); j-i != want {
+						t.Errorf("subscriber %d has %d postings, want %d", buf[i].ID, j-i, want)
+						return
+					}
+					i = j
+				}
 			}
 		}()
 	}
 	for id := int64(1); id <= 200; id++ {
-		ix.Add(id, int(id), syms[:1+id%int64(len(syms))])
+		ix.Add(id, int(id), symsOf(id))
 		if id%3 == 0 {
 			ix.Remove(id-2, syms)
 		}
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestIndexPostingsMatchesNaive cross-checks Postings against a brute-force
+// listing: for each subscriber in ID order, one entry per query symbol it
+// is posted under, in query order, carrying that symbol's payload.
+func TestIndexPostingsMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	type posting struct {
+		id  int64
+		sym uint32
+	}
+	for trial := 0; trial < 50; trial++ {
+		nSyms := 1 + rng.Intn(2*mergeLists)
+		nSubs := 1 + rng.Intn(40)
+		ix := NewIndex[posting]()
+		members := make(map[int64]map[uint32]bool)
+		// Add in random ID order so inserts land mid-list too.
+		for _, k := range rng.Perm(nSubs) {
+			id := int64(k + 1)
+			var syms []uint32
+			for s := 0; s < nSyms; s++ {
+				if rng.Intn(3) == 0 {
+					syms = append(syms, uint32(s))
+				}
+			}
+			ix.AddFunc(id, syms, func(sym uint32) posting { return posting{id, sym} })
+			members[id] = make(map[uint32]bool)
+			for _, s := range syms {
+				members[id][s] = true
+			}
+		}
+		// Withdraw a few subscribers from some of their symbols.
+		for id := int64(1); id <= int64(nSubs); id += 5 {
+			var drop []uint32
+			for s := uint32(0); s < uint32(nSyms); s++ {
+				if members[id][s] && rng.Intn(2) == 0 {
+					drop = append(drop, s)
+					delete(members[id], s)
+				}
+			}
+			ix.Remove(id, drop)
+		}
+		var query []uint32
+		for _, s := range rng.Perm(nSyms) {
+			if rng.Intn(2) == 0 {
+				query = append(query, uint32(s))
+			}
+		}
+		var want []posting
+		for id := int64(1); id <= int64(nSubs); id++ {
+			for _, s := range query {
+				if members[id][s] {
+					want = append(want, posting{id, s})
+				}
+			}
+		}
+		var got []posting
+		for _, e := range ix.Postings(nil, query) {
+			if e.V.id != e.ID {
+				t.Fatalf("payload %v does not match ID %d", e.V, e.ID)
+			}
+			got = append(got, e.V)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: postings = %v, want %v", trial, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: postings = %v, want %v", trial, got, want)
+			}
+		}
+	}
 }
 
 func TestCandidatesAllocFreeSteadyState(t *testing.T) {
@@ -222,6 +313,12 @@ func TestCandidatesAllocFreeSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Candidates steady-state allocs = %v, want 0", allocs)
+	}
+	buf = ix.Postings(buf[:0], syms)
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = ix.Postings(buf[:0], syms)
+	}); allocs != 0 {
+		t.Errorf("Postings steady-state allocs = %v, want 0", allocs)
 	}
 }
 

@@ -1,119 +1,64 @@
 // Package route implements the shared subscription-routing layer: a
 // server-side symbol table that interns topic keywords and post tokens to
-// dense uint32 symbol IDs, and a copy-on-write inverted index from keyword
-// symbol to the sorted posting list of subscriptions carrying it.
+// dense uint32 symbol IDs, and an inverted index from keyword symbol to
+// the ID-ordered posting list of subscriptions carrying it.
 //
 // Together they invert the ingest fan-out of the paper's §7.4 scenario
 // ("executed for millions of users"): instead of feeding every post to
 // every subscription — O(|subs|) matcher invocations per post — ingest
 // tokenizes once, maps the tokens to symbols, and k-way-merges the
 // candidate posting lists, feeding only the subscriptions that can
-// possibly match. The per-subscription matcher stays the ground truth, so
-// routing is a pure superset filter: a post reaches every subscription
-// with at least one of its keywords present, and skipped subscriptions
-// would have matched nothing.
+// possibly match.
 //
-// Both structures follow the index read-path shape: writers (Subscribe,
-// Unsubscribe, quarantine) mutate under a mutex and publish immutable
-// snapshots through an atomic.Pointer; the ingest hot path reads with zero
-// locks — one atomic load plus map lookups over data that never mutates
-// after publication.
+// Both structures are plain maps mutated in place under their own leaf
+// sync.RWMutex: a registry write (Subscribe, Unsubscribe, quarantine)
+// costs what the profile costs, not what the registry holds, and a read
+// copies what it needs into caller scratch before releasing the lock, so
+// no caller ever holds it across other work.
 package route
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Table interns strings to dense uint32 symbols. Lookups are lock-free
-// (one atomic load plus one map read of an immutable snapshot); interning
-// takes a mutex and republishes, cloning the map only when a batch
-// actually adds new symbols — after the keyword vocabulary saturates,
-// Intern calls on known words are read-mostly and clone nothing.
+// Table interns strings to dense uint32 symbols. Reads share a read lock;
+// interning takes the write lock and adds only the new words.
 type Table struct {
-	mu   sync.Mutex
-	snap atomic.Pointer[map[string]uint32]
+	mu sync.RWMutex
+	m  map[string]uint32
 }
 
 // NewTable returns an empty symbol table.
 func NewTable() *Table {
-	t := &Table{}
-	m := make(map[string]uint32)
-	t.snap.Store(&m)
-	return t
-}
-
-// Len reports the number of interned symbols.
-func (t *Table) Len() int { return len(*t.snap.Load()) }
-
-// Lookup resolves an already-interned string lock-free. A miss means the
-// string is no subscription's keyword and can be skipped entirely.
-func (t *Table) Lookup(word string) (uint32, bool) {
-	sym, ok := (*t.snap.Load())[word]
-	return sym, ok
+	return &Table{m: make(map[string]uint32)}
 }
 
 // AppendSyms appends the symbols of every word present in the table to dst
 // and returns the extended slice, reusing dst's capacity. Unknown words
-// are skipped — they can match no keyword anywhere. Lock-free; duplicates
-// in words yield duplicate symbols (see DedupSyms).
+// are skipped — they can match no keyword anywhere. Duplicates in words
+// yield duplicate symbols (see DedupSyms).
 func (t *Table) AppendSyms(dst []uint32, words []string) []uint32 {
-	m := *t.snap.Load()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	for _, w := range words {
-		if sym, ok := m[w]; ok {
+		if sym, ok := t.m[w]; ok {
 			dst = append(dst, sym)
 		}
 	}
 	return dst
 }
 
-// Intern returns the symbol for word, assigning the next dense ID when it
-// is new. Symbols are never recycled: the table only grows.
-func (t *Table) Intern(word string) uint32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := *t.snap.Load()
-	if sym, ok := old[word]; ok {
-		return sym
-	}
-	next := make(map[string]uint32, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	sym := uint32(len(old))
-	next[word] = sym
-	t.snap.Store(&next)
-	return sym
-}
-
-// InternAll appends the symbol of every word to dst (assigning new IDs in
-// word order) and returns the extended slice. The snapshot is cloned at
-// most once per call regardless of how many words are new, so batch
-// interning a subscription's keyword set costs one republish.
+// InternAll appends the symbol of every word to dst, assigning the next
+// dense ID to each new word in word order, and returns the extended slice.
+// Symbols are never recycled: the table only grows.
 func (t *Table) InternAll(dst []uint32, words []string) []uint32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := *t.snap.Load()
-	var next map[string]uint32
-	m := old
 	for _, w := range words {
-		if sym, ok := m[w]; ok {
-			dst = append(dst, sym)
-			continue
+		sym, ok := t.m[w]
+		if !ok {
+			sym = uint32(len(t.m))
+			t.m[w] = sym
 		}
-		if next == nil {
-			next = make(map[string]uint32, len(old)+len(words))
-			for k, v := range old {
-				next[k] = v
-			}
-			m = next
-		}
-		sym := uint32(len(m))
-		next[w] = sym
 		dst = append(dst, sym)
-	}
-	if next != nil {
-		t.snap.Store(&next)
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/gob"
@@ -10,6 +11,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -806,7 +808,7 @@ type walSnap struct {
 // and ingestMu; per-subscription mutexes are taken one at a time.
 func (s *Server) encodeSnapshot() ([]byte, error) {
 	s.mu.RLock()
-	shards := s.order
+	shards := slices.Clone(s.order)
 	nextID := s.nextID
 	s.mu.RUnlock()
 	snap := walSnap{
@@ -974,16 +976,15 @@ func (s *Server) restoreSub(ss *walSubSnap) error {
 	// A quarantined pipeline's postings were withdrawn live; keep it out
 	// of the routing index so it stays isolated after the restart too.
 	if !ss.Quarantined {
-		s.routes.Add(sub.id, sub, routeSyms)
+		s.addRoutes(sub)
 	}
 	return nil
 }
 
-// insertOrdered adds sub to a copy of order, keeping it sorted by id.
+// insertOrdered inserts sub into order in place, keeping it sorted by id.
 func insertOrdered(order []*subscription, sub *subscription) []*subscription {
-	i := sort.Search(len(order), func(k int) bool { return order[k].id >= sub.id })
-	out := make([]*subscription, 0, len(order)+1)
-	out = append(out, order[:i]...)
-	out = append(out, sub)
-	return append(out, order[i:]...)
+	i, _ := slices.BinarySearchFunc(order, sub.id, bySubID)
+	return slices.Insert(order, i, sub)
 }
+
+func bySubID(sub *subscription, id int64) int { return cmp.Compare(sub.id, id) }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"mqdp"
@@ -11,49 +13,83 @@ import (
 	"mqdp/internal/match"
 	"mqdp/internal/simhash"
 	"mqdp/internal/synth"
+	"mqdp/internal/textutil"
 )
 
 // The routing-equivalence workload: a fixed random world, 16 subscriptions
-// with randomly overlapping topic sets, one tweet sequence, a pipeline
-// panic that quarantines subscription routingVictim on its 4th matched
-// post, and an unsubscribe of the third profile before the flush.
+// (14 with randomly overlapping topic sets, then two crafted ones), one
+// tweet sequence, a pipeline panic that quarantines subscription
+// routingVictim on its 4th matched post, and registry writes between two
+// ingests: before post routingChurnAt the third profile is unsubscribed
+// and a late one subscribed, and before post routingLateUntil the late one
+// is unsubscribed. At most 16 subscriptions are ever live.
 const (
 	routingVictim     = 5
 	routingVictimPost = 4
 	routingDupDist    = 3
 	routingDupWindow  = 64
+	routingChurnAt    = 1200
+	routingLateUntil  = 2400
 )
 
-func routingWorkload() ([]SubscriptionConfig, []Post) {
+// routingWorkload returns the profiles subscribed before the first post,
+// the late profile, the posts, and the crafted profiles' keywords: the one
+// two topics of a profile share, and two of one topic that co-occur.
+func routingWorkload() (cfgs []SubscriptionConfig, late SubscriptionConfig, posts []Post, shared string, pair [2]string) {
 	world := synth.NewWorld(synth.WorldConfig{Seed: 5})
 	rng := newRand(7)
 	algos := []string{"streamscan+", "streamscan", "streamgreedy", "streamgreedy+", "instant"}
-	cfgs := make([]SubscriptionConfig, 16)
-	for i := range cfgs {
-		cfgs[i] = SubscriptionConfig{
+	random := func(i int) SubscriptionConfig {
+		return SubscriptionConfig{
 			Topics:    world.MatchTopics(world.SampleLabelSet(rng, 1+rng.Intn(4))),
 			Lambda:    60 + float64(rng.Intn(120)),
 			Tau:       float64(rng.Intn(30)),
 			Algorithm: algos[i%len(algos)],
 		}
 	}
+	for i := 0; i < 14; i++ {
+		cfgs = append(cfgs, random(i))
+	}
+	kws := func(words ...string) []match.Keyword {
+		out := make([]match.Keyword, len(words))
+		for i, w := range words {
+			out[i] = match.Keyword{Text: w, Weight: 1}
+		}
+		return out
+	}
+	// The shared keyword's one posting carries both labels; a post with
+	// both paired keywords routes two postings of one subscription, whose
+	// labels the fold must union.
+	k0, k2 := world.Topics[0].Keywords, world.Topics[2].Keywords
+	shared, pair = k0[1], [2]string{k2[0], k2[1]}
+	cfgs = append(cfgs,
+		SubscriptionConfig{Topics: []match.Topic{
+			{Name: "shared-a", Keywords: kws(k0[0], shared)},
+			{Name: "shared-b", Keywords: kws(shared, k0[2])},
+		}, Lambda: 90, Tau: 10, Algorithm: "streamscan+"},
+		SubscriptionConfig{Topics: []match.Topic{
+			{Name: "pair", Keywords: kws(pair[0], pair[1])},
+		}, Lambda: 90, Tau: 10, Algorithm: "streamgreedy"},
+	)
+	late = random(0)
 	tweets := synth.TweetStream(world, synth.StreamConfig{Duration: 900, RatePerSec: 4, Seed: 6})
-	posts := make([]Post, len(tweets))
+	posts = make([]Post, len(tweets))
 	for i, tw := range tweets {
 		posts[i] = Post{ID: int64(i + 1), Time: tw.Time, Text: tw.Text}
 	}
-	return cfgs, posts
+	return cfgs, late, posts, shared, pair
 }
 
 // runRoutingServer streams the workload through a real server whose pool
-// threshold is poolMin and returns every surviving subscription's
-// emissions as JSON, keyed by id.
+// threshold is poolMin and returns every subscription's emissions as JSON,
+// keyed by id: polled after the flush, or just before the unsubscribe for
+// the two profiles unsubscribed mid-stream.
 func runRoutingServer(t *testing.T, poolMin int) map[int64][]byte {
 	t.Helper()
 	old := poolFanoutMin
 	poolFanoutMin = poolMin
 	defer func() { poolFanoutMin = old }()
-	cfgs, posts := routingWorkload()
+	cfgs, late, posts, _, _ := routingWorkload()
 	// Fire runs only after a match, so the trigger count is the victim's
 	// matched-post count whatever the fan-out feeds it.
 	inj, err := faultinject.ParseSchedule(
@@ -70,29 +106,8 @@ func runRoutingServer(t *testing.T, poolMin int) map[int64][]byte {
 		}
 		ids = append(ids, id)
 	}
-	for i, p := range posts {
-		if err := ingestPost(s, p); err != nil {
-			t.Fatalf("ingest %d: %v", i, err)
-		}
-	}
-	// Unsubscribe one profile mid-API-surface to exercise posting removal,
-	// then flush the rest.
-	if err := s.Unsubscribe(ids[2]); err != nil {
-		t.Fatal(err)
-	}
-	s.Flush()
-	st, err := s.SubscriptionStats(routingVictim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Quarantined {
-		t.Fatalf("threshold=%d: subscription %d not quarantined", poolMin, routingVictim)
-	}
 	out := make(map[int64][]byte)
-	for _, id := range ids {
-		if id == ids[2] {
-			continue
-		}
+	poll := func(id int64) {
 		es, err := s.Emissions(id, 0, 0)
 		if err != nil {
 			t.Fatalf("emissions %d: %v", id, err)
@@ -103,24 +118,61 @@ func runRoutingServer(t *testing.T, poolMin int) map[int64][]byte {
 		}
 		out[id] = raw
 	}
+	unsubscribe := func(id int64) {
+		poll(id)
+		if err := s.Unsubscribe(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var lateID int64
+	for i, p := range posts {
+		switch i {
+		case routingChurnAt:
+			unsubscribe(ids[2])
+			if lateID, err = s.Subscribe(late); err != nil {
+				t.Fatal(err)
+			}
+		case routingLateUntil:
+			unsubscribe(lateID)
+		}
+		if err := ingestPost(s, p); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+	}
+	s.Flush()
+	st, err := s.SubscriptionStats(routingVictim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Quarantined {
+		t.Fatalf("threshold=%d: subscription %d not quarantined", poolMin, routingVictim)
+	}
+	for _, id := range ids {
+		if id != ids[2] {
+			poll(id)
+		}
+	}
 	return out
 }
 
 // runBroadcastOracle is the fan-out the routing index replaced, kept here
 // as the reference: no symbol table, no inverted index, no pool. Every
-// post that survives deduplication is offered to every live profile's
-// uncompiled match.Matcher, and each profile owns one serial mqdp.NewStream
-// processor. The victim stops at its scripted matched post, unprocessed,
-// and is not flushed — what quarantine does to a real pipeline.
+// post that survives deduplication is offered to every profile live at
+// its index, through the profile's uncompiled match.Matcher, and each
+// profile owns one serial mqdp.NewStream processor. The victim stops at
+// its scripted matched post, unprocessed, and is not flushed — what
+// quarantine does to a real pipeline; a profile unsubscribed mid-stream
+// stops at that post index, unflushed.
 func runBroadcastOracle(t *testing.T) map[int64][]byte {
 	t.Helper()
-	cfgs, posts := routingWorkload()
+	cfgs, late, posts, _, _ := routingWorkload()
 	type profile struct {
-		matcher *match.Matcher
-		proc    mqdp.Processor
-		matched int
-		dead    bool
-		out     []Emission
+		matcher  *match.Matcher
+		proc     mqdp.Processor
+		from, to int // live for post indexes [from, to)
+		matched  int
+		dead     bool
+		out      []Emission
 	}
 	texts := make(map[int64]string, len(posts))
 	deliver := func(p *profile, es []mqdp.Emission) {
@@ -135,8 +187,8 @@ func runBroadcastOracle(t *testing.T) map[int64][]byte {
 			})
 		}
 	}
-	profiles := make([]*profile, len(cfgs))
-	for i, cfg := range cfgs {
+	profiles := make([]*profile, 0, len(cfgs)+1)
+	for _, cfg := range append(cfgs, late) {
 		m, err := match.NewMatcher(cfg.Topics)
 		if err != nil {
 			t.Fatal(err)
@@ -149,16 +201,18 @@ func runBroadcastOracle(t *testing.T) map[int64][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		profiles[i] = &profile{matcher: m, proc: proc}
+		profiles = append(profiles, &profile{matcher: m, proc: proc, to: len(posts)})
 	}
+	profiles[2].to = routingChurnAt
+	profiles[len(cfgs)].from, profiles[len(cfgs)].to = routingChurnAt, routingLateUntil
 	dedup := simhash.NewDeduper(routingDupDist, routingDupWindow)
-	for _, post := range posts {
+	for idx, post := range posts {
 		if !dedup.Offer(post.Text) {
 			continue
 		}
 		texts[post.ID] = post.Text
 		for i, p := range profiles {
-			if p.dead {
+			if p.dead || idx < p.from || idx >= p.to {
 				continue
 			}
 			labels := p.matcher.Match(post.Text)
@@ -179,10 +233,7 @@ func runBroadcastOracle(t *testing.T) map[int64][]byte {
 	}
 	out := make(map[int64][]byte)
 	for i, p := range profiles {
-		if i == 2 {
-			continue // unsubscribed before the flush
-		}
-		if !p.dead {
+		if !p.dead && p.to == len(posts) {
 			deliver(p, p.proc.Flush())
 		}
 		raw, err := json.Marshal(p.out)
@@ -196,25 +247,40 @@ func runBroadcastOracle(t *testing.T) map[int64][]byte {
 
 // TestRoutingEquivalence is routing's safety property: per-subscription
 // emission streams are byte-identical to a broadcast fan-out, whether each
-// post is fed on the worker pool or inline, across random topic overlap, a
-// mid-stream quarantine and an unsubscribe. Routing must be a pure superset filter — it may only
-// skip subscriptions that would have matched nothing.
+// post is fed on the worker pool or inline, across random topic overlap,
+// topics sharing a keyword, co-occurring keywords of one topic, a
+// mid-stream quarantine, and a subscribe and unsubscribes between ingests.
+// Routing is the match: it must reach exactly the subscriptions that
+// match, each with the labels its matcher would return.
 func TestRoutingEquivalence(t *testing.T) {
 	ref := runBroadcastOracle(t)
-	var total int
-	for _, raw := range ref {
+	cfgs, _, posts, shared, pair := routingWorkload()
+	// The crafted profiles, the late one and the one unsubscribed at the
+	// churn point must all emit, or their cases prove nothing.
+	for _, id := range []int64{3, int64(len(cfgs) - 1), int64(len(cfgs)), int64(len(cfgs) + 1)} {
 		var es []Emission
-		if err := json.Unmarshal(raw, &es); err != nil {
+		if err := json.Unmarshal(ref[id], &es); err != nil {
 			t.Fatal(err)
 		}
-		total += len(es)
+		if len(es) == 0 {
+			t.Fatalf("oracle profile %d emitted nothing; workload too sparse to prove anything", id)
+		}
 	}
-	if total == 0 {
-		t.Fatal("oracle produced no emissions; workload too sparse to prove anything")
+	var sharedPosts, pairPosts int
+	for _, p := range posts {
+		words := textutil.Words(p.Text)
+		if slices.Contains(words, shared) {
+			sharedPosts++
+		}
+		if slices.Contains(words, pair[0]) && slices.Contains(words, pair[1]) {
+			pairPosts++
+		}
+	}
+	if sharedPosts == 0 || pairPosts == 0 {
+		t.Fatalf("posts with the shared keyword %d, with both paired keywords %d; want both > 0", sharedPosts, pairPosts)
 	}
 	// Every post pooled, the default, and every post inline: no post has
-	// more candidates than there are subscriptions.
-	cfgs, _ := routingWorkload()
+	// more candidates than there are live subscriptions.
 	for _, poolMin := range []int{0, poolFanoutMin, len(cfgs) + 1} {
 		t.Run(fmt.Sprintf("threshold=%d", poolMin), func(t *testing.T) {
 			got := runRoutingServer(t, poolMin)
@@ -287,5 +353,61 @@ func TestRoutingSkippedAccounting(t *testing.T) {
 	}
 	if m.MatchedTotal != 3 {
 		t.Errorf("MatchedTotal = %d, want 3", m.MatchedTotal)
+	}
+}
+
+// TestRegistryWriteCost pins the price of a registry write: one Subscribe
+// + Unsubscribe pair of a two-keyword instant profile (one keyword new to
+// the symbol table, one from a shared set of 3,000) costs the same bytes
+// and allocations with 10,000 profiles registered as with 100. Routing
+// maps, symbol table and registry order that were cloned per write would
+// scale the pair with the registry.
+func TestRegistryWriteCost(t *testing.T) {
+	const pairs = 200
+	profile := func(i int) SubscriptionConfig {
+		return SubscriptionConfig{
+			Topics: []match.Topic{{Name: "t", Keywords: []match.Keyword{
+				{Text: fmt.Sprintf("own%d", i), Weight: 1},
+				{Text: fmt.Sprintf("shared%d", i%3000), Weight: 1},
+			}}},
+			Lambda:    60,
+			Algorithm: "instant",
+		}
+	}
+	cost := func(registered int) (bytesPerPair, allocsPerPair float64) {
+		s := newServer(t, Config{})
+		for i := 0; i < registered; i++ {
+			if _, err := s.Subscribe(profile(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := registered
+		pair := func() {
+			id, err := s.Subscribe(profile(next))
+			if err != nil {
+				t.Fatal(err)
+			}
+			next++
+			if err := s.Unsubscribe(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pair() // the registry's first growth past its initial size
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < pairs; i++ {
+			pair()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / pairs, testing.AllocsPerRun(pairs, pair)
+	}
+	smallBytes, smallAllocs := cost(100)
+	bigBytes, bigAllocs := cost(10000)
+	t.Logf("per pair: %.0f B, %.1f allocs at 100 profiles; %.0f B, %.1f allocs at 10,000", smallBytes, smallAllocs, bigBytes, bigAllocs)
+	if bigBytes > 1.5*smallBytes {
+		t.Errorf("bytes per pair at 10,000 profiles = %.0f, > 1.5x the %.0f at 100", bigBytes, smallBytes)
+	}
+	if bigAllocs > 1.2*smallAllocs {
+		t.Errorf("allocs per pair at 10,000 profiles = %.1f, > 1.2x the %.1f at 100", bigAllocs, smallAllocs)
 	}
 }

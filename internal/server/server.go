@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,10 +119,6 @@ type subscription struct {
 	mu      sync.Mutex
 	matcher *match.Matcher
 	proc    mqdp.Processor
-	// labelBuf is the reused per-subscription match scratch: the matcher
-	// appends labels into it so the no-match path allocates nothing. Only
-	// an owned copy is handed to the processor (which retains its input).
-	labelBuf []core.Label
 	// buffer of emissions with monotonically increasing, contiguous Seq.
 	emissions []Emission
 	// emTrace is the aligned trace-ID sidecar for emissions: emTrace[i] is
@@ -183,8 +180,9 @@ func (sub *subscription) quarantine(msg string, s *Server) {
 	// A quarantined pipeline never processes another post: withdraw its
 	// routing postings so it stops surfacing as an ingest candidate (the
 	// lock-free quarantined check in feed stays as the backstop for
-	// fan-outs already holding the old snapshot). route.Index's mutex is a
-	// leaf, so taking it under sub.mu cannot deadlock.
+	// fan-outs whose candidates were copied out before the withdrawal).
+	// route.Index's mutex is a leaf that no fan-out holds, so taking it
+	// under sub.mu, on a pool worker, cannot deadlock.
 	s.routes.Remove(sub.id, sub.routeSyms)
 	if l := s.cfg.Logger; l != nil {
 		l.Warn("subscription quarantined", slog.Int64("subscription", sub.id), slog.String("reason", msg))
@@ -204,9 +202,9 @@ type Server struct {
 	mu     sync.RWMutex
 	nextID int64
 	subs   map[int64]*subscription
-	// order is a copy-on-write snapshot of subs sorted by id: Flush, Metrics
-	// and Snapshot walk it without holding mu while Subscribe/Unsubscribe
-	// install new slices.
+	// order is subs sorted by id, kept in place under mu (a sorted insert
+	// on Subscribe and restore, a binary-search delete on Unsubscribe);
+	// Flush, Metrics and the snapshot writer walk a clone taken under RLock.
 	order []*subscription
 
 	// ingestMu serializes Ingest and Flush: the order check, dedup and the
@@ -221,20 +219,22 @@ type Server struct {
 	// Oversized scratch is dropped after the post (see keepIngestScratch)
 	// so one pathological post doesn't pin its buffers forever.
 	wordBuf []string
-	// symBuf and candBuf are the fan-out scratch, reused under ingestMu
-	// like wordBuf: the post's tokens resolved to deduplicated symbols
-	// (shared read-only by every fan-out worker, reused only after the
-	// fan-out completes), and the merged candidate subscriptions for them.
+	// symBuf, postBuf and candBuf are the routing scratch, reused under
+	// ingestMu like wordBuf: the post's tokens resolved to deduplicated
+	// symbols, the postings merged for them, and those postings folded
+	// into one candidate per subscription (read by every fan-out worker,
+	// reused only after the fan-out completes).
 	symBuf  []uint32
-	candBuf []route.Entry[*subscription]
+	postBuf []route.Entry[posting]
+	candBuf []posting
 
 	// Subscription routing: symtab interns every subscription keyword (and
 	// resolves post tokens) to dense uint32 symbols shared by all matchers;
-	// routes is the copy-on-write inverted index keyword symbol → sorted
-	// subscription postings, read lock-free by ingest. subCount mirrors the
+	// routes is the inverted index keyword symbol → ID-ordered postings,
+	// each carrying the labels its keyword answers to. subCount mirrors the
 	// registry size for the routing_skipped accounting without taking mu.
 	symtab         *route.Table
-	routes         *route.Index[*subscription]
+	routes         *route.Index[posting]
 	subCount       atomic.Int64
 	routingSkipped obs.Counter
 
@@ -308,7 +308,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:    cfg,
 		subs:   make(map[int64]*subscription),
 		symtab: route.NewTable(),
-		routes: route.NewIndex[*subscription](),
+		routes: route.NewIndex[posting](),
 	}
 	if cfg.DupWindow > 0 {
 		s.dedup = simhash.NewDeduper(cfg.DupDistance, cfg.DupWindow)
@@ -458,15 +458,28 @@ func (s *Server) subscribe(id int64, cfg SubscriptionConfig) (int64, error) {
 	if o := s.obs; o != nil {
 		o.subs.Set(float64(len(s.subs)))
 	}
-	// Copy-on-write: in-flight walks keep their snapshot. Ids normally
-	// only grow; the sorted insert also covers replayed ids arriving after
-	// a snapshot restore.
+	// Ids normally only grow, so this is an append; the sorted insert also
+	// covers replayed ids arriving after a snapshot restore.
 	s.order = insertOrdered(s.order, sub)
-	// Post the new subscription under its keyword symbols (route.Index has
-	// its own leaf mutex and publishes a fresh snapshot; in-flight fan-outs
-	// keep theirs, same contract as the order slice).
-	s.routes.Add(sub.id, sub, routeSyms)
+	s.addRoutes(sub)
 	return sub.id, nil
+}
+
+// posting is the routing index's payload: a subscription under one of its
+// keyword symbols, with the labels that keyword answers to in the profile.
+// Folded per post (foldPostings) it is a fan-out candidate: the
+// subscription with every label the post matches.
+type posting struct {
+	sub    *subscription
+	labels []core.Label
+}
+
+// addRoutes posts sub under each of its keyword symbols (route.Index has
+// its own leaf mutex; a fan-out already routed keeps its candidates).
+func (s *Server) addRoutes(sub *subscription) {
+	s.routes.AddFunc(sub.id, sub.routeSyms, func(sym uint32) posting {
+		return posting{sub: sub, labels: sub.matcher.SymbolLabels(sym)}
+	})
 }
 
 // Unsubscribe removes a profile and terminates its live push streams:
@@ -506,13 +519,9 @@ func (s *Server) unsubscribe(id int64) error {
 	if o := s.obs; o != nil {
 		o.subs.Set(float64(len(s.subs)))
 	}
-	order := make([]*subscription, 0, len(s.order)-1)
-	for _, other := range s.order {
-		if other.id != id {
-			order = append(order, other)
-		}
+	if i, ok := slices.BinarySearchFunc(s.order, id, bySubID); ok {
+		s.order = slices.Delete(s.order, i, i+1)
 	}
-	s.order = order
 	s.mu.Unlock()
 	// Withdraw the postings (idempotent: quarantine may have removed them
 	// already) so routed ingest stops producing this candidate.
@@ -546,8 +555,7 @@ func (s *Server) ingestOne(ctx context.Context, p Post, trace obs.TraceID) (int,
 	s.lastTime = p.Time
 	s.ingested.Inc()
 	// Tokenize once per post: the deduper fingerprints these words, and
-	// every candidate matches against their symbols (read-only during the
-	// fan-out).
+	// routing resolves them to symbols.
 	s.wordBuf = textutil.AppendWords(s.wordBuf[:0], p.Text)
 	words := s.wordBuf
 	// Mirror the wire pool's oversized-scratch policy: one pathological
@@ -559,37 +567,64 @@ func (s *Server) ingestOne(ctx context.Context, p Post, trace obs.TraceID) (int,
 		s.dropped.Inc()
 		return 0, true, nil
 	}
-	// Inverted routing: resolve the post's tokens to symbols (unknown
-	// tokens are nobody's keyword and drop out here), k-way-merge the
-	// candidate postings in subscription-ID order, and feed only those.
-	// Every skipped subscription would have matched nothing, so emissions
-	// are byte-identical to feeding every subscription
-	// (TestRoutingEquivalence holds the broadcast oracle).
+	// Inverted routing is the match: resolve the post's tokens to symbols
+	// (unknown tokens are nobody's keyword and drop out here), k-way-merge
+	// their postings in subscription-ID order, and fold each subscription's
+	// postings into its labels. A subscription matches exactly when one of
+	// its keywords is present, so the candidates are the matches and their
+	// labels what its matcher would return (TestRoutingEquivalence holds
+	// the broadcast oracle).
 	s.symBuf = route.DedupSyms(s.symtab.AppendSyms(s.symBuf[:0], words))
-	syms := s.symBuf
+	s.postBuf = s.routes.Postings(s.postBuf[:0], s.symBuf)
+	s.candBuf = foldPostings(s.candBuf[:0], s.postBuf)
+	cands := s.candBuf
 	if cap(s.symBuf) > keepIngestScratch {
 		s.symBuf = nil
 	}
-	s.candBuf = s.routes.Candidates(s.candBuf[:0], syms)
-	cands := s.candBuf
 	if skipped := s.subCount.Load() - int64(len(cands)); skipped > 0 {
 		s.routingSkipped.Add(skipped)
 	}
 	if o := s.obs; o != nil {
 		o.routingCands.Observe(float64(len(cands)))
 	}
-	return len(cands), false, s.fanout(cands, p, syms, trace)
+	return len(cands), false, s.fanout(cands, p, trace)
+}
+
+// foldPostings appends one candidate per subscription of ps, whose
+// postings are adjacent, carrying the sorted union of their labels. The
+// labels are carved from one fresh arena per post, never reused: the
+// processors retain them.
+func foldPostings(dst []posting, ps []route.Entry[posting]) []posting {
+	n := 0
+	for _, e := range ps {
+		n += len(e.V.labels)
+	}
+	arena := make([]core.Label, 0, n)
+	for i, j := 0, 0; i < len(ps); i = j {
+		lo := len(arena)
+		for ; j < len(ps) && ps[j].ID == ps[i].ID; j++ {
+			arena = append(arena, ps[j].V.labels...)
+		}
+		labels := arena[lo:]
+		if j-i > 1 {
+			slices.Sort(labels)
+			labels = slices.Compact(labels)
+			arena = arena[:lo+len(labels)]
+		}
+		dst = append(dst, posting{sub: ps[i].V.sub, labels: labels[:len(labels):len(labels)]})
+	}
+	return dst
 }
 
 // fanout feeds p to every candidate and returns the lowest-index failure.
 // Every feed runs on either path, so both report the same error.
-func (s *Server) fanout(cands []route.Entry[*subscription], p Post, syms []uint32, trace obs.TraceID) error {
+func (s *Server) fanout(cands []posting, p Post, trace obs.TraceID) error {
 	if len(cands) >= poolFanoutMin {
-		return parallel.FirstErr(0, len(cands), func(i int) error { return cands[i].V.feed(p, syms, s, trace) })
+		return parallel.FirstErr(0, len(cands), func(i int) error { return cands[i].sub.feed(p, cands[i].labels, s, trace) })
 	}
 	var first error
 	for _, c := range cands {
-		if err := c.V.feed(p, syms, s, trace); first == nil {
+		if err := c.sub.feed(p, c.labels, s, trace); first == nil {
 			first = err
 		}
 	}
@@ -601,14 +636,13 @@ func (s *Server) fanout(cands []route.Entry[*subscription], p Post, syms []uint3
 // codec's 8 MiB byte cap.
 const keepIngestScratch = 1 << 12
 
-// feed matches and processes one post for a single subscription. syms is
-// the post's tokenization resolved through the server's symbol table,
-// shared read-only by every fan-out worker; the compiled matcher compares
-// uint32 symbols instead of hashing strings. A panic anywhere in the
-// per-subscription pipeline (matcher, processor, delivery — or a scripted
-// chaos panic from cfg.Faults) quarantines this subscription and returns
-// nil: one poisoned profile must not fail the ingest or kill the process.
-func (sub *subscription) feed(p Post, syms []uint32, s *Server, trace obs.TraceID) (err error) {
+// feed processes one matched post for a single subscription; labels are
+// the topics it matched, as routing folded them, owned by the processor
+// from here on. A panic anywhere in the per-subscription pipeline
+// (processor, delivery — or a scripted chaos panic from cfg.Faults)
+// quarantines this subscription and returns nil: one poisoned profile
+// must not fail the ingest or kill the process.
+func (sub *subscription) feed(p Post, labels []core.Label, s *Server, trace obs.TraceID) (err error) {
 	if sub.quarantined.Load() {
 		return nil
 	}
@@ -620,19 +654,6 @@ func (sub *subscription) feed(p Post, syms []uint32, s *Server, trace obs.TraceI
 			err = nil
 		}
 	}()
-	// Match into the reused per-subscription scratch: the no-match path
-	// allocates nothing, and a match only pays for the owned copy handed
-	// to the processor below.
-	labels := sub.matcher.MatchSymbolsInto(sub.labelBuf, syms)
-	if labels != nil {
-		sub.labelBuf = labels[:0]
-	}
-	if len(labels) == 0 {
-		return nil
-	}
-	// The processor retains its input Labels slice (pending buffers), so
-	// hand it an owned copy rather than the scratch.
-	labels = append(make([]core.Label, 0, len(labels)), labels...)
 	sub.matched.Inc()
 	s.obs.onMatch()
 	if inj := s.cfg.Faults; inj != nil {
@@ -761,7 +782,7 @@ func (s *Server) Flush() {
 		return
 	}
 	s.mu.RLock()
-	shards := s.order
+	shards := slices.Clone(s.order)
 	s.mu.RUnlock()
 	o := s.obs
 	workers := 1 // inline below the pool threshold, like the ingest fan-out
@@ -984,7 +1005,7 @@ type Metrics struct {
 // Metrics aggregates service counters and every profile's snapshot.
 func (s *Server) Metrics() Metrics {
 	s.mu.RLock()
-	shards := s.order
+	shards := slices.Clone(s.order)
 	s.mu.RUnlock()
 	m := Metrics{
 		Ingested:       s.ingested.Value(),
