@@ -38,12 +38,12 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestShutdownMidIngest|TestIdempotentConcurrentSameKey' ./internal/server
 
 # Durability drill under the race detector: the in-process WAL /
-# snapshot / torn-tail / degraded-read-only recovery suite, then the
-# kill-9 harness — a real mqdp-server process SIGKILLed twice mid-stream
+# snapshot / torn-tail / degraded-read-only recovery suite, the refusal of
+# a snapshot of an older format version, then the kill-9 harness — a real mqdp-server process SIGKILLed twice mid-stream
 # and restarted on its data directory, with a retrying client driving
 # the stream to byte-identical emissions against an uninterrupted run.
 crash:
-	$(GO) test -race -count=1 -run 'TestDurability|TestCrashRecoveryE2E' ./internal/server
+	$(GO) test -race -count=1 -run 'TestDurability|TestSnapshotVersionRefused|TestCrashRecoveryE2E' ./internal/server
 
 # Push-delivery soak under the race detector: many idle SSE streams plus
 # a few hot ones through sustained ingest, asserting the goroutine count
@@ -55,9 +55,11 @@ push-soak:
 # Routing smoke for `make check`: the emissions-byte-identical property
 # (server vs the in-test broadcast oracle with every post pooled, at the
 # default pool threshold and with every post inline, quarantine
-# mid-stream) under the race detector.
+# mid-stream), plus the held-post cases — a client post ID reused within a
+# window, and a dormant lazy subscription deciding long after the rest of
+# the stream moved on — under the race detector.
 routing-smoke:
-	$(GO) test -race -count=1 -run 'TestRoutingEquivalence|TestRoutingSkippedAccounting|TestIngestScratchBounded|TestRegistryWriteCost|TestConcurrentIngestSubscribePoll' ./internal/server
+	$(GO) test -race -count=1 -run 'TestRoutingEquivalence|TestRoutingSkippedAccounting|TestIngestScratchBounded|TestRegistryWriteCost|TestConcurrentIngestSubscribePoll|TestReusedPostIDCover|TestDormantSubscriptionKeepsText' ./internal/server
 	$(GO) test -race -count=1 ./internal/route
 
 # bench/ is a nested module that `go test ./...` and `make vet` skip, and

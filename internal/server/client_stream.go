@@ -152,49 +152,44 @@ func (c *Client) streamOnce(ctx context.Context, id int64, after *int64, fn func
 // dispatchSSE decodes one SSE event and hands it to fn. trace is the raw
 // value of a nonstandard trace: field line, empty when absent.
 func (c *Client) dispatchSSE(event, data, trace string, after *int64, fn func(StreamEvent) error) (end bool, err error) {
+	var ev StreamEvent
+	var ee endEvent
+	var dst any
 	switch event {
 	case "emission":
-		var em Emission
-		if err := json.Unmarshal([]byte(data), &em); err != nil {
-			return false, fmt.Errorf("stream emission: %w", err)
-		}
-		*after = em.Seq
-		ev := StreamEvent{Emission: &em}
+		ev.Emission = new(Emission)
+		dst = ev.Emission
+	case "topk":
+		ev.TopK = new(TopKSnapshot)
+		dst = ev.TopK
+	case "gap":
+		ev.Gap = new(GapError)
+		dst = ev.Gap
+	case "end":
+		dst = &ee
+	default:
+		// Unknown event types are skipped, leaving room for protocol growth.
+		return false, nil
+	}
+	if err := json.Unmarshal([]byte(data), dst); err != nil {
+		return false, fmt.Errorf("stream %s: %w", event, err)
+	}
+	switch {
+	case ev.Emission != nil:
+		*after = ev.Emission.Seq
 		// Malformed trace annotations are dropped, never fatal: the
 		// emission itself is intact.
 		ev.Trace, _ = obs.ParseTraceID(trace)
-		if err := fn(ev); err != nil {
-			return false, callbackErr{err}
-		}
-	case "topk":
-		var snap TopKSnapshot
-		if err := json.Unmarshal([]byte(data), &snap); err != nil {
-			return false, fmt.Errorf("stream topk: %w", err)
-		}
-		if err := fn(StreamEvent{TopK: &snap}); err != nil {
-			return false, callbackErr{err}
-		}
-	case "gap":
-		var g GapError
-		if err := json.Unmarshal([]byte(data), &g); err != nil {
-			return false, fmt.Errorf("stream gap: %w", err)
-		}
-		*after = g.FirstSeq - 1
-		if err := fn(StreamEvent{Gap: &g}); err != nil {
-			return false, callbackErr{err}
-		}
-	case "end":
-		var ee endEvent
-		if err := json.Unmarshal([]byte(data), &ee); err != nil {
-			return false, fmt.Errorf("stream end: %w", err)
-		}
-		if err := fn(StreamEvent{End: &StreamEndError{Reason: ee.Reason}}); err != nil {
-			return true, callbackErr{err}
-		}
-		return true, nil
+	case ev.Gap != nil:
+		*after = ev.Gap.FirstSeq - 1
+	case event == "end":
+		ev.End = &StreamEndError{Reason: ee.Reason}
 	}
-	// Unknown event types are skipped, leaving room for protocol growth.
-	return false, nil
+	end = ev.End != nil
+	if err := fn(ev); err != nil {
+		return end, callbackErr{err}
+	}
+	return end, nil
 }
 
 // TopK fetches the subscription's continuously maintained diversified

@@ -12,12 +12,10 @@ import (
 	"log/slog"
 	"net/http"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mqdp/internal/match"
 	"mqdp/internal/obs"
 	"mqdp/internal/simhash"
 	"mqdp/internal/stream"
@@ -528,21 +526,24 @@ func decodeBatchRecord(data []byte) (key string, posts []Post, err error) {
 	return key, posts, nil
 }
 
+// walRegistryRec is the JSON payload of recSubscribe, recUnsubscribe and
+// recQuarantine.
+type walRegistryRec struct {
+	ID  int64               `json:"id"`
+	Cfg *SubscriptionConfig `json:"cfg,omitempty"`
+	Msg string              `json:"msg,omitempty"`
+}
+
 // Registry / terminal-state journal appends. A failure degrades the
 // server and returns the ErrReadOnly-wrapped error.
 
 func (s *Server) durAppendSubscribe(d *durState, id int64, cfg SubscriptionConfig) error {
-	payload, _ := json.Marshal(struct {
-		ID  int64              `json:"id"`
-		Cfg SubscriptionConfig `json:"cfg"`
-	}{id, cfg})
+	payload, _ := json.Marshal(walRegistryRec{ID: id, Cfg: &cfg})
 	return s.durAppend(d, recSubscribe, payload, true)
 }
 
 func (s *Server) durAppendUnsubscribe(d *durState, id int64) error {
-	payload, _ := json.Marshal(struct {
-		ID int64 `json:"id"`
-	}{id})
+	payload, _ := json.Marshal(walRegistryRec{ID: id})
 	return s.durAppend(d, recUnsubscribe, payload, true)
 }
 
@@ -554,10 +555,7 @@ func (s *Server) durAppendQuarantine(id int64, msg string) {
 	if d == nil || d.degraded.Load() {
 		return
 	}
-	payload, _ := json.Marshal(struct {
-		ID  int64  `json:"id"`
-		Msg string `json:"msg"`
-	}{id, msg})
+	payload, _ := json.Marshal(walRegistryRec{ID: id, Msg: msg})
 	// No commit: the latch rides its own batch's ack commit (it lands
 	// between the batch record and the ack). A deterministic panic recurs
 	// on replay regardless; only a nondeterministically injected one can
@@ -597,6 +595,12 @@ type pendingBatch struct {
 // failures; only undecodable payloads abort recovery.
 func (s *Server) applyWALRecord(d *durState, rec wal.Record) error {
 	d.replayedRecords++
+	var reg walRegistryRec
+	if rec.Kind == recSubscribe || rec.Kind == recUnsubscribe || rec.Kind == recQuarantine {
+		if err := json.Unmarshal(rec.Data, &reg); err != nil {
+			return fmt.Errorf("record %d: %w", rec.LSN, err)
+		}
+	}
 	switch rec.Kind {
 	case recBatch:
 		key, posts, err := decodeBatchRecord(rec.Data)
@@ -641,39 +645,22 @@ func (s *Server) applyWALRecord(d *durState, rec wal.Record) error {
 			s.idem.put(pb.key, idemEntry{res: IngestResult{Accepted: accepted, Error: errmsg}, status: status})
 		}
 	case recSubscribe:
-		var v struct {
-			ID  int64              `json:"id"`
-			Cfg SubscriptionConfig `json:"cfg"`
+		if reg.Cfg == nil {
+			return fmt.Errorf("record %d: subscribe %d carries no config", rec.LSN, reg.ID)
 		}
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("record %d: %w", rec.LSN, err)
-		}
-		if _, err := s.subscribe(v.ID, v.Cfg); err != nil {
-			return fmt.Errorf("record %d: resubscribe %d: %w", rec.LSN, v.ID, err)
+		if _, err := s.subscribe(reg.ID, *reg.Cfg); err != nil {
+			return fmt.Errorf("record %d: resubscribe %d: %w", rec.LSN, reg.ID, err)
 		}
 	case recUnsubscribe:
-		var v struct {
-			ID int64 `json:"id"`
-		}
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("record %d: %w", rec.LSN, err)
-		}
-		if err := s.Unsubscribe(v.ID); err != nil && !errors.Is(err, ErrNoSuchSubscription) {
+		if err := s.Unsubscribe(reg.ID); err != nil && !errors.Is(err, ErrNoSuchSubscription) {
 			return fmt.Errorf("record %d: %w", rec.LSN, err)
 		}
 	case recFlush:
 		s.Flush()
 	case recQuarantine:
-		var v struct {
-			ID  int64  `json:"id"`
-			Msg string `json:"msg"`
-		}
-		if err := json.Unmarshal(rec.Data, &v); err != nil {
-			return fmt.Errorf("record %d: %w", rec.LSN, err)
-		}
-		if sub, ok := s.lookup(v.ID); ok {
+		if sub, ok := s.lookup(reg.ID); ok {
 			sub.mu.Lock()
-			sub.quarantine(v.Msg, s)
+			sub.quarantine(reg.Msg, s)
 			sub.mu.Unlock()
 		}
 	default:
@@ -765,9 +752,16 @@ func (s *Server) Snapshot() error {
 // Serializable snapshot state. Everything is exported mirror structs so
 // encoding/gob round-trips across processes of the same binary.
 
-type walPendingText struct {
-	ID   int64
-	Time float64
+// snapshotVersion stamps walSnap.Version. Version 0 (no field) held texts
+// per subscription and keyed processors by client post ID; version 1 keys
+// them by ingest seq and stores each held post once. Recovery refuses any
+// other version rather than half-load it.
+const snapshotVersion = 1
+
+// walPost is a held postRecord.
+type walPost struct {
+	Seq  int64
+	Post Post
 }
 
 type walSubSnap struct {
@@ -779,8 +773,7 @@ type walSubSnap struct {
 	Matched       int64
 	TextMisses    int64
 	Delays        obs.HistogramState
-	Texts         []Post
-	Pending       []walPendingText
+	Held          []int64 // seqs of the undecided held posts, ascending
 	TopK          stream.TopKState[Emission]
 	Done          bool
 	DoneReason    string
@@ -789,6 +782,7 @@ type walSubSnap struct {
 }
 
 type walSnap struct {
+	Version        int
 	NextID         int64
 	LastTime       float64
 	Started        bool
@@ -801,6 +795,7 @@ type walSnap struct {
 	Pushed         int64
 	RoutingSkipped int64
 	Subs           []walSubSnap
+	Posts          []walPost // every held post once, by seq
 	Idem           []IdemSnap
 }
 
@@ -812,6 +807,7 @@ func (s *Server) encodeSnapshot() ([]byte, error) {
 	nextID := s.nextID
 	s.mu.RUnlock()
 	snap := walSnap{
+		Version:        snapshotVersion,
 		NextID:         nextID,
 		LastTime:       s.lastTime,
 		Started:        s.started,
@@ -829,14 +825,20 @@ func (s *Server) encodeSnapshot() ([]byte, error) {
 		snap.Dedup = &st
 	}
 	snap.Subs = make([]walSubSnap, 0, len(shards))
+	var held []*postRecord
 	for _, sub := range shards {
 		sub.mu.Lock()
-		ss, err := captureSub(sub)
+		ss, err := captureSub(sub, &held)
 		sub.mu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("server: snapshot of subscription %d: %w", sub.id, err)
 		}
 		snap.Subs = append(snap.Subs, ss)
+	}
+	// A post held by N subscriptions is one shared record: write it once.
+	slices.SortFunc(held, func(a, b *postRecord) int { return cmp.Compare(a.seq, b.seq) })
+	for _, rec := range slices.Compact(held) {
+		snap.Posts = append(snap.Posts, walPost{Seq: rec.seq, Post: rec.post})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
@@ -845,9 +847,10 @@ func (s *Server) encodeSnapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// captureSub deep-copies one subscription's pipeline state. Caller holds
-// sub.mu. The emission trace sidecar is trace-scoped and not persisted.
-func captureSub(sub *subscription) (walSubSnap, error) {
+// captureSub deep-copies one subscription's pipeline state and appends its
+// held records to held. Caller holds sub.mu. The emission trace sidecar is
+// trace-scoped and not persisted.
+func captureSub(sub *subscription, held *[]*postRecord) (walSubSnap, error) {
 	proc, err := stream.CaptureProcessor(sub.proc)
 	if err != nil {
 		return walSubSnap{}, err
@@ -867,15 +870,11 @@ func captureSub(sub *subscription) (walSubSnap, error) {
 		Quarantined:   sub.quarantined.Load(),
 		QuarantineMsg: sub.quarantineMsg,
 	}
-	ss.Texts = make([]Post, 0, len(sub.texts))
-	for _, p := range sub.texts {
-		ss.Texts = append(ss.Texts, p)
-	}
-	sort.Slice(ss.Texts, func(i, j int) bool { return ss.Texts[i].ID < ss.Texts[j].ID })
-	live := sub.pending[sub.head:]
-	ss.Pending = make([]walPendingText, len(live))
-	for i, pt := range live {
-		ss.Pending[i] = walPendingText{ID: pt.id, Time: pt.time}
+	for _, h := range sub.held.q[sub.held.head:] {
+		if h.rec != nil {
+			ss.Held = append(ss.Held, h.seq)
+			*held = append(*held, h.rec)
+		}
 	}
 	return ss, nil
 }
@@ -886,6 +885,13 @@ func (s *Server) restoreSnapshot(payload []byte) error {
 	var snap walSnap
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
 		return fmt.Errorf("decoding: %w", err)
+	}
+	if snap.Version != snapshotVersion {
+		return fmt.Errorf("snapshot version %d, this server reads version %d", snap.Version, snapshotVersion)
+	}
+	recs := make(map[int64]*postRecord, len(snap.Posts))
+	for _, p := range snap.Posts {
+		recs[p.Seq] = &postRecord{seq: p.Seq, post: p.Post}
 	}
 	s.lastTime = snap.LastTime
 	s.started = snap.Started
@@ -907,7 +913,7 @@ func (s *Server) restoreSnapshot(payload []byte) error {
 	s.routingSkipped.Add(snap.RoutingSkipped)
 	s.idem.restore(snap.Idem)
 	for i := range snap.Subs {
-		if err := s.restoreSub(&snap.Subs[i]); err != nil {
+		if err := s.restoreSub(&snap.Subs[i], recs); err != nil {
 			return fmt.Errorf("subscription %d: %w", snap.Subs[i].ID, err)
 		}
 	}
@@ -915,68 +921,45 @@ func (s *Server) restoreSnapshot(payload []byte) error {
 	if snap.NextID > s.nextID {
 		s.nextID = snap.NextID
 	}
-	n := len(s.subs)
+	s.countSubsLocked()
 	s.mu.Unlock()
-	s.subCount.Store(int64(n))
-	if o := s.obs; o != nil {
-		o.subs.Set(float64(n))
-	}
 	return nil
 }
 
-// restoreSub rebuilds one subscription: matcher and routing symbols are
-// recompiled from the config (symbol ids may differ from the dead
-// process's — they are only routing keys), the processor and view resume
-// from their captured state.
-func (s *Server) restoreSub(ss *walSubSnap) error {
-	matcher, err := match.NewMatcher(ss.Cfg.Topics)
-	if err != nil {
-		return err
-	}
-	routeSyms := matcher.CompileSymbols(s.symtab)
+// restoreSub rebuilds one subscription: subscribe recompiles its matcher
+// and routing symbols from the config (symbol ids may differ from the dead
+// process's — they are only routing keys) and registers it, then the
+// processor, buffers, view and counters resume from their captured state
+// and the held seqs re-point at recs. Runs before any traffic.
+func (s *Server) restoreSub(ss *walSubSnap, recs map[int64]*postRecord) error {
 	proc, err := stream.RestoreProcessor(ss.Proc)
 	if err != nil {
 		return err
 	}
-	sub := &subscription{
-		id:            ss.ID,
-		cfg:           ss.Cfg,
-		routeSyms:     routeSyms,
-		matcher:       matcher,
-		proc:          proc,
-		emissions:     ss.Emissions,
-		texts:         make(map[int64]Post, len(ss.Texts)),
-		delays:        obs.RestoreHistogram(ss.Delays),
-		topk:          stream.RestoreTopK(ss.TopK),
-		done:          ss.Done,
-		doneReason:    ss.DoneReason,
-		quarantineMsg: ss.QuarantineMsg,
+	held := make([]heldPost, len(ss.Held))
+	for i, seq := range ss.Held {
+		rec := recs[seq]
+		if rec == nil {
+			return fmt.Errorf("held post %d missing from the snapshot", seq)
+		}
+		held[i] = heldPost{seq: seq, time: rec.post.Time, rec: rec}
 	}
-	sub.quarantined.Store(ss.Quarantined)
-	if ss.Quarantined {
-		s.obs.onQuarantine(1)
+	if _, err := s.subscribe(ss.ID, ss.Cfg); err != nil {
+		return err
 	}
+	sub, _ := s.lookup(ss.ID)
+	sub.proc, sub.emissions, sub.held = proc, ss.Emissions, heldPosts{q: held}
+	sub.delays, sub.topk = obs.RestoreHistogram(ss.Delays), stream.RestoreTopK(ss.TopK)
+	sub.done, sub.doneReason, sub.quarantineMsg = ss.Done, ss.DoneReason, ss.QuarantineMsg
 	sub.nextSeq.Add(ss.NextSeq)
 	sub.matched.Add(ss.Matched)
 	sub.textMisses.Add(ss.TextMisses)
-	for _, p := range ss.Texts {
-		sub.texts[p.ID] = p
-	}
-	sub.pending = make([]pendingText, len(ss.Pending))
-	for i, pt := range ss.Pending {
-		sub.pending[i] = pendingText{id: pt.ID, time: pt.Time}
-	}
-	s.mu.Lock()
-	s.subs[sub.id] = sub
-	s.order = insertOrdered(s.order, sub)
-	if sub.id > s.nextID {
-		s.nextID = sub.id
-	}
-	s.mu.Unlock()
-	// A quarantined pipeline's postings were withdrawn live; keep it out
-	// of the routing index so it stays isolated after the restart too.
-	if !ss.Quarantined {
-		s.addRoutes(sub)
+	if ss.Quarantined {
+		// Its postings were withdrawn live; keep it out of the routing
+		// index so it stays isolated after the restart too.
+		sub.quarantined.Store(true)
+		s.obs.onQuarantine(1)
+		s.routes.Remove(sub.id, sub.routeSyms)
 	}
 	return nil
 }

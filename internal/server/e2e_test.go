@@ -127,8 +127,7 @@ func TestEmissionsPollAfterTrim(t *testing.T) {
 }
 
 // TestEvictedTextPath pins the deliver-side contract: a decision whose
-// cached text was evicted is dropped and counted, never emitted blank; and
-// decided posts release their cache entry immediately.
+// held post was dropped is dropped and counted, never emitted blank.
 func TestEvictedTextPath(t *testing.T) {
 	ts, core := newTestServer(t)
 	id, err := core.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 1000, Tau: 1000})
@@ -142,7 +141,7 @@ func TestEvictedTextPath(t *testing.T) {
 	// time the decision (forced here by flush) lands.
 	sub, _ := core.lookup(id)
 	sub.mu.Lock()
-	delete(sub.texts, 1)
+	sub.held = heldPosts{}
 	sub.mu.Unlock()
 	core.Flush()
 
@@ -168,9 +167,9 @@ func TestEvictedTextPath(t *testing.T) {
 	}
 }
 
-// TestTextCacheLifecycle checks that decided posts leave the cache at
-// decision time and rejected ones at the gc horizon, so the map tracks the
-// live window instead of idling at a fixed threshold.
+// TestTextCacheLifecycle checks that decided posts release their record at
+// decision time and every held post leaves at the gc horizon, so the FIFO
+// tracks the live window instead of idling at a fixed threshold.
 func TestTextCacheLifecycle(t *testing.T) {
 	s := newServer(t, Config{})
 	id, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 10, Tau: 0, Algorithm: "instant"})
@@ -184,20 +183,33 @@ func TestTextCacheLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	es, err := s.Emissions(id, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decided := make(map[int64]bool, len(es))
+	for _, e := range es {
+		decided[e.PostID] = true // a fresh server's seqs are the IDs 1..500
+	}
 	sub, _ := s.lookup(id)
 	sub.mu.Lock()
-	cached := len(sub.texts)
+	live := sub.held.q[sub.held.head:]
+	for _, h := range live {
+		if decided[h.seq] != (h.rec == nil) {
+			t.Errorf("held post %d: decided %v but record released %v", h.seq, decided[h.seq], h.rec == nil)
+		}
+	}
 	sub.mu.Unlock()
 	// Live window is λ+τ+1 = 11 seconds ≈ 11 posts plus slack.
-	if cached > 20 {
-		t.Errorf("text cache holds %d entries, want ≈ live window (≤ 20)", cached)
+	if len(live) > 20 {
+		t.Errorf("FIFO holds %d entries, want ≈ live window (≤ 20)", len(live))
 	}
 	s.Flush()
 	sub.mu.Lock()
-	cached = len(sub.texts)
+	cached := len(sub.held.q) - sub.held.head
 	sub.mu.Unlock()
 	if cached != 0 {
-		t.Errorf("text cache holds %d entries after flush, want 0", cached)
+		t.Errorf("FIFO holds %d entries after flush, want 0", cached)
 	}
 }
 

@@ -74,11 +74,14 @@ import (
 //	GET    /debug/traces/{id}             → one trace as a parent-linked span tree
 //	                                      (JSON, or indented text with ?format=text)
 //
-// Every route is wrapped by the observability middleware: requests carrying
+// A method the route does not serve is answered 405 by the mux. Every
+// route is wrapped by the observability middleware: requests carrying
 // a valid W3C traceparent header continue that trace, everything else gets
 // a fresh root span, and traced responses echo X-Trace-Id.
 func Handler(s *Server) http.Handler {
 	mux := http.NewServeMux()
+	// Not "POST /subscriptions": the mux would redirect a GET to the
+	// /subscriptions/ subtree instead of answering 405.
 	mux.HandleFunc("/subscriptions", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -172,7 +175,9 @@ func Handler(s *Server) http.Handler {
 			// format gets a KindEmissions frame; everyone else gets the
 			// identical data as JSON (the default).
 			if wire.AcceptsBinary(r.Header.Get("Accept")) {
-				writeBinaryEmissions(w, es)
+				writeBinary(w, es, func(enc *wire.Encoder, wes []wire.Emission) []byte {
+					return enc.EncodeEmissions(wes, wire.DefaultCompressThreshold)
+				})
 				return
 			}
 			writeJSON(w, es)
@@ -183,7 +188,9 @@ func Handler(s *Server) http.Handler {
 				return
 			}
 			if wire.AcceptsBinary(r.Header.Get("Accept")) {
-				writeBinaryTopK(w, snap)
+				writeBinary(w, snap.Items, func(enc *wire.Encoder, wes []wire.Emission) []byte {
+					return enc.EncodeTopK(snap.Version, snap.K, wes, wire.DefaultCompressThreshold)
+				})
 				return
 			}
 			writeJSON(w, snap)
@@ -218,11 +225,7 @@ func Handler(s *Server) http.Handler {
 			http.Error(w, "not found", http.StatusNotFound)
 		}
 	})
-	mux.HandleFunc("/ingest", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
 		// Negotiation: binary-framed bodies are opt-in via Content-Type.
 		binary := wire.IsBinary(r.Header.Get("Content-Type"))
 		// Both decode paths hand the batch back through pooled scratch:
@@ -273,33 +276,17 @@ func Handler(s *Server) http.Handler {
 		}
 		writeIngestResult(w, status, res)
 	})
-	mux.HandleFunc("/flush", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /flush", func(w http.ResponseWriter, r *http.Request) {
 		s.Flush()
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Stats())
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Metrics())
 	})
-	mux.HandleFunc("/metrics/prometheus", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /metrics/prometheus", func(w http.ResponseWriter, r *http.Request) {
 		reg := s.cfg.Obs
 		if reg == nil {
 			http.Error(w, "metrics registry not wired", http.StatusServiceUnavailable)
@@ -308,15 +295,11 @@ func Handler(s *Server) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Health())
 	})
-	mux.HandleFunc("/debug/traces", s.handleTraceList)
-	mux.HandleFunc("/debug/traces/", s.handleTraceGet)
+	mux.HandleFunc("GET /debug/traces", s.handleTraceList)
+	mux.HandleFunc("GET /debug/traces/", s.handleTraceGet)
 	return withObs(s, mux)
 }
 
@@ -347,9 +330,7 @@ var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 // release clears post references (so pooled memory doesn't pin text
 // strings) and returns the scratch, dropping outsized buffers.
 func (sc *ingestScratch) release() {
-	for i := range sc.batch {
-		sc.batch[i] = Post{}
-	}
+	clear(sc.batch)
 	sc.batch = sc.batch[:0]
 	sc.body = sc.body[:0]
 	const keep = 8 << 20
@@ -501,20 +482,9 @@ func parseWait(s string) time.Duration {
 	return d
 }
 
-// writeBinaryTopK renders a top-k snapshot as one KindTopK frame.
-func writeBinaryTopK(w http.ResponseWriter, snap TopKSnapshot) {
-	enc := wire.GetEncoder()
-	defer wire.PutEncoder(enc)
-	wes := make([]wire.Emission, len(snap.Items))
-	for i, e := range snap.Items {
-		wes[i] = wire.Emission(e)
-	}
-	w.Header().Set("Content-Type", wire.ContentTypeBinary)
-	_, _ = w.Write(enc.EncodeTopK(snap.Version, snap.K, wes, wire.DefaultCompressThreshold))
-}
-
-// writeBinaryEmissions renders a poll response as one KindEmissions frame.
-func writeBinaryEmissions(w http.ResponseWriter, es []Emission) {
+// writeBinary renders es as the one binary frame encode builds from them
+// (a poll's KindEmissions or a top-k view's KindTopK).
+func writeBinary(w http.ResponseWriter, es []Emission, encode func(*wire.Encoder, []wire.Emission) []byte) {
 	enc := wire.GetEncoder()
 	defer wire.PutEncoder(enc)
 	wes := make([]wire.Emission, len(es))
@@ -522,7 +492,7 @@ func writeBinaryEmissions(w http.ResponseWriter, es []Emission) {
 		wes[i] = wire.Emission(e)
 	}
 	w.Header().Set("Content-Type", wire.ContentTypeBinary)
-	_, _ = w.Write(enc.EncodeEmissions(wes, wire.DefaultCompressThreshold))
+	_, _ = w.Write(encode(enc, wes))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -45,7 +45,7 @@ func newServerObs(s *Server, r *obs.Registry) *serverObs {
 		subs:          r.Gauge("mqdp_server_subscriptions", "registered subscriptions"),
 		matched:       r.Counter("mqdp_server_matched_total", "post-subscription matches across all profiles"),
 		emitted:       r.Counter("mqdp_server_emitted_total", "emissions delivered across all profiles"),
-		misses:        r.Counter("mqdp_server_text_misses_total", "decisions whose cached text was gc'd before landing"),
+		misses:        r.Counter("mqdp_server_text_misses_total", "decisions whose held post was dropped before they landed"),
 		quarantined:   r.Gauge("mqdp_server_quarantined_subscriptions", "currently quarantined subscriptions"),
 		activeStreams: r.Gauge("mqdp_server_active_push_streams", "currently served push waiters (SSE streams and blocked long-polls)"),
 		walAppendTime: r.Histogram("mqdp_server_wal_append_seconds", "wall time framing one WAL record into the segment buffer", obs.TimeBuckets),

@@ -8,7 +8,7 @@
 //
 // Concurrency model: the Server's RWMutex guards only the subscription
 // registry. All per-subscription state (matcher, processor, emission
-// buffer, text cache) lives behind that subscription's own mutex, so
+// buffer, held posts) lives behind that subscription's own mutex, so
 // readers poll other subscriptions unblocked while ingest feeds a post's
 // routed candidates: inline when there are fewer than poolFanoutMin of
 // them, otherwise in parallel on a GOMAXPROCS worker pool via
@@ -24,6 +24,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -53,7 +54,8 @@ type Post struct {
 	Text string  `json:"text"`
 }
 
-// Emission is one diversified output item for a subscription.
+// Emission is one diversified output item for a subscription. Topics is
+// read-only: one-topic emissions of a subscription share one slice.
 type Emission struct {
 	Seq    int64    `json:"seq"`
 	PostID int64    `json:"post_id"`
@@ -98,10 +100,61 @@ var maxEmissionBuffer = 65536
 // variable so tests can force either path.
 var poolFanoutMin = 32
 
-// pendingText queues a matched post for horizon-based text eviction.
-type pendingText struct {
-	id   int64
+// postRecord is one admitted post with at least one routed candidate,
+// shared read-only by every subscription it matched. seq is the
+// server-assigned ingest sequence the processors see as the post's ID, so a
+// client ID reused within a window cannot alias two posts.
+type postRecord struct {
+	seq  int64
+	post Post
+}
+
+// heldPost is a matched post awaiting a decision: its seq and time, and its
+// record until a decision takes it.
+type heldPost struct {
+	seq  int64
 	time float64
+	rec  *postRecord
+}
+
+// heldPosts is a subscription's matched posts in seq (= time) order, until
+// its own now − λ − τ − 1 horizon. StreamScan and StreamGreedy decide
+// lazily, on the subscription's next match or on Flush, so a dormant
+// subscription may emit a post long after the stream passed any global
+// horizon: a record lives as long as some subscription may decide it.
+type heldPosts struct {
+	q    []heldPost
+	head int
+}
+
+// take returns seq's record and releases it; nil when seq is not held or
+// was already decided.
+func (h *heldPosts) take(seq int64) *postRecord {
+	live := h.q[h.head:]
+	i := len(live) - 1
+	if i < 0 || live[i].seq != seq {
+		var ok bool
+		if i, ok = slices.BinarySearchFunc(live, seq, func(e heldPost, seq int64) int { return cmp.Compare(e.seq, seq) }); !ok {
+			return nil
+		}
+	}
+	rec := live[i].rec
+	live[i].rec = nil
+	return rec
+}
+
+// trim drops the posts older than horizon, O(1) amortised and allocation
+// free: the queue is compacted in place once the dropped prefix dominates.
+func (h *heldPosts) trim(horizon float64) {
+	for h.head < len(h.q) && h.q[h.head].time < horizon {
+		h.q[h.head] = heldPost{}
+		h.head++
+	}
+	if h.head == len(h.q) || h.head > 64 && h.head*2 >= len(h.q) {
+		n := copy(h.q, h.q[h.head:])
+		clear(h.q[n:])
+		h.q, h.head = h.q[:n], 0
+	}
 }
 
 // subscription is the per-user pipeline state. Everything below mu is
@@ -116,9 +169,8 @@ type subscription struct {
 	// the routing index. Immutable after Subscribe.
 	routeSyms []uint32
 
-	mu      sync.Mutex
-	matcher *match.Matcher
-	proc    mqdp.Processor
+	mu   sync.Mutex
+	proc mqdp.Processor
 	// buffer of emissions with monotonically increasing, contiguous Seq.
 	emissions []Emission
 	// emTrace is the aligned trace-ID sidecar for emissions: emTrace[i] is
@@ -127,11 +179,9 @@ type subscription struct {
 	// tracing on or off (only SSE carries the trace, as an extra comment
 	// line). Nil until the first traced delivery; zero-backfilled then.
 	emTrace []obs.TraceID
-	texts   map[int64]Post // recent matched posts awaiting a decision
-	// pending[head:] mirrors texts insertion order for O(1) amortized
-	// horizon eviction (posts arrive in time order).
-	pending []pendingText
-	head    int
+	held    heldPosts
+	// topicNames[a] names label a (see names).
+	topicNames []string
 	// topk is the continuously maintained diversified top-k view over the
 	// λ-cover: one ranked insert per delivered emission, one expiry sweep
 	// per window slide.
@@ -232,7 +282,8 @@ type Server struct {
 	// resolves post tokens) to dense uint32 symbols shared by all matchers;
 	// routes is the inverted index keyword symbol → ID-ordered postings,
 	// each carrying the labels its keyword answers to. subCount mirrors the
-	// registry size for the routing_skipped accounting without taking mu.
+	// registry size for the routing_skipped accounting, Stats and Health
+	// without taking mu.
 	symtab         *route.Table
 	routes         *route.Index[posting]
 	subCount       atomic.Int64
@@ -444,25 +495,30 @@ func (s *Server) subscribe(id int64, cfg SubscriptionConfig) (int64, error) {
 		}
 	}
 	sub := &subscription{
-		id:        id,
-		cfg:       cfg,
-		routeSyms: routeSyms,
-		matcher:   matcher,
-		proc:      proc,
-		texts:     make(map[int64]Post),
-		delays:    obs.NewHistogram(obs.DelayBuckets),
-		topk:      stream.NewTopK[Emission](k, cfg.TopKWindow),
+		id:         id,
+		cfg:        cfg,
+		routeSyms:  routeSyms,
+		proc:       proc,
+		topicNames: topicNames(cfg.Topics),
+		delays:     obs.NewHistogram(obs.DelayBuckets),
+		topk:       stream.NewTopK[Emission](k, cfg.TopKWindow),
 	}
 	s.subs[sub.id] = sub
+	s.countSubsLocked()
+	// Ids normally only grow, so this is an append; the sorted insert also
+	// covers replayed ids arriving after a snapshot restore.
+	s.order = insertOrdered(s.order, sub)
+	s.addRoutes(sub, matcher)
+	return sub.id, nil
+}
+
+// countSubsLocked republishes the registry size to subCount and the
+// gauge. Caller holds s.mu.
+func (s *Server) countSubsLocked() {
 	s.subCount.Store(int64(len(s.subs)))
 	if o := s.obs; o != nil {
 		o.subs.Set(float64(len(s.subs)))
 	}
-	// Ids normally only grow, so this is an append; the sorted insert also
-	// covers replayed ids arriving after a snapshot restore.
-	s.order = insertOrdered(s.order, sub)
-	s.addRoutes(sub)
-	return sub.id, nil
 }
 
 // posting is the routing index's payload: a subscription under one of its
@@ -474,11 +530,12 @@ type posting struct {
 	labels []core.Label
 }
 
-// addRoutes posts sub under each of its keyword symbols (route.Index has
-// its own leaf mutex; a fan-out already routed keeps its candidates).
-func (s *Server) addRoutes(sub *subscription) {
+// addRoutes posts sub under each of its keyword symbols, with the labels m
+// gives each (route.Index has its own leaf mutex; a fan-out already routed
+// keeps its candidates).
+func (s *Server) addRoutes(sub *subscription, m *match.Matcher) {
 	s.routes.AddFunc(sub.id, sub.routeSyms, func(sym uint32) posting {
-		return posting{sub: sub, labels: sub.matcher.SymbolLabels(sym)}
+		return posting{sub: sub, labels: m.SymbolLabels(sym)}
 	})
 }
 
@@ -515,10 +572,7 @@ func (s *Server) unsubscribe(id int64) error {
 		return ErrNoSuchSubscription
 	}
 	delete(s.subs, id)
-	s.subCount.Store(int64(len(s.subs)))
-	if o := s.obs; o != nil {
-		o.subs.Set(float64(len(s.subs)))
-	}
+	s.countSubsLocked()
 	if i, ok := slices.BinarySearchFunc(s.order, id, bySubID); ok {
 		s.order = slices.Delete(s.order, i, i+1)
 	}
@@ -553,7 +607,7 @@ func (s *Server) ingestOne(ctx context.Context, p Post, trace obs.TraceID) (int,
 	}
 	s.started = true
 	s.lastTime = p.Time
-	s.ingested.Inc()
+	seq := s.ingested.Add(1)
 	// Tokenize once per post: the deduper fingerprints these words, and
 	// routing resolves them to symbols.
 	s.wordBuf = textutil.AppendWords(s.wordBuf[:0], p.Text)
@@ -587,7 +641,10 @@ func (s *Server) ingestOne(ctx context.Context, p Post, trace obs.TraceID) (int,
 	if o := s.obs; o != nil {
 		o.routingCands.Observe(float64(len(cands)))
 	}
-	return len(cands), false, s.fanout(cands, p, trace)
+	if len(cands) == 0 {
+		return 0, false, nil
+	}
+	return len(cands), false, s.fanout(cands, &postRecord{seq: seq, post: p}, trace)
 }
 
 // foldPostings appends one candidate per subscription of ps, whose
@@ -616,15 +673,15 @@ func foldPostings(dst []posting, ps []route.Entry[posting]) []posting {
 	return dst
 }
 
-// fanout feeds p to every candidate and returns the lowest-index failure.
+// fanout feeds rec to every candidate and returns the lowest-index failure.
 // Every feed runs on either path, so both report the same error.
-func (s *Server) fanout(cands []posting, p Post, trace obs.TraceID) error {
+func (s *Server) fanout(cands []posting, rec *postRecord, trace obs.TraceID) error {
 	if len(cands) >= poolFanoutMin {
-		return parallel.FirstErr(0, len(cands), func(i int) error { return cands[i].sub.feed(p, cands[i].labels, s, trace) })
+		return parallel.FirstErr(0, len(cands), func(i int) error { return cands[i].sub.feed(rec, cands[i].labels, s, trace) })
 	}
 	var first error
 	for _, c := range cands {
-		if err := c.sub.feed(p, c.labels, s, trace); first == nil {
+		if err := c.sub.feed(rec, c.labels, s, trace); first == nil {
 			first = err
 		}
 	}
@@ -642,7 +699,7 @@ const keepIngestScratch = 1 << 12
 // (processor, delivery — or a scripted chaos panic from cfg.Faults)
 // quarantines this subscription and returns nil: one poisoned profile
 // must not fail the ingest or kill the process.
-func (sub *subscription) feed(p Post, labels []core.Label, s *Server, trace obs.TraceID) (err error) {
+func (sub *subscription) feed(rec *postRecord, labels []core.Label, s *Server, trace obs.TraceID) (err error) {
 	if sub.quarantined.Load() {
 		return nil
 	}
@@ -650,7 +707,7 @@ func (sub *subscription) feed(p Post, labels []core.Label, s *Server, trace obs.
 	defer sub.mu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			sub.quarantine(fmt.Sprintf("panic on post %d: %v", p.ID, r), s)
+			sub.quarantine(fmt.Sprintf("panic on post %d: %v", rec.post.ID, r), s)
 			err = nil
 		}
 	}()
@@ -661,49 +718,45 @@ func (sub *subscription) feed(p Post, labels []core.Label, s *Server, trace obs.
 			return fmt.Errorf("server: subscription %d: %w", sub.id, err)
 		}
 	}
-	sub.texts[p.ID] = p
-	sub.pending = append(sub.pending, pendingText{id: p.ID, time: p.Time})
-	es, err := sub.proc.Process(mqdp.Post{ID: p.ID, Value: p.Time, Labels: labels})
+	now := rec.post.Time
+	sub.held.q = append(sub.held.q, heldPost{seq: rec.seq, time: now, rec: rec})
+	es, err := sub.proc.Process(mqdp.Post{ID: rec.seq, Value: now, Labels: labels})
 	if err != nil {
 		return fmt.Errorf("server: subscription %d: %w", sub.id, err)
 	}
 	sub.deliver(es, s.obs, trace)
-	sub.gc(p.Time)
+	sub.gc(now)
 	// Slide the top-k window to this post's time; waiters only wake when
 	// the visible view actually changed (deliver wakes them for appends).
-	if sub.topk.Advance(p.Time) {
+	if sub.topk.Advance(now) {
 		sub.notifyLocked()
 	}
 	return nil
 }
 
 // deliver converts processor emissions into client-facing records. A
-// decision consumes its cached text; a decision whose text was already
-// evicted is counted in textMisses and skipped rather than emitted blank.
-// Caller holds sub.mu.
+// decision takes its held post; a decision whose post was already dropped
+// (or decided) is counted in textMisses and skipped rather than emitted
+// blank. Caller holds sub.mu.
 func (sub *subscription) deliver(es []mqdp.Emission, o *serverObs, trace obs.TraceID) {
 	appended := false
 	for _, e := range es {
-		src, ok := sub.texts[e.Post.ID]
-		if !ok {
+		src := sub.held.take(e.Post.ID)
+		if src == nil {
 			sub.textMisses.Inc()
 			o.onMiss()
 			continue
 		}
-		delete(sub.texts, e.Post.ID)
-		names := make([]string, len(e.Post.Labels))
-		for i, a := range e.Post.Labels {
-			names[i] = sub.matcher.Topic(a).Name
-		}
+		names := sub.names(e.Post.Labels)
 		seq := sub.nextSeq.Add(1)
 		delay := e.EmitAt - e.Post.Value
 		sub.delays.Observe(delay)
 		o.onEmit(delay, trace)
 		em := Emission{
 			Seq:    seq,
-			PostID: e.Post.ID,
+			PostID: src.post.ID,
 			Time:   e.Post.Value,
-			Text:   src.Text,
+			Text:   src.post.Text,
 			Topics: names,
 			EmitAt: e.EmitAt,
 		}
@@ -731,19 +784,23 @@ func (sub *subscription) deliver(es []mqdp.Emission, o *serverObs, trace obs.Tra
 	}
 }
 
-// gc drops remembered texts whose decision windows have passed and caps the
-// emission buffer. The pending queue mirrors insertion (= time) order, so
-// eviction is O(1) amortized per post. Caller holds sub.mu.
+// names resolves labels to topic names: a one-label emission shares the
+// read-only subslice of topicNames, only a multi-label one allocates.
+func (sub *subscription) names(labels []core.Label) []string {
+	if len(labels) == 1 {
+		return sub.topicNames[labels[0] : labels[0]+1 : labels[0]+1]
+	}
+	names := make([]string, len(labels))
+	for i, a := range labels {
+		names[i] = sub.topicNames[a]
+	}
+	return names
+}
+
+// gc drops held posts whose decision windows have passed and caps the
+// emission buffer. Caller holds sub.mu.
 func (sub *subscription) gc(now float64) {
-	horizon := now - sub.cfg.Lambda - sub.cfg.Tau - 1
-	for sub.head < len(sub.pending) && sub.pending[sub.head].time < horizon {
-		delete(sub.texts, sub.pending[sub.head].id) // no-op if already decided
-		sub.head++
-	}
-	if sub.head > 64 && sub.head*2 >= len(sub.pending) {
-		sub.pending = append(sub.pending[:0], sub.pending[sub.head:]...)
-		sub.head = 0
-	}
+	sub.held.trim(now - sub.cfg.Lambda - sub.cfg.Tau - 1)
 	sub.emissions = keepLast(sub.emissions, maxEmissionBuffer)
 	sub.emTrace = keepLast(sub.emTrace, maxEmissionBuffer)
 }
@@ -803,9 +860,8 @@ func (s *Server) Flush() {
 		if !sub.quarantined.Load() {
 			sub.deliver(sub.proc.Flush(), o, obs.TraceID{})
 		}
-		// Every decision has landed; whatever text remains was rejected.
-		clear(sub.texts)
-		sub.pending, sub.head = nil, 0
+		// Every decision has landed; whatever is still held was rejected.
+		sub.held = heldPosts{}
 		// The stream is over: wake every push waiter with the terminal
 		// state instead of leaving them parked until client timeouts.
 		sub.terminateLocked(EndReasonFlushed)
@@ -914,8 +970,9 @@ type SubscriptionStats struct {
 	ID      int64 `json:"id"`
 	Matched int64 `json:"matched"`
 	Emitted int64 `json:"emitted"`
-	// TextMisses counts decisions whose cached text had been gc'd before
-	// the decision landed (the emission is dropped, not emitted blank).
+	// TextMisses counts decisions whose held post had been dropped (or
+	// already decided) before the decision landed (the emission is dropped,
+	// not emitted blank).
 	TextMisses int64        `json:"text_misses"`
 	Algorithm  string       `json:"algorithm"`
 	Lambda     float64      `json:"lambda"`
@@ -930,13 +987,10 @@ type SubscriptionStats struct {
 
 // Stats reports service-level counters.
 func (s *Server) Stats() Stats {
-	s.mu.RLock()
-	n := len(s.subs)
-	s.mu.RUnlock()
 	return Stats{
 		Ingested:      s.ingested.Value(),
 		DroppedDups:   s.dropped.Value(),
-		Subscriptions: n,
+		Subscriptions: int(s.subCount.Load()),
 	}
 }
 
@@ -1044,7 +1098,7 @@ type Health struct {
 
 // Health reports liveness.
 func (s *Server) Health() Health {
-	h := Health{Status: "ok", Ingested: s.ingested.Value()}
+	h := Health{Status: "ok", Ingested: s.ingested.Value(), Subscriptions: int(s.subCount.Load())}
 	if s.closed.Load() {
 		h.Status = "flushed"
 	}
@@ -1053,10 +1107,16 @@ func (s *Server) Health() Health {
 		h.Status = "degraded"
 		h.DegradedReason = reason
 	}
-	s.mu.RLock()
-	h.Subscriptions = len(s.subs)
-	s.mu.RUnlock()
 	return h
+}
+
+// topicNames lists the topic names by label.
+func topicNames(topics []match.Topic) []string {
+	names := make([]string, len(topics))
+	for i, t := range topics {
+		names[i] = t.Name
+	}
+	return names
 }
 
 func parseStreamAlgo(name string) (mqdp.StreamAlgorithm, error) {

@@ -187,10 +187,6 @@ const traceListLimit = 50
 // ?n= caps the list, ?min= (a Go duration) keeps only traces at least that
 // slow, ?format=text renders one line per trace.
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	tracer := s.tracer()
 	if tracer == nil {
 		http.Error(w, "tracer not wired", http.StatusServiceUnavailable)
@@ -234,10 +230,6 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 // handleTraceGet serves GET /debug/traces/{id}: one trace as a parent-linked
 // span tree (JSON, or indented text with ?format=text).
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	tracer := s.tracer()
 	if tracer == nil {
 		http.Error(w, "tracer not wired", http.StatusServiceUnavailable)
