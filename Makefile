@@ -23,8 +23,8 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# One benchmark per paper table/figure plus the solver (serial vs
-# parallel) and index (three-term OR over a narrow window)
+# One benchmark per paper table/figure plus the solver (Scan sharded vs
+# serial among them) and index (three-term OR over a narrow window)
 # micro-benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem ./...

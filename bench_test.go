@@ -79,20 +79,8 @@ func BenchmarkSolverScan(b *testing.B) {
 	}
 }
 
-// The *Parallel variants run the same workloads as their serial counterparts
-// with workers = GOMAXPROCS, so one `go test -bench Solver` run compares the
-// two directly. The covers are identical by the determinism contract; only
-// wall-clock differs. `go test -run '^$' -bench Solver -benchmem` prints the
-// pairs; CHANGES.md records a 2-core run.
-
-func BenchmarkSolverScanParallel(b *testing.B) {
-	in := benchInstance(b, 5, 3600)
-	lm := core.FixedLambda(60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = in.ScanParallel(lm, 0)
-	}
-}
+// Scan's sharded and serial paths are compared by BenchmarkSolverScanShard
+// in internal/core, which can force its sharding threshold.
 
 func BenchmarkSolverScanPlus(b *testing.B) {
 	in := benchInstance(b, 5, 3600)
@@ -103,30 +91,12 @@ func BenchmarkSolverScanPlus(b *testing.B) {
 	}
 }
 
-func BenchmarkSolverScanPlusParallel(b *testing.B) {
-	in := benchInstance(b, 5, 3600)
-	lm := core.FixedLambda(60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = in.ScanPlusParallel(lm, core.OrderByID, 0)
-	}
-}
-
 func BenchmarkSolverGreedySC(b *testing.B) {
 	in := benchInstance(b, 5, 3600)
 	lm := core.FixedLambda(60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = in.GreedySC(lm)
-	}
-}
-
-func BenchmarkSolverGreedySCParallel(b *testing.B) {
-	in := benchInstance(b, 5, 3600)
-	lm := core.FixedLambda(60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = in.GreedySCParallel(lm, 0)
 	}
 }
 

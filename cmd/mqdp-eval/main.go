@@ -23,7 +23,6 @@ func main() {
 	lambda := flag.Float64("lambda", 60, "coverage threshold λ")
 	tau := flag.Float64("tau", 30, "streaming decision delay τ")
 	withOPT := flag.Bool("opt", false, "also run the exact DP (small instances only)")
-	par := flag.Int("parallel", 1, "offline solver worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
 	r := io.Reader(os.Stdin)
@@ -36,16 +35,14 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	if err := run(r, os.Stdout, *lambda, *tau, *withOPT, *par); err != nil {
+	if err := run(r, os.Stdout, *lambda, *tau, *withOPT); err != nil {
 		fmt.Fprintf(os.Stderr, "mqdp-eval: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 // run evaluates all algorithms on the dataset from r, reporting to w.
-// parallelism feeds Options.Parallelism for the offline solvers (covers are
-// identical to serial; only the timing column reacts).
-func run(r io.Reader, w io.Writer, lambda, tau float64, withOPT bool, parallelism int) error {
+func run(r io.Reader, w io.Writer, lambda, tau float64, withOPT bool) error {
 	var dict core.Dictionary
 	posts, err := wire.ReadPostsAuto(r, &dict)
 	if err != nil {
@@ -72,7 +69,7 @@ func run(r io.Reader, w io.Writer, lambda, tau float64, withOPT bool, parallelis
 	fmt.Fprintln(w, "offline:")
 	fmt.Fprintf(w, "  %-16s %8s %14s %10s\n", "algorithm", "size", "ns/post", "rel.err")
 	for _, algo := range []mqdp.Algorithm{mqdp.Thinning, mqdp.Scan, mqdp.ScanPlus, mqdp.GreedySC} {
-		cover, err := mqdp.Solve(inst, mqdp.Options{Lambda: lambda, Algorithm: algo, Parallelism: parallelism})
+		cover, err := mqdp.Solve(inst, mqdp.Options{Lambda: lambda, Algorithm: algo})
 		if err != nil {
 			return fmt.Errorf("%s: %w", algo, err)
 		}

@@ -15,7 +15,7 @@ const evalInput = `{"id":1,"value":0,"labels":["a"]}
 
 func TestRunReportsAllAlgorithms(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(strings.NewReader(evalInput), &out, 1, 2, true, 1); err != nil {
+	if err := run(strings.NewReader(evalInput), &out, 1, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	report := out.String()
@@ -35,7 +35,7 @@ func TestRunReportsAllAlgorithms(t *testing.T) {
 
 func TestRunWithoutOPT(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(strings.NewReader(evalInput), &out, 1, 2, false, 1); err != nil {
+	if err := run(strings.NewReader(evalInput), &out, 1, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out.String(), "OPT:") {
@@ -43,42 +43,9 @@ func TestRunWithoutOPT(t *testing.T) {
 	}
 }
 
-// TestRunParallelReportsSameSizes locks the -parallel flag to the
-// determinism contract: solution sizes must match the serial run exactly
-// (timing columns are the only thing allowed to differ).
-func TestRunParallelReportsSameSizes(t *testing.T) {
-	sizes := func(report string) []string {
-		var out []string
-		for _, line := range strings.Split(report, "\n") {
-			f := strings.Fields(line)
-			if len(f) >= 3 && (strings.HasPrefix(line, "  Scan") ||
-				strings.HasPrefix(line, "  GreedySC") || strings.HasPrefix(line, "  BucketThinning")) {
-				out = append(out, f[0]+"="+f[1])
-			}
-		}
-		return out
-	}
-	var serial, par bytes.Buffer
-	if err := run(strings.NewReader(evalInput), &serial, 1, 2, false, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(strings.NewReader(evalInput), &par, 1, 2, false, 4); err != nil {
-		t.Fatal(err)
-	}
-	s, p := sizes(serial.String()), sizes(par.String())
-	if len(s) == 0 || len(s) != len(p) {
-		t.Fatalf("size rows: serial %v, parallel %v", s, p)
-	}
-	for i := range s {
-		if s[i] != p[i] {
-			t.Errorf("row %d: serial %s, parallel %s", i, s[i], p[i])
-		}
-	}
-}
-
 func TestRunBadInput(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(strings.NewReader("{nope"), &out, 1, 1, false, 1); err == nil {
+	if err := run(strings.NewReader("{nope"), &out, 1, 1, false); err == nil {
 		t.Error("broken input accepted")
 	}
 }

@@ -35,7 +35,6 @@ func main() {
 	algo := flag.String("algo", "scan", "algorithm: scan, scan+, greedysc, opt, exhaustive")
 	proportional := flag.Bool("proportional", false, "use §6 density-adaptive thresholds (λ is λ0)")
 	stats := flag.Bool("stats", false, "print cover analytics to stderr")
-	parallelism := flag.Int("parallelism", 1, "solver worker goroutines (0 = GOMAXPROCS, 1 = serial); the cover is identical either way")
 	flag.Parse()
 
 	r := io.Reader(os.Stdin)
@@ -59,7 +58,7 @@ func main() {
 		out = f
 	}
 	binaryOut := strings.HasSuffix(*output, ".mqdw")
-	if err := run(r, out, os.Stderr, *lambda, *algo, *proportional, *stats, *parallelism, binaryOut); err != nil {
+	if err := run(r, out, os.Stderr, *lambda, *algo, *proportional, *stats, binaryOut); err != nil {
 		fmt.Fprintf(os.Stderr, "mqdp: %v\n", err)
 		os.Exit(1)
 	}
@@ -67,7 +66,7 @@ func main() {
 
 // run reads posts from r (JSONL or binary, sniffed), solves, and writes
 // the cover to out and a summary line to errw.
-func run(r io.Reader, out, errw io.Writer, lambda float64, algoName string, proportional, withStats bool, parallelism int, binaryOut bool) error {
+func run(r io.Reader, out, errw io.Writer, lambda float64, algoName string, proportional, withStats, binaryOut bool) error {
 	var dict core.Dictionary
 	posts, err := wire.ReadPostsAuto(r, &dict)
 	if err != nil {
@@ -85,7 +84,6 @@ func run(r io.Reader, out, errw io.Writer, lambda float64, algoName string, prop
 		Lambda:       lambda,
 		Algorithm:    algo,
 		Proportional: proportional,
-		Parallelism:  parallelism,
 	})
 	if err != nil {
 		return err

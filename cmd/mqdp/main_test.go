@@ -18,7 +18,7 @@ const sampleInput = `{"id":1,"value":0,"labels":["a"]}
 func TestRunAllAlgorithms(t *testing.T) {
 	for _, algo := range []string{"scan", "scan+", "greedysc", "opt", "exhaustive"} {
 		var out, errw bytes.Buffer
-		if err := run(strings.NewReader(sampleInput), &out, &errw, 1, algo, false, false, 1, false); err != nil {
+		if err := run(strings.NewReader(sampleInput), &out, &errw, 1, algo, false, false, false); err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
 		lines := strings.Count(out.String(), "\n")
@@ -33,7 +33,7 @@ func TestRunAllAlgorithms(t *testing.T) {
 
 func TestRunProportional(t *testing.T) {
 	var out, errw bytes.Buffer
-	if err := run(strings.NewReader(sampleInput), &out, &errw, 1, "scan", true, false, 1, false); err != nil {
+	if err := run(strings.NewReader(sampleInput), &out, &errw, 1, "scan", true, false, false); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() == 0 {
@@ -43,13 +43,13 @@ func TestRunProportional(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var out, errw bytes.Buffer
-	if err := run(strings.NewReader(sampleInput), &out, &errw, 1, "bogus", false, false, 1, false); err == nil {
+	if err := run(strings.NewReader(sampleInput), &out, &errw, 1, "bogus", false, false, false); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if err := run(strings.NewReader("{broken"), &out, &errw, 1, "scan", false, false, 1, false); err == nil {
+	if err := run(strings.NewReader("{broken"), &out, &errw, 1, "scan", false, false, false); err == nil {
 		t.Error("broken input accepted")
 	}
-	if err := run(strings.NewReader(sampleInput), &out, &errw, -5, "scan", false, false, 1, false); err == nil {
+	if err := run(strings.NewReader(sampleInput), &out, &errw, -5, "scan", false, false, false); err == nil {
 		t.Error("negative lambda accepted")
 	}
 }
@@ -89,10 +89,10 @@ func TestRunBinaryRoundTrip(t *testing.T) {
 	}
 
 	var jsonOut, binOut, errw bytes.Buffer
-	if err := run(strings.NewReader(sampleInput), &jsonOut, &errw, 1, "scan", false, false, 1, false); err != nil {
+	if err := run(strings.NewReader(sampleInput), &jsonOut, &errw, 1, "scan", false, false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(bytes.NewReader(bin.Bytes()), &binOut, &errw, 1, "scan", false, false, 1, true); err != nil {
+	if err := run(bytes.NewReader(bin.Bytes()), &binOut, &errw, 1, "scan", false, false, true); err != nil {
 		t.Fatal(err)
 	}
 	var jdict, bdict core.Dictionary
@@ -116,7 +116,7 @@ func TestRunBinaryRoundTrip(t *testing.T) {
 
 func TestRunStatsFlag(t *testing.T) {
 	var out, errw bytes.Buffer
-	if err := run(strings.NewReader(sampleInput), &out, &errw, 1, "greedysc", false, true, 1, false); err != nil {
+	if err := run(strings.NewReader(sampleInput), &out, &errw, 1, "greedysc", false, true, false); err != nil {
 		t.Fatal(err)
 	}
 	report := errw.String()

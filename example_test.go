@@ -43,17 +43,3 @@ func ExampleNewStream() {
 	// post 1 shown at t=10
 	// post 3 shown at t=310
 }
-
-func ExampleSolvePortfolio() {
-	var dict mqdp.Dictionary
-	a := dict.Intern("topic")
-	posts := []mqdp.Post{
-		{ID: 1, Value: 0, Labels: []mqdp.Label{a}},
-		{ID: 2, Value: 1, Labels: []mqdp.Label{a}},
-		{ID: 3, Value: 2, Labels: []mqdp.Label{a}},
-	}
-	inst, _ := mqdp.NewInstance(posts, dict.Len())
-	best, _ := mqdp.SolvePortfolio(inst, mqdp.Options{Lambda: 1})
-	fmt.Println(best.Size())
-	// Output: 1
-}

@@ -8,12 +8,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"mqdp"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the walk-through's offline covers and streaming emissions to w.
+func run(w io.Writer) error {
 	var dict mqdp.Dictionary
 	a := dict.Intern("a")
 	c := dict.Intern("c")
@@ -26,29 +35,30 @@ func main() {
 	}
 	inst, err := mqdp.NewInstance(posts, dict.Len())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	for _, algo := range []mqdp.Algorithm{mqdp.Scan, mqdp.GreedySC, mqdp.OPT} {
 		cover, err := mqdp.Solve(inst, mqdp.Options{Lambda: 1, Algorithm: algo})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-8s selected %d posts: ids %v\n", algo, cover.Size(), cover.IDs(inst))
+		fmt.Fprintf(w, "%-8s selected %d posts: ids %v\n", algo, cover.Size(), cover.IDs(inst))
 	}
 
 	// The same four posts as a stream, decided within τ = 1 time unit.
 	proc, err := mqdp.NewStream(mqdp.StreamScanPlus, dict.Len(), 1, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	emissions, err := mqdp.RunStream(posts, proc)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nstreaming with τ=1:\n")
+	fmt.Fprintf(w, "\nstreaming with τ=1:\n")
 	for _, e := range emissions {
-		fmt.Printf("  post %d (t=%.0f) emitted at t=%.0f (delay %.0f)\n",
+		fmt.Fprintf(w, "  post %d (t=%.0f) emitted at t=%.0f (delay %.0f)\n",
 			e.Post.ID, e.Post.Value, e.EmitAt, e.EmitAt-e.Post.Value)
 	}
+	return nil
 }

@@ -12,14 +12,23 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"mqdp"
 	"mqdp/internal/sentiment"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the fixed-λ and proportional-λ selection counts to w.
+func run(w io.Writer) error {
 	rng := rand.New(rand.NewSource(11))
 
 	positive := []string{
@@ -58,7 +67,7 @@ func main() {
 
 	inst, err := mqdp.NewInstance(posts, dict.Len())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	lambda0 := 0.25
@@ -69,7 +78,7 @@ func main() {
 			Proportional: proportional,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		pos, neg := 0, 0
 		for _, i := range cover.Selected {
@@ -83,9 +92,10 @@ func main() {
 		if proportional {
 			mode = "proportional λ"
 		}
-		fmt.Printf("%s: %2d selected (%d positive, %d negative)\n", mode, cover.Size(), pos, neg)
+		fmt.Fprintf(w, "%s: %2d selected (%d positive, %d negative)\n", mode, cover.Size(), pos, neg)
 	}
-	fmt.Printf("\ninput distribution: %d positive, %d negative posts\n", 40, 8)
-	fmt.Println("proportional λ shrinks coverage radii in the dense positive region,")
-	fmt.Println("so the digest mirrors the crowd's reaction instead of flattening it.")
+	fmt.Fprintf(w, "\ninput distribution: %d positive, %d negative posts\n", 40, 8)
+	fmt.Fprintln(w, "proportional λ shrinks coverage radii in the dense positive region,")
+	fmt.Fprintln(w, "so the digest mirrors the crowd's reaction instead of flattening it.")
+	return nil
 }

@@ -84,6 +84,8 @@ type Instance struct {
 	posts     []Post    // sorted ascending by (Value, ID); labels deduplicated
 	numLabels int       // labels are 0..numLabels-1
 	byLabel   [][]int32 // byLabel[a] = indexes into posts carrying label a, ascending
+	pairs     int       // (post, label) incidences
+	maxLabels int       // s: the most labels on one post
 }
 
 // ErrBadPost reports invalid input posts (NaN values, negative labels).
@@ -123,13 +125,15 @@ func NewInstance(posts []Post, numLabels int) (*Instance, error) {
 		}
 		return sorted[i].ID < sorted[j].ID
 	})
-	byLabel := make([][]int32, numLabels)
+	in := &Instance{posts: sorted, numLabels: numLabels, byLabel: make([][]int32, numLabels)}
 	for i, p := range sorted {
 		for _, a := range p.Labels {
-			byLabel[a] = append(byLabel[a], int32(i))
+			in.byLabel[a] = append(in.byLabel[a], int32(i))
 		}
+		in.pairs += len(p.Labels)
+		in.maxLabels = max(in.maxLabels, len(p.Labels))
 	}
-	return &Instance{posts: sorted, numLabels: numLabels, byLabel: byLabel}, nil
+	return in, nil
 }
 
 // MustInstance is NewInstance that panics on error; intended for tests and
@@ -161,15 +165,7 @@ func (in *Instance) LabelPosts(a Label) []int32 { return in.byLabel[a] }
 
 // MaxLabelsPerPost returns s, the maximum number of labels any post carries.
 // It is the approximation factor of Scan. Returns 0 for an empty instance.
-func (in *Instance) MaxLabelsPerPost() int {
-	s := 0
-	for i := range in.posts {
-		if len(in.posts[i].Labels) > s {
-			s = len(in.posts[i].Labels)
-		}
-	}
-	return s
-}
+func (in *Instance) MaxLabelsPerPost() int { return in.maxLabels }
 
 // OverlapRate returns the average number of labels per post restricted to
 // posts with at least one label (the paper's "post overlap rate", §7.2).
@@ -191,13 +187,7 @@ func (in *Instance) OverlapRate() float64 {
 
 // Pairs returns the total number of (post, label) incidences, i.e. the size
 // of the set-cover universe used by GreedySC.
-func (in *Instance) Pairs() int {
-	pairs := 0
-	for i := range in.posts {
-		pairs += len(in.posts[i].Labels)
-	}
-	return pairs
-}
+func (in *Instance) Pairs() int { return in.pairs }
 
 // valueRange returns the smallest and largest dimension values, or (0, 0)
 // for an empty instance.

@@ -5,14 +5,16 @@ import (
 	"time"
 
 	"mqdp/internal/fenwick"
-	"mqdp/internal/parallel"
 )
 
 // GreedySC implements Algorithm 2: MQDP is transformed into a set-cover
 // instance whose universe is the (post, label) incidence pairs and whose sets
 // are the posts (set S_k holds every pair post k λ-covers); the greedy
 // set-cover rule then repeatedly selects the post covering the most
-// still-uncovered pairs. The approximation factor is ln(|P|·|L|) (Feige).
+// still-uncovered pairs. The approximation factor is the greedy set-cover
+// bound H(d) ≤ 1 + ln d, where d is the most (post, label) pairs one post
+// covers. (The paper's ln(|P|·|L|) reads 0 on a one-post, one-label
+// instance, where any cover has size 1.)
 //
 // Implementation note: the selections are exactly those of the paper's
 // pseudocode with ties broken toward the lowest post index, but gains are
@@ -20,16 +22,9 @@ import (
 // rescanning every set each round. Laziness is sound because gains only
 // shrink as pairs get covered (submodularity), so a popped entry whose
 // recomputed gain still beats the runner-up is the true argmax.
-func (in *Instance) GreedySC(m LambdaModel) *Cover { return in.GreedySCParallel(m, 1) }
-
-// GreedySCParallel is GreedySC with the O(|P|) initial gain sweep — the
-// dominant cost before the lazy heap takes over — sharded across up to
-// workers goroutines (0 = GOMAXPROCS, 1 = serial). Gain evaluation is
-// read-only, and the heap is built from the gains in post order, so the
-// selection sequence is identical to the serial run for any worker count.
-func (in *Instance) GreedySCParallel(m LambdaModel, workers int) *Cover {
+func (in *Instance) GreedySC(m LambdaModel) *Cover {
 	start := time.Now()
-	sel := in.greedySC(m, true, parallel.Workers(workers))
+	sel := in.greedySC(m, true)
 	return &Cover{Selected: sel, Algorithm: "GreedySC", Elapsed: time.Since(start)}
 }
 
@@ -41,7 +36,7 @@ func (in *Instance) GreedySCParallel(m LambdaModel, workers int) *Cover {
 // round's current best is not re-evaluated, which changes no selection.
 func (in *Instance) GreedySCNaive(m LambdaModel) *Cover {
 	start := time.Now()
-	sel := in.greedySC(m, false, 1)
+	sel := in.greedySC(m, false)
 	return &Cover{Selected: sel, Algorithm: "GreedySC-naive", Elapsed: time.Since(start)}
 }
 
@@ -131,7 +126,7 @@ func (h *gainHeap) Pop() any {
 	return e
 }
 
-func (in *Instance) greedySC(m LambdaModel, lazy bool, workers int) []int {
+func (in *Instance) greedySC(m LambdaModel, lazy bool) []int {
 	g := newGreedyState(in, m)
 	var sel []int
 	if !lazy {
@@ -169,23 +164,10 @@ func (in *Instance) greedySC(m LambdaModel, lazy bool, workers int) []int {
 		gains:   make([]int, 0, len(in.posts)),
 		indexes: make([]int, 0, len(in.posts)),
 	}
-	if workers > 1 {
-		// The initial sweep evaluates every post against the fully uncovered
-		// state; gain() only reads the instance and the Fenwick counts, so
-		// the sweep shards freely. Appending in post order afterwards keeps
-		// the heap contents — and thus every selection — identical.
-		for i, gain := range parallel.Map(workers, len(in.posts), g.gain) {
-			if gain > 0 {
-				h.gains = append(h.gains, gain)
-				h.indexes = append(h.indexes, i)
-			}
-		}
-	} else {
-		for i := range in.posts {
-			if gain := g.gain(i); gain > 0 {
-				h.gains = append(h.gains, gain)
-				h.indexes = append(h.indexes, i)
-			}
+	for i := range in.posts {
+		if gain := g.gain(i); gain > 0 {
+			h.gains = append(h.gains, gain)
+			h.indexes = append(h.indexes, i)
 		}
 	}
 	heap.Init(h)

@@ -310,14 +310,3 @@ func (in *Instance) OPT(lambda float64, opts *OPTOptions) (*Cover, error) {
 	}
 	return cover, nil
 }
-
-// OPTSize computes the optimal cover cardinality. It is a convenience
-// wrapper over OPT for callers that only need the size (e.g. relative-error
-// experiments).
-func (in *Instance) OPTSize(lambda float64, opts *OPTOptions) (int, error) {
-	cover, err := in.OPT(lambda, opts)
-	if err != nil {
-		return 0, err
-	}
-	return cover.Size(), nil
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -60,6 +61,15 @@ func (s *scanScratch) coveredViews(in *Instance) [][]bool {
 	return s.views
 }
 
+// scanShardMin is the smallest instance, in (post, label) pairs, whose
+// per-label passes Scan spreads over GOMAXPROCS goroutines: below it, waking
+// the idle cores and merging the selections cost more than the split saves.
+// On 2 vCPUs, one-shot calls (as a Solve makes) broke even near 80k pairs
+// with five or more labels and near 120k with two; BenchmarkSolverScanShard
+// re-derives it. Pairs are the unit because a pass costs one step per pair.
+// Tests set it to 0 or math.MaxInt to force either path.
+var scanShardMin = 120_000
+
 // Scan implements Algorithm 3: it solves each label's one-dimensional
 // interval-covering problem optimally with a single pass over LP(a) and
 // returns the union of the per-label solutions. The approximation factor is
@@ -70,17 +80,21 @@ func (s *scanScratch) coveredViews(in *Instance) [][]bool {
 // directional; the scan then picks, among candidates able to cover the
 // leftmost uncovered post, the one whose coverage reaches furthest right.
 // For a fixed λ this coincides with the paper's "last post within λ" rule.
-func (in *Instance) Scan(m LambdaModel) *Cover { return in.ScanParallel(m, 1) }
-
-// ScanParallel is Scan with the per-label passes sharded over up to workers
-// goroutines (0 = GOMAXPROCS, 1 = serial). The labels' interval-cover passes
-// are fully independent, so the merged selection is identical to the serial
-// one for any worker count.
-func (in *Instance) ScanParallel(m LambdaModel, workers int) *Cover {
+//
+// The labels' passes are independent, so on an instance of at least
+// scanShardMin pairs with two or more labels they run on up to GOMAXPROCS
+// goroutines; the merged selection is the serial one either way.
+func (in *Instance) Scan(m LambdaModel) *Cover {
 	start := time.Now()
 	var sel []int
-	w := parallel.Workers(workers)
-	if w <= 1 || in.numLabels <= 1 {
+	if w := parallel.Workers(0); w > 1 && in.numLabels > 1 && in.pairs >= scanShardMin {
+		perLabel := parallel.Map(w, in.numLabels, func(a int) []int {
+			var local []int
+			in.scanLabel(m, Label(a), nil, &local)
+			return local
+		})
+		sel = normalizeSelected(slices.Concat(perLabel...))
+	} else {
 		scratch := scanScratchPool.Get().(*scanScratch)
 		local := scratch.sel[:0]
 		for a := 0; a < in.numLabels; a++ {
@@ -89,13 +103,6 @@ func (in *Instance) ScanParallel(m LambdaModel, workers int) *Cover {
 		sel = cloneSelection(normalizeSelected(local))
 		scratch.sel = local[:0]
 		scanScratchPool.Put(scratch)
-	} else {
-		perLabel := parallel.Map(w, in.numLabels, func(a int) []int {
-			var local []int
-			in.scanLabel(m, Label(a), nil, &local)
-			return local
-		})
-		sel = normalizeSelected(concatSelections(perLabel))
 	}
 	return &Cover{Selected: sel, Algorithm: "Scan", Elapsed: time.Since(start)}
 }
@@ -103,45 +110,34 @@ func (in *Instance) ScanParallel(m LambdaModel, workers int) *Cover {
 // ScanPlus implements the Scan+ variant: identical per-label scans, but when
 // a post is selected for one label, every (post, label) pair it covers is
 // marked satisfied, so the scans of later labels skip those posts.
+//
+// When no post carries two labels (s ≤ 1) a selection covers pairs of its
+// own label only, so there is nothing to skip across labels: every label
+// order yields Scan's selection, and ScanPlus returns it under its own name.
 func (in *Instance) ScanPlus(m LambdaModel, order ScanOrder) *Cover {
-	return in.ScanPlusParallel(m, order, 1)
+	if in.maxLabels <= 1 {
+		c := in.Scan(m)
+		c.Algorithm = "Scan+"
+		return c
+	}
+	start := time.Now()
+	sel := in.scanCovered(m, order)
+	return &Cover{Selected: sel, Algorithm: "Scan+", Elapsed: time.Since(start)}
 }
 
-// ScanPlusParallel is ScanPlus sharded over the connected components of the
-// label co-occurrence graph (two labels connect when some post carries both).
-// Cross-label removal only ever acts within a component — a selection marks
-// pairs covered only on the selected post's own labels — so components are
-// independent subproblems; within each, labels keep their serial relative
-// order. The result is identical to the serial pass for any worker count.
-// When the labels form a single component (very high overlap) the pass
-// degenerates to serial; Scan's per-label sharding has no such limit.
-func (in *Instance) ScanPlusParallel(m LambdaModel, order ScanOrder, workers int) *Cover {
-	start := time.Now()
+// scanCovered is Scan+'s covered-bitmap pass: the labels' scans in the
+// given order, each skipping the pairs earlier selections covered.
+func (in *Instance) scanCovered(m LambdaModel, order ScanOrder) []int {
 	scratch := scanScratchPool.Get().(*scanScratch)
 	covered := scratch.coveredViews(in)
-	labels := in.labelOrder(order)
-	var sel []int
-	w := parallel.Workers(workers)
-	if w <= 1 || in.numLabels <= 1 {
-		local := scratch.sel[:0]
-		for _, a := range labels {
-			in.scanLabel(m, a, covered, &local)
-		}
-		sel = cloneSelection(normalizeSelected(local))
-		scratch.sel = local[:0]
-	} else {
-		comps := in.labelComponents(labels)
-		perComp := parallel.Map(w, len(comps), func(c int) []int {
-			var local []int
-			for _, a := range comps[c] {
-				in.scanLabel(m, a, covered, &local)
-			}
-			return local
-		})
-		sel = normalizeSelected(concatSelections(perComp))
+	local := scratch.sel[:0]
+	for _, a := range in.labelOrder(order) {
+		in.scanLabel(m, a, covered, &local)
 	}
+	sel := cloneSelection(normalizeSelected(local))
+	scratch.sel = local[:0]
 	scanScratchPool.Put(scratch)
-	return &Cover{Selected: sel, Algorithm: "Scan+", Elapsed: time.Since(start)}
+	return sel
 }
 
 // labelOrder returns label ids in the requested processing order.
@@ -161,49 +157,6 @@ func (in *Instance) labelOrder(order ScanOrder) []Label {
 		})
 	}
 	return labels
-}
-
-// labelComponents partitions ordered into the connected components of the
-// label co-occurrence graph, preserving the given label order within each
-// component (and ordering components by first appearance). Every post's
-// labels lie in exactly one component, so component scans touch disjoint
-// covered ranges and disjoint candidate posts.
-func (in *Instance) labelComponents(ordered []Label) [][]Label {
-	parent := make([]int32, in.numLabels)
-	for a := range parent {
-		parent[a] = int32(a)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	for i := range in.posts {
-		labels := in.posts[i].Labels
-		for k := 1; k < len(labels); k++ {
-			ra, rb := find(labels[0]), find(labels[k])
-			if ra != rb {
-				parent[rb] = ra
-			}
-		}
-	}
-	slot := make([]int32, in.numLabels)
-	for a := range slot {
-		slot[a] = -1
-	}
-	var comps [][]Label
-	for _, a := range ordered {
-		r := find(a)
-		if slot[r] < 0 {
-			slot[r] = int32(len(comps))
-			comps = append(comps, nil)
-		}
-		comps[slot[r]] = append(comps[slot[r]], a)
-	}
-	return comps
 }
 
 // scanLabel covers all not-yet-covered posts of label a, appending choices to
@@ -275,18 +228,5 @@ func (in *Instance) selectPost(m LambdaModel, i int, covered [][]bool, sel *[]in
 func cloneSelection(sel []int) []int {
 	out := make([]int, len(sel))
 	copy(out, sel)
-	return out
-}
-
-// concatSelections flattens per-shard selections in shard order.
-func concatSelections(shards [][]int) []int {
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-	}
-	out := make([]int, 0, total)
-	for _, s := range shards {
-		out = append(out, s...)
-	}
 	return out
 }

@@ -1,7 +1,7 @@
-// Package parallel provides the bounded fan-out primitives used by the
-// solvers and the experiment harness: a worker-count resolver, a chunked
-// dynamic ForEach/Map over an index space, and an ordered-merge collector
-// that streams results in index order as they complete.
+// Package parallel provides the bounded fan-out primitives used by Scan's
+// per-label shards, the server's pooled fan-out and the experiment harness:
+// a worker-count resolver, a chunked dynamic ForEach/Map over an index
+// space, and an ordered-merge collector that streams results in index order.
 //
 // Every helper is deterministic in its *results*: fn(i) writes only to the
 // i-th output slot (or is delivered strictly in index order), so callers

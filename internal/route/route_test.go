@@ -54,6 +54,59 @@ func TestTableInternAllBatch(t *testing.T) {
 	}
 }
 
+// TestTableChurnStaysFlat interns and releases 10,000 unique keywords next
+// to one long-lived keyword: the table ends the size it started, every
+// churned keyword is forgotten, and no ID is ever handed out twice.
+func TestTableChurnStaysFlat(t *testing.T) {
+	tab := NewTable()
+	shared := tab.InternAll(nil, []string{"news"})
+	seen := map[uint32]bool{shared[0]: true}
+	for i := 0; i < 10000; i++ {
+		syms := tab.InternAll(nil, []string{fmt.Sprintf("kw%d", i), "news"})
+		if seen[syms[0]] {
+			t.Fatalf("churn %d: symbol %d reused", i, syms[0])
+		}
+		seen[syms[0]] = true
+		if syms[1] != shared[0] {
+			t.Fatalf("churn %d: shared keyword moved to %d", i, syms[1])
+		}
+		tab.Release(syms)
+	}
+	if len(tab.m) != 1 || len(tab.refs) != 1 {
+		t.Errorf("after churn: %d words, %d symbols; want 1 and 1", len(tab.m), len(tab.refs))
+	}
+	if got := tab.AppendSyms(nil, []string{"kw0", "kw9999", "news"}); !slices.Equal(got, shared) {
+		t.Errorf("AppendSyms after churn = %v, want only %v", got, shared)
+	}
+	tab.Release(shared)
+	if len(tab.m) != 0 || len(tab.refs) != 0 {
+		t.Errorf("after the last release: %d words, %d symbols; want none", len(tab.m), len(tab.refs))
+	}
+}
+
+// TestStaleSymbolFindsNoPostings: a post that resolved a keyword before its
+// last profile left holds a dead symbol. Once the keyword comes back (and
+// another arrives) under fresh IDs, the dead one finds no postings.
+func TestStaleSymbolFindsNoPostings(t *testing.T) {
+	tab := NewTable()
+	ix := NewIndex[string]()
+	old := tab.InternAll(nil, []string{"obama"})
+	ix.Add(1, "first", old)
+	stale := tab.AppendSyms(nil, []string{"obama"}) // an in-flight post
+	ix.Remove(1, old)
+	tab.Release(old)
+	other := tab.InternAll(nil, []string{"senate"})
+	again := tab.InternAll(nil, []string{"obama"})
+	if other[0] == stale[0] || again[0] == stale[0] {
+		t.Fatalf("dead symbol %d reassigned (senate %d, obama %d)", stale[0], other[0], again[0])
+	}
+	ix.Add(2, "senate", other)
+	ix.Add(3, "obama again", again)
+	if got := ix.Postings(nil, stale); len(got) != 0 {
+		t.Errorf("stale symbol routed to %v", got)
+	}
+}
+
 func TestAppendSymsSkipsUnknown(t *testing.T) {
 	tab := NewTable()
 	tab.InternAll(nil, []string{"x", "y"})

@@ -411,3 +411,66 @@ func TestRegistryWriteCost(t *testing.T) {
 		t.Errorf("allocs per pair at 10,000 profiles = %.1f, > 1.2x the %.1f at 100", bigAllocs, smallAllocs)
 	}
 }
+
+// TestSymbolTableForgetsChurnedKeywords runs 10,000 subscribe/unsubscribe
+// pairs, each profile with a unique keyword and one shared with a
+// long-lived profile. Of every keyword ever interned, the table then holds
+// only the live profile's. A refused or repeated subscribe takes no
+// reference, and a quarantined profile keeps its keywords until it is
+// unsubscribed.
+func TestSymbolTableForgetsChurnedKeywords(t *testing.T) {
+	s := newServer(t, Config{})
+	profile := func(words ...string) SubscriptionConfig {
+		var kws []match.Keyword
+		for _, w := range words {
+			kws = append(kws, match.Keyword{Text: w, Weight: 1})
+		}
+		return SubscriptionConfig{Topics: []match.Topic{{Name: "t", Keywords: kws}}, Lambda: 60, Algorithm: "instant"}
+	}
+	if _, err := s.Subscribe(profile("news")); err != nil {
+		t.Fatal(err)
+	}
+	const churn = 10000
+	words := []string{"news", "solo"}
+	for i := 0; i < churn; i++ {
+		w := fmt.Sprintf("own%d", i)
+		words = append(words, w)
+		id, err := s.Subscribe(profile(w, "news"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Unsubscribe(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := profile("refused")
+	bad.Algorithm = "bogus"
+	if _, err := s.Subscribe(bad); err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+	if _, err := s.subscribe(1, profile("replayed")); err != nil {
+		t.Fatal(err)
+	}
+	words = append(words, "refused", "replayed")
+	if got := s.symtab.AppendSyms(nil, words); len(got) != 1 {
+		t.Fatalf("%d of %d interned keywords still resolve after churn, want 1 (news)", len(got), len(words))
+	}
+
+	id, err := s.Subscribe(profile("solo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, _ := s.lookup(id)
+	sub.mu.Lock()
+	sub.quarantine("test", s)
+	sub.mu.Unlock()
+	if got := s.symtab.AppendSyms(nil, []string{"solo"}); len(got) != 1 {
+		t.Errorf("quarantine released the profile's keyword")
+	}
+	if err := s.Unsubscribe(id); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.symtab.AppendSyms(nil, words); len(got) != 1 {
+		t.Errorf("%d keywords resolve after the quarantined profile left, want 1 (news)", len(got))
+	}
+}

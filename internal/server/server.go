@@ -166,7 +166,8 @@ type subscription struct {
 
 	// routeSyms are the matcher's distinct keyword symbols in the server's
 	// shared symbol table — the posting keys this subscription occupies in
-	// the routing index. Immutable after Subscribe.
+	// the routing index, each holding one reference until unsubscribe.
+	// Immutable after Subscribe.
 	routeSyms []uint32
 
 	mu   sync.Mutex
@@ -278,8 +279,9 @@ type Server struct {
 	postBuf []route.Entry[posting]
 	candBuf []posting
 
-	// Subscription routing: symtab interns every subscription keyword (and
-	// resolves post tokens) to dense uint32 symbols shared by all matchers;
+	// Subscription routing: symtab interns every registered profile's
+	// keywords (and resolves post tokens) to uint32 symbols shared by all
+	// matchers, forgetting a keyword with its last profile;
 	// routes is the inverted index keyword symbol → ID-ordered postings,
 	// each carrying the labels its keyword answers to. subCount mirrors the
 	// registry size for the routing_skipped accounting, Stats and Health
@@ -461,11 +463,6 @@ func (s *Server) subscribe(id int64, cfg SubscriptionConfig) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Compile the matcher against the shared symbol table: per-post
-	// matching then compares dense uint32 symbols instead of hashing
-	// keyword strings, and the returned symbols key this subscription's
-	// posting lists in the routing index.
-	routeSyms := matcher.CompileSymbols(s.symtab)
 	algo, err := parseStreamAlgo(cfg.Algorithm)
 	if err != nil {
 		return 0, err
@@ -494,10 +491,13 @@ func (s *Server) subscribe(id int64, cfg SubscriptionConfig) (int64, error) {
 			s.nextID = id
 		}
 	}
+	// Compile the matcher against the shared symbol table, taking one
+	// reference per keyword (unsubscribe releases them); the returned
+	// symbols key this subscription's posting lists in the routing index.
 	sub := &subscription{
 		id:         id,
 		cfg:        cfg,
-		routeSyms:  routeSyms,
+		routeSyms:  matcher.CompileSymbols(s.symtab),
 		proc:       proc,
 		topicNames: topicNames(cfg.Topics),
 		delays:     obs.NewHistogram(obs.DelayBuckets),
@@ -578,8 +578,10 @@ func (s *Server) unsubscribe(id int64) error {
 	}
 	s.mu.Unlock()
 	// Withdraw the postings (idempotent: quarantine may have removed them
-	// already) so routed ingest stops producing this candidate.
+	// already) so routed ingest stops producing this candidate, then drop
+	// the keyword references subscribe took (quarantine keeps them).
 	s.routes.Remove(id, sub.routeSyms)
+	s.symtab.Release(sub.routeSyms)
 	sub.mu.Lock()
 	if sub.quarantined.Load() {
 		s.obs.onQuarantine(-1)

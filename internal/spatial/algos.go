@@ -12,8 +12,8 @@ import (
 // post covering the most uncovered (post, label) pairs, where coverage
 // requires both radii. Candidate evaluation filters by the time window first
 // (cheap, sorted) and checks distance only inside it, so the cost is
-// O(rounds · pairs-in-window). The ln(|P||L|) guarantee carries over
-// unchanged from set cover.
+// O(rounds · pairs-in-window). Set cover's greedy bound H(d) ≤ 1 + ln d,
+// d the most pairs one post covers, carries over unchanged.
 func (in *Instance) GreedySC(th Thresholds) (*Cover, error) {
 	if err := th.validate(); err != nil {
 		return nil, err

@@ -67,7 +67,8 @@ const (
 	Scan Algorithm = iota
 	// ScanPlus: Scan with cross-label reuse of selections.
 	ScanPlus
-	// GreedySC: greedy set cover, approximation factor ln(|P||L|).
+	// GreedySC: greedy set cover, approximation factor H(d) ≤ 1 + ln d,
+	// d the most (post, label) pairs one post covers.
 	GreedySC
 	// OPT: exact dynamic programming; small instances only.
 	OPT
@@ -115,12 +116,11 @@ type Options struct {
 	OPT *OPTOptions
 	// SkipVerify disables the built-in independent feasibility check.
 	SkipVerify bool
-	// Parallelism bounds the solver's worker goroutines: 0 means
-	// GOMAXPROCS, 1 (and any serial-only algorithm) preserves the classic
-	// single-goroutine behavior. Parallel and serial runs return identical
-	// covers — Scan shards per label, ScanPlus per label-graph component,
-	// GreedySC parallelizes its initial gain sweep; OPT, Exhaustive and
-	// Thinning always run serially.
+	// Parallelism is not read: each solver picks its own execution from
+	// the instance it is given.
+	//
+	// Deprecated: ignored. The field goes once bench/reference.go stops
+	// setting it (ROADMAP item 11).
 	Parallelism int
 }
 
@@ -148,16 +148,13 @@ func Solve(inst *Instance, opts Options) (*Cover, error) {
 		cover *Cover
 		err   error
 	)
-	if opts.Parallelism < 0 {
-		return nil, fmt.Errorf("mqdp: negative parallelism %d", opts.Parallelism)
-	}
 	switch opts.Algorithm {
 	case Scan:
-		cover = inst.ScanParallel(model, opts.Parallelism)
+		cover = inst.Scan(model)
 	case ScanPlus:
-		cover = inst.ScanPlusParallel(model, opts.ScanOrder, opts.Parallelism)
+		cover = inst.ScanPlus(model, opts.ScanOrder)
 	case GreedySC:
-		cover = inst.GreedySCParallel(model, opts.Parallelism)
+		cover = inst.GreedySC(model)
 	case OPT:
 		cover, err = inst.OPT(opts.Lambda, opts.OPT)
 	case Exhaustive:

@@ -2,6 +2,7 @@ package mqdp_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -28,9 +29,21 @@ func randomFacadePosts(seed int64, n, numLabels int) []mqdp.Post {
 	return posts
 }
 
-// TestQuickParallelismEightMatchesSerial is the facade-level determinism
-// contract from the issue: Scan, ScanPlus and GreedySC with Parallelism: 8
-// must return covers identical to Parallelism: 1 on seeded random instances.
+// solveIDs solves inst and returns the selected posts' IDs, sorted.
+func solveIDs(t *testing.T, inst *mqdp.Instance, opts mqdp.Options) []int64 {
+	t.Helper()
+	cover, err := mqdp.Solve(inst, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", opts.Algorithm, err)
+	}
+	ids := cover.IDs(inst)
+	slices.Sort(ids)
+	return ids
+}
+
+// TestQuickParallelismEightMatchesSerial pins the deprecated
+// Options.Parallelism as ignored: 8, 1 and even -2 return the cover of an
+// unset field, on seeded random instances.
 func TestQuickParallelismEightMatchesSerial(t *testing.T) {
 	check := func(seed int64, lambdaRaw uint8, proportional bool) bool {
 		numLabels := 2 + int(uint(seed)%7)
@@ -41,27 +54,12 @@ func TestQuickParallelismEightMatchesSerial(t *testing.T) {
 		}
 		lambda := float64(lambdaRaw%16) + 1
 		for _, algo := range []mqdp.Algorithm{mqdp.Scan, mqdp.ScanPlus, mqdp.GreedySC} {
-			serial, err := mqdp.Solve(inst, mqdp.Options{
-				Lambda: lambda, Algorithm: algo, Proportional: proportional, Parallelism: 1,
-			})
-			if err != nil {
-				t.Logf("seed=%d %s serial: %v", seed, algo, err)
-				return false
-			}
-			par, err := mqdp.Solve(inst, mqdp.Options{
-				Lambda: lambda, Algorithm: algo, Proportional: proportional, Parallelism: 8,
-			})
-			if err != nil {
-				t.Logf("seed=%d %s parallel: %v", seed, algo, err)
-				return false
-			}
-			if len(serial.Selected) != len(par.Selected) {
-				t.Logf("seed=%d λ=%v %s: serial %v parallel %v", seed, lambda, algo, serial.Selected, par.Selected)
-				return false
-			}
-			for k := range serial.Selected {
-				if serial.Selected[k] != par.Selected[k] {
-					t.Logf("seed=%d λ=%v %s: serial %v parallel %v", seed, lambda, algo, serial.Selected, par.Selected)
+			opts := mqdp.Options{Lambda: lambda, Algorithm: algo, Proportional: proportional}
+			want := solveIDs(t, inst, opts)
+			for _, p := range []int{8, 1, -2} {
+				opts.Parallelism = p
+				if got := solveIDs(t, inst, opts); !slices.Equal(got, want) {
+					t.Logf("seed=%d λ=%v %s parallelism %d: %v, unset %v", seed, lambda, algo, p, got, want)
 					return false
 				}
 			}
@@ -73,45 +71,35 @@ func TestQuickParallelismEightMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelismOnSynthWorkload repeats the contract on a realistic
-// multi-label synthetic stream (the shape the benchmarks use).
+// TestParallelismOnSynthWorkload checks Scan through the facade on a
+// synthetic stream large enough for its per-label passes to run sharded:
+// the cover is the union of the covers of each label solved alone.
 func TestParallelismOnSynthWorkload(t *testing.T) {
+	const numLabels = 8
 	posts := synth.GeneratePosts(synth.PostStreamConfig{
-		Duration: 900, RatePerSec: 2, NumLabels: 8, Overlap: 1.6, Seed: 1234,
+		Duration: 43200, RatePerSec: 2, NumLabels: numLabels, Overlap: 1.6, Seed: 1234,
 	})
-	inst, err := mqdp.NewInstance(posts, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []mqdp.Algorithm{mqdp.Scan, mqdp.ScanPlus, mqdp.GreedySC} {
-		serial, err := mqdp.Solve(inst, mqdp.Options{Lambda: 45, Algorithm: algo, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range []int{0, 2, 4, 16} {
-			par, err := mqdp.Solve(inst, mqdp.Options{Lambda: 45, Algorithm: algo, Parallelism: p})
-			if err != nil {
-				t.Fatalf("%s parallelism %d: %v", algo, p, err)
-			}
-			if len(par.Selected) != len(serial.Selected) {
-				t.Fatalf("%s parallelism %d: size %d != serial %d", algo, p, par.Size(), serial.Size())
-			}
-			for k := range serial.Selected {
-				if par.Selected[k] != serial.Selected[k] {
-					t.Fatalf("%s parallelism %d: cover diverged at element %d", algo, p, k)
-				}
-			}
-		}
-	}
-}
-
-func TestSolveRejectsNegativeParallelism(t *testing.T) {
-	posts, numLabels := figure2Posts()
 	inst, err := mqdp.NewInstance(posts, numLabels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mqdp.Solve(inst, mqdp.Options{Lambda: 1, Parallelism: -2}); err == nil {
-		t.Error("negative parallelism accepted")
+	var want []int64
+	for a := mqdp.Label(0); a < numLabels; a++ {
+		var only []mqdp.Post
+		for _, p := range posts {
+			if slices.Contains(p.Labels, a) {
+				only = append(only, mqdp.Post{ID: p.ID, Value: p.Value, Labels: []mqdp.Label{0}})
+			}
+		}
+		alone, err := mqdp.NewInstance(only, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, solveIDs(t, alone, mqdp.Options{Lambda: 45})...)
+	}
+	slices.Sort(want)
+	want = slices.Compact(want)
+	if got := solveIDs(t, inst, mqdp.Options{Lambda: 45}); !slices.Equal(got, want) {
+		t.Fatalf("Scan selected %d posts, the per-label covers %d", len(got), len(want))
 	}
 }
