@@ -53,9 +53,8 @@ push-soak:
 	$(GO) test -race -count=1 -run 'TestPushSoak|TestStreamChurnHammer' ./internal/server
 
 # Routing smoke for `make check`: the emissions-byte-identical property
-# (server vs the in-test broadcast oracle with every post pooled, at the
-# default pool threshold and with every post inline, quarantine
-# mid-stream), plus the held-post cases — a client post ID reused within a
+# (server vs the in-test broadcast oracle, quarantine mid-stream), the
+# routing scratch bound, plus the held-post cases — a client post ID reused within a
 # window, and a dormant lazy subscription deciding long after the rest of
 # the stream moved on — under the race detector.
 routing-smoke:

@@ -35,8 +35,8 @@
 //
 // Ingest fan-out: posts route through an inverted keyword → subscription
 // index so only subscriptions sharing a keyword with the post are fed
-// (see docs/ARCHITECTURE.md, "Subscription routing"); a post with many
-// such candidates is fed on a GOMAXPROCS worker pool, the rest inline.
+// (see docs/ARCHITECTURE.md, "Subscription routing"), one after another on
+// the ingest goroutine.
 //
 // Durability (off by default; see docs/ARCHITECTURE.md, "Durability and
 // recovery"): -data-dir names a directory for the write-ahead log and

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"mqdp/internal/core"
@@ -124,15 +125,16 @@ func runFig13(w io.Writer, sc Scale) error {
 			return err
 		}
 		tb := newTable("lambda(s)", "scan ns/post", "scan+ ns/post", "greedySC ns/post")
+		cell := func(solve func() *core.Cover) float64 {
+			d, _ := medianTime(func() (time.Duration, error) { return solve().Elapsed, nil })
+			return perPost(d, in.Len())
+		}
 		for _, lambda := range lambdas {
 			lm := core.FixedLambda(lambda)
-			scan := in.Scan(lm)
-			scanPlus := in.ScanPlus(lm, core.OrderByID)
-			greedy := in.GreedySC(lm)
 			tb.add(lambda,
-				perPost(scan.Elapsed, in.Len()),
-				perPost(scanPlus.Elapsed, in.Len()),
-				perPost(greedy.Elapsed, in.Len()))
+				cell(func() *core.Cover { return in.Scan(lm) }),
+				cell(func() *core.Cover { return in.ScanPlus(lm, core.OrderByID) }),
+				cell(func() *core.Cover { return in.GreedySC(lm) }))
 		}
 		if err := tb.write(w); err != nil {
 			return err
@@ -151,6 +153,29 @@ func labelSweep(sc Scale) []int {
 		return []int{2, 5}
 	}
 	return []int{2, 5, 20}
+}
+
+// timedCalls is the number of timed calls behind each timing cell of
+// fig13–15. One untimed call runs first, so a cell measures neither the
+// cores waking from idle nor the caches filling.
+const timedCalls = 5
+
+// medianTime calls run once untimed, then timedCalls times, and returns the
+// median of the durations those calls report.
+func medianTime(run func() (time.Duration, error)) (time.Duration, error) {
+	if _, err := run(); err != nil {
+		return 0, err
+	}
+	var ds [timedCalls]time.Duration
+	for i := range ds {
+		d, err := run()
+		if err != nil {
+			return 0, err
+		}
+		ds[i] = d
+	}
+	slices.Sort(ds[:])
+	return ds[timedCalls/2], nil
 }
 
 func perPost(d time.Duration, posts int) float64 {

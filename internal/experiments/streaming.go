@@ -219,7 +219,8 @@ func runFig15(w io.Writer, sc Scale) error {
 }
 
 // streamTiming measures per-post processing time of the streaming quartet
-// over the day-scale stream for each |L| and sweep value.
+// over the day-scale stream for each |L| and sweep value: the median of
+// timedCalls runs, each on fresh processors, after a warm-up run.
 func streamTiming(w io.Writer, sc Scale, xName string, xs []float64, params func(L int, x float64) (lambda, tau float64)) error {
 	for _, L := range labelSweep(sc) {
 		in := day(sc, L, 1500+int64(L))
@@ -229,17 +230,21 @@ func streamTiming(w io.Writer, sc Scale, xName string, xs []float64, params func
 		tb := newTable(xName, "streamScan ns/post", "streamScan+ ns/post", "streamGreedySC ns/post", "streamGreedySC+ ns/post")
 		for _, x := range xs {
 			lambda, tau := params(L, x)
-			procs, err := streamingQuartet(L, lambda, tau)
-			if err != nil {
-				return err
-			}
 			row := []any{x}
-			for _, p := range procs {
-				start := time.Now()
-				if _, err := runStreaming(in, p); err != nil {
+			for j := 0; j < 4; j++ {
+				d, err := medianTime(func() (time.Duration, error) {
+					procs, err := streamingQuartet(L, lambda, tau)
+					if err != nil {
+						return 0, err
+					}
+					start := time.Now()
+					_, err = runStreaming(in, procs[j])
+					return time.Since(start), err
+				})
+				if err != nil {
 					return err
 				}
-				row = append(row, perPost(time.Since(start), in.Len()))
+				row = append(row, perPost(d, in.Len()))
 			}
 			tb.add(row...)
 		}

@@ -1,5 +1,5 @@
 // Package parallel provides the bounded fan-out primitives used by Scan's
-// per-label shards, the server's pooled fan-out and the experiment harness:
+// per-label shards and the experiment harness:
 // a worker-count resolver, a chunked dynamic ForEach/Map over an index
 // space, and an ordered-merge collector that streams results in index order.
 //
@@ -88,21 +88,6 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	ForEach(workers, n, func(i int) { out[i] = fn(i) })
 	return out
-}
-
-// FirstErr invokes fn(i) for every i in [0, n) with ForEach and returns the
-// error produced at the lowest index, or nil if every call succeeded. All
-// calls run to completion (no cancellation on first failure), so the result
-// is the same error a serial loop that remembers only its first failure
-// would report — deterministic for any worker count.
-func FirstErr(workers, n int, fn func(i int) error) error {
-	errs := Map(workers, n, fn)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // OrderedResults runs fn over [0, n) on up to workers goroutines and delivers

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -112,27 +111,5 @@ func TestChunkSize(t *testing.T) {
 	}
 	if c := chunkSize(2, 1000); c != 125 {
 		t.Errorf("chunkSize(2,1000) = %d, want 125", c)
-	}
-}
-
-func TestFirstErr(t *testing.T) {
-	if err := FirstErr(4, 100, func(i int) error { return nil }); err != nil {
-		t.Errorf("all-nil FirstErr = %v", err)
-	}
-	// Whatever the worker count, the lowest-index error wins.
-	mkErr := func(i int) error {
-		if i == 7 || i == 63 {
-			return fmt.Errorf("item %d failed", i)
-		}
-		return nil
-	}
-	for _, workers := range []int{1, 2, 8, 0} {
-		err := FirstErr(workers, 100, mkErr)
-		if err == nil || err.Error() != "item 7 failed" {
-			t.Errorf("workers=%d: FirstErr = %v, want item 7", workers, err)
-		}
-	}
-	if err := FirstErr(3, 0, func(i int) error { return fmt.Errorf("never") }); err != nil {
-		t.Errorf("empty FirstErr = %v", err)
 	}
 }

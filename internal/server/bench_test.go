@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -89,41 +88,32 @@ func BenchmarkIngestSparseMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestFanout prices the two fan-out paths per post against the
-// number of routed candidates: "inline" feeds them in a loop, "pool" hands
-// them to GOMAXPROCS workers. Every candidate matches, as in the bench
-// workloads, and each runs an Instant processor. Where pool starts to beat
-// inline is where poolFanoutMin belongs.
+// BenchmarkIngestFanout prices a post against the number of routed
+// candidates, which the ingest goroutine feeds one after another: the
+// per-candidate price is the slope. Every candidate matches, as in the
+// bench workloads, and each runs an Instant processor.
 func BenchmarkIngestFanout(b *testing.B) {
 	for _, cands := range []int{4, 8, 16, 32, 64, 128} {
-		for _, path := range []string{"inline", "pool"} {
-			b.Run(fmt.Sprintf("cands=%d/%s", cands, path), func(b *testing.B) {
-				old := poolFanoutMin
-				poolFanoutMin = math.MaxInt
-				if path == "pool" {
-					poolFanoutMin = 0
+		b.Run(fmt.Sprintf("cands=%d", cands), func(b *testing.B) {
+			s := newServer(b, Config{})
+			for i := 0; i < cands; i++ {
+				if _, err := s.Subscribe(SubscriptionConfig{
+					Topics: []match.Topic{{
+						Name:     fmt.Sprintf("t%d", i),
+						Keywords: []match.Keyword{{Text: "obama", Weight: 1}},
+					}},
+					Lambda:    30,
+					Algorithm: "instant",
+				}); err != nil {
+					b.Fatal(err)
 				}
-				defer func() { poolFanoutMin = old }()
-				s := newServer(b, Config{})
-				for i := 0; i < cands; i++ {
-					if _, err := s.Subscribe(SubscriptionConfig{
-						Topics: []match.Topic{{
-							Name:     fmt.Sprintf("t%d", i),
-							Keywords: []match.Keyword{{Text: "obama", Weight: 1}},
-						}},
-						Lambda:    30,
-						Algorithm: "instant",
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = ingestPost(s, Post{ID: int64(i + 1), Time: float64(i), Text: "obama speaks to the senate tonight"})
-				}
-			})
-		}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = ingestPost(s, Post{ID: int64(i + 1), Time: float64(i), Text: "obama speaks to the senate tonight"})
+			}
+		})
 	}
 }
 

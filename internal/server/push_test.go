@@ -420,8 +420,8 @@ func (c *streamCapture) verifyPartition(t *testing.T, total int64) {
 // any gc horizon, the pushed emission sequence and the poll-with-resume
 // sequence are byte-identical where delivered, every undelivered seq is
 // explicitly reported as a gap, and all runs agree with the workers=1
-// reference per seq. workers=1 feeds inline; a larger count forces the
-// fan-out pool (threshold 0) and sizes it through GOMAXPROCS.
+// reference per seq. The worker count is GOMAXPROCS, so the ingest, the
+// push stream and the polls interleave differently on each run.
 func TestPushPollDeterminism(t *testing.T) {
 	texts := []string{
 		"obama meets the senate", "senate floor vote tonight", "obama presser at noon",
@@ -441,13 +441,10 @@ func TestPushPollDeterminism(t *testing.T) {
 	} {
 		name := fmt.Sprintf("workers=%d,buffer=%d", cfg.workers, cfg.buffer)
 		t.Run(name, func(t *testing.T) {
-			oldBuf, oldPool := maxEmissionBuffer, poolFanoutMin
+			oldBuf := maxEmissionBuffer
 			maxEmissionBuffer = cfg.buffer
-			if cfg.workers > 1 {
-				poolFanoutMin = 0
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cfg.workers))
-			}
-			defer func() { maxEmissionBuffer, poolFanoutMin = oldBuf, oldPool }()
+			defer func() { maxEmissionBuffer = oldBuf }()
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cfg.workers))
 
 			core := newServer(t, Config{})
 			ts := httptest.NewServer(Handler(core))

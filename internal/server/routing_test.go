@@ -22,7 +22,8 @@ import (
 // routingVictim on its 4th matched post, and registry writes between two
 // ingests: before post routingChurnAt the third profile is unsubscribed
 // and a late one subscribed, and before post routingLateUntil the late one
-// is unsubscribed. At most 16 subscriptions are ever live.
+// is unsubscribed. At most 16 subscriptions are ever live, plus the
+// padding routingWorkload is asked for.
 const (
 	routingVictim     = 5
 	routingVictimPost = 4
@@ -34,8 +35,11 @@ const (
 
 // routingWorkload returns the profiles subscribed before the first post,
 // the late profile, the posts, and the crafted profiles' keywords: the one
-// two topics of a profile share, and two of one topic that co-occur.
-func routingWorkload() (cfgs []SubscriptionConfig, late SubscriptionConfig, posts []Post, shared string, pair [2]string) {
+// two topics of a profile share, and two of one topic that co-occur. pad
+// copies of the random profiles sit between those and the crafted ones,
+// widening every post's fan-out without moving the victim or the
+// unsubscribed profile.
+func routingWorkload(pad int) (cfgs []SubscriptionConfig, late SubscriptionConfig, posts []Post, shared string, pair [2]string) {
 	world := synth.NewWorld(synth.WorldConfig{Seed: 5})
 	rng := newRand(7)
 	algos := []string{"streamscan+", "streamscan", "streamgreedy", "streamgreedy+", "instant"}
@@ -49,6 +53,9 @@ func routingWorkload() (cfgs []SubscriptionConfig, late SubscriptionConfig, post
 	}
 	for i := 0; i < 14; i++ {
 		cfgs = append(cfgs, random(i))
+	}
+	for i := 0; i < pad; i++ {
+		cfgs = append(cfgs, cfgs[i%14])
 	}
 	kws := func(words ...string) []match.Keyword {
 		out := make([]match.Keyword, len(words))
@@ -80,16 +87,14 @@ func routingWorkload() (cfgs []SubscriptionConfig, late SubscriptionConfig, post
 	return cfgs, late, posts, shared, pair
 }
 
-// runRoutingServer streams the workload through a real server whose pool
-// threshold is poolMin and returns every subscription's emissions as JSON,
-// keyed by id: polled after the flush, or just before the unsubscribe for
-// the two profiles unsubscribed mid-stream.
-func runRoutingServer(t *testing.T, poolMin int) map[int64][]byte {
+// runRoutingServer streams the workload, padded by pad profiles, through a
+// real server and returns
+// every subscription's emissions as JSON, keyed by id: polled after the
+// flush, or just before the unsubscribe for the two profiles unsubscribed
+// mid-stream.
+func runRoutingServer(t *testing.T, pad int) map[int64][]byte {
 	t.Helper()
-	old := poolFanoutMin
-	poolFanoutMin = poolMin
-	defer func() { poolFanoutMin = old }()
-	cfgs, late, posts, _, _ := routingWorkload()
+	cfgs, late, posts, _, _ := routingWorkload(pad)
 	// Fire runs only after a match, so the trigger count is the victim's
 	// matched-post count whatever the fan-out feeds it.
 	inj, err := faultinject.ParseSchedule(
@@ -145,7 +150,7 @@ func runRoutingServer(t *testing.T, poolMin int) map[int64][]byte {
 		t.Fatal(err)
 	}
 	if !st.Quarantined {
-		t.Fatalf("threshold=%d: subscription %d not quarantined", poolMin, routingVictim)
+		t.Fatalf("subscription %d not quarantined", routingVictim)
 	}
 	for _, id := range ids {
 		if id != ids[2] {
@@ -156,16 +161,16 @@ func runRoutingServer(t *testing.T, poolMin int) map[int64][]byte {
 }
 
 // runBroadcastOracle is the fan-out the routing index replaced, kept here
-// as the reference: no symbol table, no inverted index, no pool. Every
+// as the reference: no symbol table and no inverted index. Every
 // post that survives deduplication is offered to every profile live at
 // its index, through the profile's uncompiled match.Matcher, and each
 // profile owns one serial mqdp.NewStream processor. The victim stops at
 // its scripted matched post, unprocessed, and is not flushed — what
 // quarantine does to a real pipeline; a profile unsubscribed mid-stream
 // stops at that post index, unflushed.
-func runBroadcastOracle(t *testing.T) map[int64][]byte {
+func runBroadcastOracle(t *testing.T, pad int) map[int64][]byte {
 	t.Helper()
-	cfgs, late, posts, _, _ := routingWorkload()
+	cfgs, late, posts, _, _ := routingWorkload(pad)
 	type profile struct {
 		matcher  *match.Matcher
 		proc     mqdp.Processor
@@ -246,26 +251,19 @@ func runBroadcastOracle(t *testing.T) map[int64][]byte {
 }
 
 // TestRoutingEquivalence is routing's safety property: per-subscription
-// emission streams are byte-identical to a broadcast fan-out, whether each
-// post is fed on the worker pool or inline, across random topic overlap,
-// topics sharing a keyword, co-occurring keywords of one topic, a
-// mid-stream quarantine, and a subscribe and unsubscribes between ingests.
+// emission streams are byte-identical to a broadcast fan-out across random
+// topic overlap, topics sharing a keyword, co-occurring keywords of one
+// topic, a mid-stream quarantine, and a subscribe and unsubscribes between
+// ingests.
 // Routing is the match: it must reach exactly the subscriptions that
 // match, each with the labels its matcher would return.
+//
+// The cases are named for the fan-out pool thresholds they once set; the
+// pool is gone, and each case instead pads the workload with that many
+// profiles, so the one inline fan-out is checked at the widths the pool
+// used to take as well as below them.
 func TestRoutingEquivalence(t *testing.T) {
-	ref := runBroadcastOracle(t)
-	cfgs, _, posts, shared, pair := routingWorkload()
-	// The crafted profiles, the late one and the one unsubscribed at the
-	// churn point must all emit, or their cases prove nothing.
-	for _, id := range []int64{3, int64(len(cfgs) - 1), int64(len(cfgs)), int64(len(cfgs) + 1)} {
-		var es []Emission
-		if err := json.Unmarshal(ref[id], &es); err != nil {
-			t.Fatal(err)
-		}
-		if len(es) == 0 {
-			t.Fatalf("oracle profile %d emitted nothing; workload too sparse to prove anything", id)
-		}
-	}
+	_, _, posts, shared, pair := routingWorkload(0)
 	var sharedPosts, pairPosts int
 	for _, p := range posts {
 		words := textutil.Words(p.Text)
@@ -279,11 +277,23 @@ func TestRoutingEquivalence(t *testing.T) {
 	if sharedPosts == 0 || pairPosts == 0 {
 		t.Fatalf("posts with the shared keyword %d, with both paired keywords %d; want both > 0", sharedPosts, pairPosts)
 	}
-	// Every post pooled, the default, and every post inline: no post has
-	// more candidates than there are live subscriptions.
-	for _, poolMin := range []int{0, poolFanoutMin, len(cfgs) + 1} {
-		t.Run(fmt.Sprintf("threshold=%d", poolMin), func(t *testing.T) {
-			got := runRoutingServer(t, poolMin)
+	for _, pad := range []int{0, 17, 32} {
+		t.Run(fmt.Sprintf("threshold=%d", pad), func(t *testing.T) {
+			ref := runBroadcastOracle(t, pad)
+			cfgs, _, _, _, _ := routingWorkload(pad)
+			// The crafted profiles, the late one and the one unsubscribed
+			// at the churn point must all emit, or their cases prove
+			// nothing.
+			for _, id := range []int64{3, int64(len(cfgs) - 1), int64(len(cfgs)), int64(len(cfgs) + 1)} {
+				var es []Emission
+				if err := json.Unmarshal(ref[id], &es); err != nil {
+					t.Fatal(err)
+				}
+				if len(es) == 0 {
+					t.Fatalf("oracle profile %d emitted nothing; workload too sparse to prove anything", id)
+				}
+			}
+			got := runRoutingServer(t, pad)
 			if len(got) != len(ref) {
 				t.Fatalf("subscription count %d, want %d", len(got), len(ref))
 			}
@@ -297,8 +307,8 @@ func TestRoutingEquivalence(t *testing.T) {
 }
 
 // TestIngestScratchBounded checks the oversized-scratch policy: one
-// pathological post must not pin a huge tokenize buffer on the server
-// forever (the slice analogue of the wire pool's byte cap).
+// pathological post must not pin a huge tokenize or routing buffer on the
+// server forever (the slice analogue of the wire pool's byte cap).
 func TestIngestScratchBounded(t *testing.T) {
 	s := newServer(t, Config{})
 	if _, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Lambda: 10, Tau: 0, Algorithm: "instant"}); err != nil {
@@ -327,6 +337,49 @@ func TestIngestScratchBounded(t *testing.T) {
 	}
 	if got := cap(s.wordBuf); got == 0 || got > keepIngestScratch {
 		t.Errorf("recovered scratch cap = %d, want (0, %d]", got, keepIngestScratch)
+	}
+
+	// A post routed to more candidates than the bound must not pin the
+	// routing scratch either, nor leave subscriptions in its tail: an
+	// unsubscribed profile stays reachable from a stale pointer there.
+	wide := make([]int64, 2*keepIngestScratch+10)
+	for i := range wide {
+		id, err := s.Subscribe(SubscriptionConfig{Topics: topic("obama"), Lambda: 10, Tau: 0, Algorithm: "instant"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide[i] = id
+	}
+	if err := ingestPost(s, Post{ID: 4, Time: 3, Text: "obama everywhere"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range wide {
+		if err := s.Unsubscribe(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ingestPost(s, Post{ID: 5, Time: 4, Text: "obama again"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(s.postBuf); got > keepIngestScratch {
+		t.Errorf("post-wide postBuf cap = %d, want ≤ %d", got, keepIngestScratch)
+	}
+	if got := cap(s.candBuf); got > keepIngestScratch {
+		t.Errorf("post-wide candBuf cap = %d, want ≤ %d", got, keepIngestScratch)
+	}
+	pinned := 0
+	for _, e := range s.postBuf[:cap(s.postBuf)] {
+		if e.V.sub != nil {
+			pinned++
+		}
+	}
+	for _, c := range s.candBuf[:cap(s.candBuf)] {
+		if c.sub != nil {
+			pinned++
+		}
+	}
+	if pinned != 0 {
+		t.Errorf("routing scratch holds %d subscription pointers after the fan-out, want 0", pinned)
 	}
 }
 

@@ -7,15 +7,15 @@
 // algorithm "has to be executed for millions of users".
 //
 // Concurrency model: the Server's RWMutex guards only the subscription
-// registry. All per-subscription state (matcher, processor, emission
-// buffer, held posts) lives behind that subscription's own mutex, so
-// readers poll other subscriptions unblocked while ingest feeds a post's
-// routed candidates: inline when there are fewer than poolFanoutMin of
-// them, otherwise in parallel on a GOMAXPROCS worker pool via
-// internal/parallel. Ingest admission (order check, dedup, counters) is
-// serialized by a separate mutex, which also guarantees every
-// subscription sees posts in timestamp order: per-subscription emission
-// sequences are identical on either path.
+// registry. All per-subscription state (processor, emission buffer, held
+// posts) lives behind that subscription's own mutex, so readers poll other
+// subscriptions unblocked while ingest feeds a post's routed candidates.
+// Ingest is serialized by a separate mutex: the order check, dedup,
+// routing and the fan-out, which feeds the candidates one after another in
+// subscription-ID order on the ingest goroutine. Every subscription thus
+// sees posts in timestamp order, and its emission sequence depends only
+// on the stream. Lock order: walBatchMu → ingestMu → sub.mu → the route
+// package's leaf locks.
 //
 // Instrumentation is per ingest batch, not per post or per candidate:
 // applyBatch opens one ingest.batch span under a traced request and reads
@@ -40,7 +40,6 @@ import (
 	"mqdp/internal/faultinject"
 	"mqdp/internal/match"
 	"mqdp/internal/obs"
-	"mqdp/internal/parallel"
 	"mqdp/internal/route"
 	"mqdp/internal/simhash"
 	"mqdp/internal/stream"
@@ -92,13 +91,6 @@ const defaultTopK = 10
 // maxEmissionBuffer caps each subscription's retained emission history.
 // A variable so tests can exercise the trim path cheaply.
 var maxEmissionBuffer = 65536
-
-// poolFanoutMin is the candidate count from which a post is fed on a
-// GOMAXPROCS worker pool; smaller fan-outs run inline, where the pool
-// hand-off costs more than the feeds it spreads (BenchmarkIngestFanout
-// prices both paths). Flush applies it to the subscription count. A
-// variable so tests can force either path.
-var poolFanoutMin = 32
 
 // postRecord is one admitted post with at least one routed candidate,
 // shared read-only by every subscription it matched. seq is the
@@ -233,7 +225,7 @@ func (sub *subscription) quarantine(msg string, s *Server) {
 	// lock-free quarantined check in feed stays as the backstop for
 	// fan-outs whose candidates were copied out before the withdrawal).
 	// route.Index's mutex is a leaf that no fan-out holds, so taking it
-	// under sub.mu, on a pool worker, cannot deadlock.
+	// under sub.mu, inside the fan-out, cannot deadlock.
 	s.routes.Remove(sub.id, sub.routeSyms)
 	if l := s.cfg.Logger; l != nil {
 		l.Warn("subscription quarantined", slog.Int64("subscription", sub.id), slog.String("reason", msg))
@@ -245,9 +237,8 @@ func (sub *subscription) quarantine(msg string, s *Server) {
 }
 
 // Server is the multi-subscription diversification service. It is safe for
-// concurrent use: ingest admission is serialized to preserve stream order,
-// then each post is fed to its routed candidate subscriptions, on a worker
-// pool once there are poolFanoutMin of them.
+// concurrent use: ingest is serialized to preserve stream order, and each
+// post is fed to its routed candidate subscriptions in turn.
 type Server struct {
 	// mu guards only the registry (subs, order, nextID).
 	mu     sync.RWMutex
@@ -271,10 +262,11 @@ type Server struct {
 	// so one pathological post doesn't pin its buffers forever.
 	wordBuf []string
 	// symBuf, postBuf and candBuf are the routing scratch, reused under
-	// ingestMu like wordBuf: the post's tokens resolved to deduplicated
-	// symbols, the postings merged for them, and those postings folded
-	// into one candidate per subscription (read by every fan-out worker,
-	// reused only after the fan-out completes).
+	// ingestMu and dropped past keepIngestScratch like wordBuf: the post's
+	// tokens resolved to deduplicated symbols, the postings merged for
+	// them, and those postings folded into one candidate per subscription.
+	// The fan-out clears the used prefix of the last two, so no
+	// unsubscribed profile stays reachable from the scratch.
 	symBuf  []uint32
 	postBuf []route.Entry[posting]
 	candBuf []posting
@@ -612,13 +604,8 @@ func (s *Server) ingestOne(ctx context.Context, p Post, trace obs.TraceID) (int,
 	seq := s.ingested.Add(1)
 	// Tokenize once per post: the deduper fingerprints these words, and
 	// routing resolves them to symbols.
-	s.wordBuf = textutil.AppendWords(s.wordBuf[:0], p.Text)
-	words := s.wordBuf
-	// Mirror the wire pool's oversized-scratch policy: one pathological
-	// post must not pin a huge tokenize/routing scratch forever.
-	if cap(s.wordBuf) > keepIngestScratch {
-		s.wordBuf = nil
-	}
+	words := textutil.AppendWords(s.wordBuf[:0], p.Text)
+	s.wordBuf = bounded(words)
 	if s.dedup != nil && !s.dedup.OfferWords(words) {
 		s.dropped.Inc()
 		return 0, true, nil
@@ -632,11 +619,8 @@ func (s *Server) ingestOne(ctx context.Context, p Post, trace obs.TraceID) (int,
 	// the broadcast oracle).
 	s.symBuf = route.DedupSyms(s.symtab.AppendSyms(s.symBuf[:0], words))
 	s.postBuf = s.routes.Postings(s.postBuf[:0], s.symBuf)
-	s.candBuf = foldPostings(s.candBuf[:0], s.postBuf)
-	cands := s.candBuf
-	if cap(s.symBuf) > keepIngestScratch {
-		s.symBuf = nil
-	}
+	cands := foldPostings(s.candBuf[:0], s.postBuf)
+	s.symBuf = bounded(s.symBuf)
 	if skipped := s.subCount.Load() - int64(len(cands)); skipped > 0 {
 		s.routingSkipped.Add(skipped)
 	}
@@ -646,7 +630,13 @@ func (s *Server) ingestOne(ctx context.Context, p Post, trace obs.TraceID) (int,
 	if len(cands) == 0 {
 		return 0, false, nil
 	}
-	return len(cands), false, s.fanout(cands, &postRecord{seq: seq, post: p}, trace)
+	err := s.fanout(cands, &postRecord{seq: seq, post: p}, trace)
+	// A stale subscription pointer in the scratch would keep an
+	// unsubscribed profile's pipeline reachable.
+	clear(s.postBuf)
+	clear(cands)
+	s.postBuf, s.candBuf = bounded(s.postBuf), bounded(cands)
+	return len(cands), false, err
 }
 
 // foldPostings appends one candidate per subscription of ps, whose
@@ -675,12 +665,9 @@ func foldPostings(dst []posting, ps []route.Entry[posting]) []posting {
 	return dst
 }
 
-// fanout feeds rec to every candidate and returns the lowest-index failure.
-// Every feed runs on either path, so both report the same error.
+// fanout feeds rec to every candidate in order and returns the first
+// failure; a failing feed does not stop the ones after it.
 func (s *Server) fanout(cands []posting, rec *postRecord, trace obs.TraceID) error {
-	if len(cands) >= poolFanoutMin {
-		return parallel.FirstErr(0, len(cands), func(i int) error { return cands[i].sub.feed(rec, cands[i].labels, s, trace) })
-	}
 	var first error
 	for _, c := range cands {
 		if err := c.sub.feed(rec, c.labels, s, trace); first == nil {
@@ -690,10 +677,19 @@ func (s *Server) fanout(cands []posting, rec *postRecord, trace obs.TraceID) err
 	return first
 }
 
-// keepIngestScratch bounds the per-post scratch (words, symbols) retained
-// between ingests, in entries — the slice-pool analogue of the wire
-// codec's 8 MiB byte cap.
+// keepIngestScratch bounds the per-post scratch (words, symbols, postings,
+// candidates) retained between ingests, in entries — the slice-pool
+// analogue of the wire codec's 8 MiB byte cap.
 const keepIngestScratch = 1 << 12
+
+// bounded returns buf for reuse by the next post, or nil once it outgrew
+// keepIngestScratch: one pathological post must not pin it forever.
+func bounded[E any](buf []E) []E {
+	if cap(buf) > keepIngestScratch {
+		return nil
+	}
+	return buf
+}
 
 // feed processes one matched post for a single subscription; labels are
 // the topics it matched, as routing folded them, owned by the processor
@@ -841,33 +837,32 @@ func (s *Server) Flush() {
 		return
 	}
 	s.mu.RLock()
-	shards := slices.Clone(s.order)
+	subs := slices.Clone(s.order)
 	s.mu.RUnlock()
-	o := s.obs
-	workers := 1 // inline below the pool threshold, like the ingest fan-out
-	if len(shards) >= poolFanoutMin {
-		workers = 0
+	for _, sub := range subs {
+		sub.flush(s)
 	}
-	parallel.ForEach(workers, len(shards), func(i int) {
-		sub := shards[i]
-		sub.mu.Lock()
-		defer sub.mu.Unlock()
-		defer func() {
-			// A processor that panics while flushing is quarantined like
-			// one that panics mid-stream; the other subscriptions flush on.
-			if r := recover(); r != nil {
-				sub.quarantine(fmt.Sprintf("panic on flush: %v", r), s)
-			}
-		}()
-		if !sub.quarantined.Load() {
-			sub.deliver(sub.proc.Flush(), o, obs.TraceID{})
+}
+
+// flush forces the subscription's pending decisions out and ends its
+// stream. A processor that panics while flushing is quarantined like one
+// that panics mid-stream; the other subscriptions flush on.
+func (sub *subscription) flush(s *Server) {
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			sub.quarantine(fmt.Sprintf("panic on flush: %v", r), s)
 		}
-		// Every decision has landed; whatever is still held was rejected.
-		sub.held = heldPosts{}
-		// The stream is over: wake every push waiter with the terminal
-		// state instead of leaving them parked until client timeouts.
-		sub.terminateLocked(EndReasonFlushed)
-	})
+	}()
+	if !sub.quarantined.Load() {
+		sub.deliver(sub.proc.Flush(), s.obs, obs.TraceID{})
+	}
+	// Every decision has landed; whatever is still held was rejected.
+	sub.held = heldPosts{}
+	// The stream is over: wake every push waiter with the terminal state
+	// instead of leaving them parked until client timeouts.
+	sub.terminateLocked(EndReasonFlushed)
 }
 
 // Closed reports whether Flush has ended the stream.

@@ -225,18 +225,18 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // TestTraceSpanBudgetPerBatch pins the span budget of a traced ingest: a
-// 64-post batch whose every post routes to 40 matching, emitting
-// subscriptions (more than the default poolFanoutMin) records exactly the
-// spans of a 1-post batch — ingestSpans, one each — on the pooled
-// (threshold 0) and the inline (threshold above the subscription count)
-// fan-out.
+// 64-post batch whose every post routes to every one of 40 or more
+// matching, emitting subscriptions records exactly the spans of a 1-post
+// batch — ingestSpans, one each.
+//
+// The cases are named for the fan-out pool thresholds they once set; the
+// pool is gone, and each case instead adds that many subscriptions, so the
+// budget is checked at two fan-out widths of the one inline path.
 func TestTraceSpanBudgetPerBatch(t *testing.T) {
-	const subs, wide = 40, 64
-	for _, poolMin := range []int{0, subs + 1} {
-		t.Run(fmt.Sprintf("threshold=%d", poolMin), func(t *testing.T) {
-			old := poolFanoutMin
-			poolFanoutMin = poolMin
-			defer func() { poolFanoutMin = old }()
+	const wide = 64
+	for _, extra := range []int{0, 41} {
+		t.Run(fmt.Sprintf("threshold=%d", extra), func(t *testing.T) {
+			subs := 40 + extra
 			ts, s, tracer := newTracedServer(t)
 			for i := 0; i < subs; i++ {
 				if _, err := s.Subscribe(SubscriptionConfig{Topics: politicsTopics(), Algorithm: "instant"}); err != nil {
